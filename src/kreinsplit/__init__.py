@@ -27,7 +27,7 @@ from .errors import (
     KreinsplitError,
 )
 from .expr import SymmetricCurve, evaluate, parse, pretty
-from .flow import FlowSolution, endpoint, integrate, perturbation_hamiltonian
+from .flow import FlowSolution, endpoint, endpoints, integrate, perturbation_hamiltonian
 from .linalg import (
     J4,
     QuarticPoly,
@@ -70,6 +70,7 @@ __all__ = [
     "FlowSolution",
     "integrate",
     "endpoint",
+    "endpoints",
     "perturbation_hamiltonian",
     "JordanPair",
     "eigenvalues",

@@ -23,13 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .bifurcation import expansion_eps, expansion_t, classify_stability, ladder
-from .errors import AnalysisError, InputError, NoDoubleMultiplierError
-from .flow import endpoint, integrate, perturbation_hamiltonian
+from .bifurcation import classify_stability, ladder
+from .errors import AnalysisError, InputError
+from .flow import integrate  # noqa: F401  (looked up here by perfbench/spans.py)
 from .linalg import J4
 from .scenario import GridSpec, load_scenario
-from .spectral import detect_double_unitary, eigenvalues, jordan_pair
-from .verify import compare
+from .spectral import eigenvalues
+from .verify import compare, family, family_endpoints
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,43 +82,11 @@ def _grid_override(text):
     return GridSpec(lo=lo, hi=hi, count=count, log=log)
 
 
-def _eps_pipeline(scenario):
-    # Chain and effective generator at the eps = 0 endpoint.
-    if not scenario.curve.has_eps:
-        raise InputError("scenario curve does not mention eps; eps mode unavailable")
-    tol = scenario.tolerances
-    sol0 = integrate(scenario.curve, np.eye(4), scenario.T, tol.steps_eps, 0.0, tol.drift)
-    G_T = endpoint(sol0)
-    lam = detect_double_unitary(G_T, tol.cluster, tol.circle)
-    if lam is None:
-        raise NoDoubleMultiplierError(
-            "endpoint at eps = 0 has no double unit-circle multiplier pair")
-    pair = jordan_pair(G_T, lam)
-    B = perturbation_hamiltonian(scenario.curve, sol0)
-    return G_T, pair, B
-
-
-def _t_pipeline(scenario):
-    tol = scenario.tolerances
-    gamma0 = scenario.initial_matrix()
-    lam = detect_double_unitary(gamma0, tol.cluster, tol.circle)
-    if lam is None:
-        raise NoDoubleMultiplierError(
-            "initial matrix has no double unit-circle multiplier pair")
-    pair = jordan_pair(gamma0, lam)
-    A0 = scenario.curve.eval_matrix(0.0, 0.0)
-    return gamma0, pair, A0
-
-
 def _analysis_doc(scenario, mode):
-    if mode == "eps":
-        base, pair, drive = _eps_pipeline(scenario)
-        coeffs = expansion_eps(pair, drive)
-    else:
-        base, pair, drive = _t_pipeline(scenario)
-        coeffs = expansion_t(pair, drive)
+    fam = family(scenario, mode)
+    pair, coeffs = fam.pair, fam.coeffs
     verdict = classify_stability(coeffs)
-    lad = ladder(base, J4 @ drive @ base, pair.lambda0)
+    lad = ladder(fam.base, J4 @ fam.drive @ fam.base, pair.lambda0)
     return {
         "name": scenario.name,
         "mode": mode,
@@ -155,13 +123,7 @@ def cmd_analyze(scenario, args):
 
 
 def cmd_classify(scenario, args):
-    mode = args.mode or "t"
-    if mode == "eps":
-        _, pair, drive = _eps_pipeline(scenario)
-        coeffs = expansion_eps(pair, drive)
-    else:
-        _, pair, drive = _t_pipeline(scenario)
-        coeffs = expansion_t(pair, drive)
+    coeffs = family(scenario, args.mode or "t").coeffs
     verdict = classify_stability(coeffs)
     print(f"{verdict.verdict} kappa={coeffs.kappa!r}")
     return 0
@@ -221,30 +183,21 @@ def cmd_verify(scenario, args):
 
 def cmd_sweep(scenario, args):
     mode = args.mode or "t"
-    tol = scenario.tolerances
     if mode == "eps":
         if not scenario.curve.has_eps:
             raise InputError("scenario curve does not mention eps; eps mode unavailable")
-        grid = (args.grid or scenario.eps_grid).points()
-
-        def family(v):
-            return endpoint(integrate(scenario.curve, np.eye(4), scenario.T,
-                                      tol.steps_eps, v, tol.drift))
+        grid = scenario.eps_grid.points()
     else:
-        gamma0 = scenario.initial_matrix()
-        grid = (args.grid or scenario.t_grid).points()
-
-        def family(v):
-            return endpoint(integrate(scenario.curve, gamma0, v,
-                                      tol.steps_t, 0.0, tol.drift))
+        grid = scenario.t_grid.points()
+    ends = family_endpoints(scenario, mode, grid)
 
     header = ["s"]
     for k in range(1, 5):
         header += [f"re_{k}", f"im_{k}"]
     header += [f"mod_{k}" for k in range(1, 5)]
     rows = []
-    for s in grid:
-        evs = sorted(eigenvalues(family(float(s))), key=lambda z: (np.angle(z), abs(z)))
+    for s, M in zip(grid, ends):
+        evs = sorted(eigenvalues(M), key=lambda z: (np.angle(z), abs(z)))
         row = [repr(float(s))]
         for z in evs:
             row += [repr(float(z.real)), repr(float(z.imag))]
@@ -289,20 +242,31 @@ def build_parser():
         p.add_argument("--tol", type=float, default=1e-3,
                        help="verification tolerance on relative errors (verify only)")
         p.add_argument("--grid", type=_grid_override, default=None,
-                       help="override the active grid: min,max,count[,log|lin]")
+                       help="override the grid of every family the command runs: "
+                            "min,max,count[,log|lin]")
         p.add_argument("--mode", choices=("t", "eps"), default=None,
                        help="parameter family (default: t; verify runs both)")
     return parser
 
 
+def apply_grid_override(scenario, command, mode, grid):
+    """The scenario with ``grid`` in place of the grid of every family
+    ``command`` runs: the ``mode`` family when given, else both families
+    for ``verify`` and the time family for the other subcommands."""
+    if grid is None:
+        return scenario
+    if mode is not None:
+        modes = (mode,)
+    else:
+        modes = ("t", "eps") if command == "verify" else ("t",)
+    return replace(scenario, **{f"{m}_grid": grid for m in modes})
+
+
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        scenario = load_scenario(args.scenario)
-        if args.grid is not None:
-            mode = args.mode or "t"
-            key = "t_grid" if mode == "t" else "eps_grid"
-            scenario = replace(scenario, **{key: args.grid})
+        scenario = apply_grid_override(load_scenario(args.scenario), args.command,
+                                       args.mode, args.grid)
         return _COMMANDS[args.command](scenario, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,6 +65,7 @@ class ExprDomainError(AnalysisError):
 
     def __init__(self, offset, message):
         self.offset = offset
+        self.reason = message
         super().__init__(f"{message} (subexpression at offset {offset})")
 
 
@@ -131,3 +132,8 @@ class IllConditionedFitError(AnalysisError):
 
 class CorruptedSolutionError(AnalysisError):
     """A flow endpoint failed basic symplectic sanity checks."""
+
+
+class NonConformingFlowError(AnalysisError):
+    """A flow's symplectic drift exceeds the scenario's drift tolerance, so
+    its matrices are not trusted as symplectic."""

@@ -501,22 +501,31 @@ class SymmetricCurve:
             try:
                 v = fn(t, eps)
             except ExprDomainError as exc:
-                raise ExprDomainError(exc.offset, f"entry ({i},{j}): {exc}") from None
+                raise ExprDomainError(exc.offset, f"entry ({i},{j}): {exc.reason}") from None
             M[i, j] = v
             M[j, i] = v
         return M
 
     def eval_matrix_batch(self, ts, eps=0.0):
-        """A(t, eps) for every t in ``ts``; shape (len(ts), 4, 4)."""
+        """A(t, eps) for every t in ``ts``; shape (len(ts), 4, 4).
+
+        ``eps`` is a scalar or an array shaped like ``ts``, paired with it
+        point by point."""
         ts = np.asarray(ts, dtype=float)
         out = np.zeros((ts.size, 4, 4))
         for (i, j), fn in self._array.items():
             vals = fn(ts, eps)
             if not np.all(np.isfinite(vals)):
                 bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+                t_bad = float(ts[bad])
+                eps_bad = float(np.broadcast_to(eps, ts.shape)[bad])
+                where = f"at (t, eps) = ({t_bad!r}, {eps_bad!r})"
                 # Re-evaluate the scalar path to produce a located error.
-                self.eval_matrix(float(ts[bad]), eps)
-                raise ExprDomainError(0, f"entry ({i},{j}) non-finite at t={ts[bad]}")
+                try:
+                    self.eval_matrix(t_bad, eps_bad)
+                except ExprDomainError as exc:
+                    raise ExprDomainError(exc.offset, f"{exc.reason} {where}") from None
+                raise ExprDomainError(0, f"entry ({i},{j}) non-finite {where}")
             out[:, i, j] = vals
             out[:, j, i] = vals
         return out

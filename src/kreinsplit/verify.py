@@ -12,16 +12,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bifurcation import expansion_eps, expansion_t
+from .bifurcation import ExpansionCoefficients, expansion_eps, expansion_t
 from .errors import (
     IllConditionedFitError,
     InputError,
     NoDoubleMultiplierError,
     TrackingAmbiguityError,
 )
-from .flow import endpoint, integrate, perturbation_hamiltonian
+from .flow import endpoint, endpoints, integrate, perturbation_hamiltonian
 from .linalg import charpoly_three_term, quartic_roots
-from .spectral import detect_double_unitary, eigenvalues, jordan_pair
+from .spectral import JordanPair, detect_double_unitary, eigenvalues, jordan_pair
 
 
 @dataclass(frozen=True)
@@ -44,16 +44,17 @@ class BranchTrack:
         return np.abs(self.branch2 - self.branch1)
 
 
-def track(matrix_family, lambda0, grid, a_seed=None):
-    """Track the two near eigenvalues of ``matrix_family(s)`` over a grid.
+def track(matrices, lambda0, grid, a_seed=None):
+    """Track the two near eigenvalues of a matrix family over a grid.
 
-    The characteristic quartic is recentred at ``lambda0`` before root
-    extraction, which keeps the nearly-double roots well conditioned.
-    Branch labels continue by nearest-neighbor matching from the previous
-    grid point; at the first point, ``a_seed`` (the predicted square-root
-    coefficient) orients branch 2 along +a_seed when given.  The grid must
-    be strictly monotone and positive; a decreasing grid simply runs the
-    continuation from the other end.
+    ``matrices[n]`` is the family's matrix at ``grid[n]``, stacked with
+    shape (len(grid), 4, 4).  The characteristic quartic is recentred at
+    ``lambda0`` before root extraction, which keeps the nearly-double roots
+    well conditioned.  Branch labels continue by nearest-neighbor matching
+    from the previous grid point; at the first point, ``a_seed`` (the
+    predicted square-root coefficient) orients branch 2 along +a_seed when
+    given.  The grid must be strictly monotone and positive; a decreasing
+    grid simply runs the continuation from the other end.
 
     Raises TrackingAmbiguityError when a third eigenvalue comes within
     twice the pair spread of the collision point.
@@ -65,6 +66,9 @@ def track(matrix_family, lambda0, grid, a_seed=None):
         d = np.diff(grid)
         if not (np.all(d > 0) or np.all(d < 0)):
             raise ValueError("grid must be strictly monotonic")
+    matrices = np.asarray(matrices)
+    if matrices.shape != (grid.size, 4, 4):
+        raise ValueError(f"need one 4x4 matrix per grid point, got shape {matrices.shape}")
     lambda0 = complex(lambda0)
 
     b1 = np.empty(grid.size, dtype=complex)
@@ -72,7 +76,7 @@ def track(matrix_family, lambda0, grid, a_seed=None):
     res = np.empty((grid.size, 2))
     prev = None
     for n, s in enumerate(grid):
-        M = matrix_family(float(s))
+        M = matrices[n]
         poly = charpoly_three_term(M, M, lambda0)
         roots = quartic_roots(poly)
         dist = np.abs(roots - lambda0)
@@ -219,8 +223,11 @@ def _relative_error(emp, pred):
     return abs(emp - pred) / max(abs(pred), 1e-12)
 
 
-def _mode_comparison(mode, lam, coeffs, family, grid):
-    tr = track(family, lam, grid, a_seed=coeffs.a)
+def _mode_comparison(fam, grid, matrices, foot4):
+    """Track and fit ``matrices`` (the family over ``grid``); ``foot4`` is
+    the family at four times the smallest grid value."""
+    lam, coeffs = fam.pair.lambda0, fam.coeffs
+    tr = track(matrices, lam, grid, a_seed=coeffs.a)
     fit = fit_puiseux(tr, lam)
     kappa_emp = float((fit.a ** 2 / (lam * lam)).real)
     sumder_emp = 2.0 * fit.mu_sum
@@ -232,14 +239,16 @@ def _mode_comparison(mode, lam, coeffs, family, grid):
     # Scaling probes at the foot of the grid: deviations should scale as
     # sqrt(s), so dev(s)/dev(4s) -> 1/2 and the one-sided difference
     # quotient grows by 2 when s shrinks by 4.
-    s0 = float(np.min(tr.grid))
-    probe = track(family, lam, np.array([s0, 4.0 * s0]), a_seed=coeffs.a)
+    foot = int(np.argmin(tr.grid))
+    s0 = float(tr.grid[foot])
+    probe = track(np.stack([matrices[foot], foot4]), lam, np.array([s0, 4.0 * s0]),
+                  a_seed=coeffs.a)
     dev = 0.5 * (np.abs(probe.branch1 - lam) + np.abs(probe.branch2 - lam))
     sqrt_ratio = float(dev[0] / dev[1])
     quotient_growth = float((dev[0] / s0) / (dev[1] / (4.0 * s0)))
 
     return ModeComparison(
-        mode=mode,
+        mode=fam.mode,
         lambda0=lam,
         kappa_predicted=coeffs.kappa,
         kappa_empirical=kappa_emp,
@@ -255,10 +264,9 @@ def _mode_comparison(mode, lam, coeffs, family, grid):
     )
 
 
-def _stability_probe(curve, gamma0, lam, kappa, probe, steps, drift_tol,
+def _stability_probe(forward, backward, lam, kappa, probe,
                      off_tol=1e-6, circle_tol=1e-6, sep_tol=1e-3):
-    forward = endpoint(integrate(curve, gamma0, probe, steps, 0.0, drift_tol))
-    backward = endpoint(integrate(curve, gamma0, -probe, steps, 0.0, drift_tol))
+    """Judge the dichotomy from the flow's endpoints at +probe and -probe."""
     if kappa < 0:
         forward, backward = backward, forward
     # "forward" now means the side the dichotomy claims unstable.
@@ -302,6 +310,79 @@ class OracleReport:
         return max(errors)
 
 
+@dataclass(frozen=True)
+class Family:
+    """Base point of one parameter family and its closed-form expansion.
+
+    For the time family ("t") the base is the initial matrix and the drive
+    is A(0, 0); for the eps family ("eps") the base is the endpoint G(T)
+    at eps = 0 and the drive is the effective perturbation generator B.
+    """
+
+    mode: str
+    base: np.ndarray
+    pair: JordanPair
+    drive: np.ndarray
+    coeffs: ExpansionCoefficients
+
+
+def family(scenario, mode):
+    """Detect the double multiplier of the ``mode`` family, extract its
+    chain and expand the splitting: the setup shared by the predictions
+    and the oracle."""
+    tol = scenario.tolerances
+    curve = scenario.curve
+    if mode == "eps":
+        if not curve.has_eps:
+            raise InputError("scenario curve does not mention eps; eps mode unavailable")
+        # The quadrature reads the whole eps = 0 trajectory, so this flow
+        # is integrated on its own rather than as an endpoint.
+        sol0 = integrate(curve, np.eye(4), scenario.T, tol.steps_eps, 0.0, tol.drift)
+        sol0.require_conforming()
+        base = endpoint(sol0)
+        where = "endpoint at eps = 0"
+    else:
+        base = scenario.initial_matrix()
+        where = "initial matrix"
+    lam = detect_double_unitary(base, tol.cluster, tol.circle)
+    if lam is None:
+        raise NoDoubleMultiplierError(f"{where} has no double unit-circle multiplier pair")
+    pair = jordan_pair(base, lam)
+    if mode == "eps":
+        drive = perturbation_hamiltonian(curve, sol0)
+        coeffs = expansion_eps(pair, drive)
+    else:
+        drive = curve.eval_matrix(0.0, 0.0)
+        coeffs = expansion_t(pair, drive)
+    return Family(mode=mode, base=base, pair=pair, drive=drive, coeffs=coeffs)
+
+
+def family_endpoints(scenario, mode, params):
+    """The family's matrix at every parameter in ``params``, in one batch:
+    the flow from the initial matrix to time s ("t"), or the flow from the
+    identity over [0, T] at eps = s ("eps").  Shape (len(params), 4, 4)."""
+    tol = scenario.tolerances
+    if mode == "eps":
+        ends, _ = endpoints(scenario.curve, np.eye(4), scenario.T, tol.steps_eps,
+                            params, tol.drift)
+    else:
+        ends, _ = endpoints(scenario.curve, scenario.initial_matrix(), params, tol.steps_t,
+                            0.0, tol.drift)
+    return ends
+
+
+def _oracle(scenario, mode, grid, extra=()):
+    """Closed forms and oracle for one family.  One endpoint batch covers
+    the grid, the scaling probe at four times its foot and ``extra``
+    parameters, whose endpoints are returned alongside."""
+    fam = family(scenario, mode)
+    grid = np.asarray(grid, dtype=float)
+    params = np.concatenate([grid, [4.0 * np.min(grid)], extra])
+    ends = family_endpoints(scenario, mode, params)
+    part = _mode_comparison(fam, grid, ends[:grid.size], ends[grid.size])
+    return fam, part, ends[grid.size + 1:]
+
+
 def compare(scenario, mode="both", t_grid=None, eps_grid=None, stability=True):
     """Run predictions and the tracking oracle on a scenario.
 
@@ -313,48 +394,20 @@ def compare(scenario, mode="both", t_grid=None, eps_grid=None, stability=True):
     if mode not in ("t", "eps", "both"):
         raise ValueError(f"unknown mode {mode!r}")
     tol = scenario.tolerances
-    curve = scenario.curve
     t_part = None
     eps_part = None
     probe_part = None
 
     if mode in ("t", "both"):
-        gamma0 = scenario.initial_matrix()
-        lam = detect_double_unitary(gamma0, tol.cluster, tol.circle)
-        if lam is None:
-            raise NoDoubleMultiplierError(
-                "initial matrix has no double unit-circle multiplier pair")
-        pair = jordan_pair(gamma0, lam)
-        A0 = curve.eval_matrix(0.0, 0.0)
-        coeffs = expansion_t(pair, A0)
-        grid = np.asarray(t_grid if t_grid is not None else scenario.t_grid.points())
-
-        def family_t(s):
-            return endpoint(integrate(curve, gamma0, s, tol.steps_t, 0.0, tol.drift))
-
-        t_part = _mode_comparison("t", lam, coeffs, family_t, grid)
+        grid = t_grid if t_grid is not None else scenario.t_grid.points()
+        probes = [tol.probe, -tol.probe] if stability else []
+        fam, t_part, probe_ends = _oracle(scenario, "t", grid, probes)
         if stability:
-            probe_part = _stability_probe(curve, gamma0, lam, coeffs.kappa,
-                                          tol.probe, tol.steps_t, tol.drift)
+            probe_part = _stability_probe(probe_ends[0], probe_ends[1], fam.pair.lambda0,
+                                          fam.coeffs.kappa, tol.probe)
 
-    if mode == "eps" or (mode == "both" and curve.has_eps):
-        if not curve.has_eps:
-            raise InputError("scenario curve does not mention eps; eps mode unavailable")
-        ident = np.eye(4)
-        sol0 = integrate(curve, ident, scenario.T, tol.steps_eps, 0.0, tol.drift)
-        G_T = endpoint(sol0)
-        lam = detect_double_unitary(G_T, tol.cluster, tol.circle)
-        if lam is None:
-            raise NoDoubleMultiplierError(
-                "endpoint at eps = 0 has no double unit-circle multiplier pair")
-        pair = jordan_pair(G_T, lam)
-        B = perturbation_hamiltonian(curve, sol0)
-        coeffs = expansion_eps(pair, B)
-        grid = np.asarray(eps_grid if eps_grid is not None else scenario.eps_grid.points())
-
-        def family_eps(e):
-            return endpoint(integrate(curve, ident, scenario.T, tol.steps_eps, e, tol.drift))
-
-        eps_part = _mode_comparison("eps", lam, coeffs, family_eps, grid)
+    if mode == "eps" or (mode == "both" and scenario.curve.has_eps):
+        grid = eps_grid if eps_grid is not None else scenario.eps_grid.points()
+        _, eps_part, _ = _oracle(scenario, "eps", grid)
 
     return OracleReport(name=scenario.name, t=t_part, eps=eps_part, stability=probe_part)

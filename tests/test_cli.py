@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from kreinsplit.cli import main
+from kreinsplit.cli import apply_grid_override, main
 from kreinsplit.errors import SchemaError, SymmetryConflictError
-from kreinsplit.scenario import load_scenario, parse_scenario
+from kreinsplit.scenario import GridSpec, load_scenario, parse_scenario
 
 DATA = Path(__file__).parent / "data"
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -182,6 +182,55 @@ def test_sweep_eps_without_eps_is_usage_error(capsys):
     rc = main(["sweep", str(SCENARIOS / "jordan_pi3.json"), "--mode", "eps"])
     assert rc == 1
     assert "eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, mode, overridden", [
+    ("analyze", None, {"t"}),
+    ("analyze", "eps", {"eps"}),
+    ("verify", None, {"t", "eps"}),
+    ("verify", "t", {"t"}),
+    ("verify", "eps", {"eps"}),
+    ("sweep", None, {"t"}),
+    ("sweep", "eps", {"eps"}),
+])
+def test_grid_override_covers_every_family_run(command, mode, overridden):
+    sc = load_scenario(SCENARIOS / "resonant_eps.json")
+    grid = GridSpec(lo=1e-6, hi=1e-4, count=8, log=False)
+    assert apply_grid_override(sc, command, mode, None) is sc
+    got = apply_grid_override(sc, command, mode, grid)
+    for family in ("t", "eps"):
+        want = grid if family in overridden else getattr(sc, f"{family}_grid")
+        assert getattr(got, f"{family}_grid") == want, family
+
+
+def _scenario_copy(tmp_path, source, edit):
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / source.name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_nonconforming_flow_exit_two(tmp_path, capsys):
+    path = _scenario_copy(tmp_path, DATA / "pi3_fast.json",
+                          lambda doc: doc["tolerances"].update(drift=1e-30))
+    assert main(["verify", path]) == 2
+    err = capsys.readouterr().err
+    assert "NonConformingFlowError" in err
+    assert "drift" in err and "T = " in err
+
+
+def test_eps_batch_domain_error_is_located(tmp_path, capsys):
+    # eps*sqrt(1e-5 - eps) vanishes at eps = 0, so the resonance survives,
+    # and is non-finite beyond eps = 1e-5, inside the eps grid.
+    def edit(doc):
+        doc["curve"]["entries"]["0,1"] += " + eps*sqrt(1e-5 - eps)"
+
+    path = _scenario_copy(tmp_path, SCENARIOS / "resonant_eps.json", edit)
+    assert main(["verify", path, "--mode", "eps"]) == 2
+    err = capsys.readouterr().err
+    assert "ExprDomainError" in err
+    assert "entry (0,1)" in err and "(t, eps) = " in err
 
 
 def test_classify_verdicts(capsys):

@@ -10,8 +10,13 @@ from kreinsplit import (
     make_jordan_symplectic,
     perturbation_hamiltonian,
 )
-from kreinsplit.errors import CorruptedSolutionError, ExprDomainError, NonSymplecticError
-from kreinsplit.flow import FlowSolution
+from kreinsplit.errors import (
+    CorruptedSolutionError,
+    ExprDomainError,
+    NonConformingFlowError,
+    NonSymplecticError,
+)
+from kreinsplit.flow import _CHUNK, FlowSolution, endpoints
 from kreinsplit.spectral import eigenvalues
 
 from oracles import best_match_distance, expm_taylor, random_symmetric4
@@ -185,3 +190,59 @@ def test_derivative_generator_matches_finite_difference(resonant_scenario):
     Gm = endpoint(integrate(curve, np.eye(4), T, 1500, -h))
     dG = (Gp - Gm) / (2 * h)
     assert np.max(np.abs(dG - J4 @ B @ endpoint(sol0))) < 1e-7
+
+
+# --- batched endpoints ----------------------------------------------------------
+
+NONLINEAR_EPS_ENTRIES = {
+    **SMOOTH_ENTRIES,
+    "0,0": "1 + 0.4*sin(t) + sin(3*eps)*(1 + 0.3*cos(t))",
+    "2,3": "0.2*exp(eps*t) - 0.2",
+    "1,1": "1 - 0.3*t + eps^2",
+}
+
+ENDPOINT_CASES = {
+    # curve entries, horizons, eps values
+    "mixed_horizons": (SMOOTH_ENTRIES, [0.7, -0.4, 1e-3, -1e-4, 1.3], 0.0),
+    "eps_values": (NONLINEAR_EPS_ENTRIES, 1.0, [0.0, 1e-7, 3e-4, -0.05, 0.2]),
+    "both_vary": (NONLINEAR_EPS_ENTRIES, [0.9, -0.6, 0.25], [0.1, -2e-3, 5e-6]),
+}
+
+
+@pytest.mark.parametrize("steps", [50, _CHUNK, 3 * _CHUNK + 7])
+@pytest.mark.parametrize("case", sorted(ENDPOINT_CASES))
+def test_endpoints_bitwise_equal_integrate(case, steps):
+    entries, horizons, eps_values = ENDPOINT_CASES[case]
+    curve = SymmetricCurve.from_strings(entries)
+    g0 = make_jordan_symplectic(np.pi / 3, np.eye(2))
+    ends, drifts = endpoints(curve, g0, horizons, steps, eps_values, drift_tol=1.0)
+    Ts, eps = np.broadcast_arrays(horizons, eps_values)
+    assert ends.shape == (Ts.size, 4, 4) and drifts.shape == (Ts.size,)
+    for k in range(Ts.size):
+        sol = integrate(curve, g0, float(Ts[k]), steps, float(eps[k]))
+        assert np.array_equal(ends[k], endpoint(sol)), k
+        assert drifts[k] == sol.drift, k
+
+
+def test_endpoints_rejects_what_integrate_rejects():
+    curve = smooth_curve()
+    with pytest.raises(NonSymplecticError):
+        endpoints(curve, 2 * np.eye(4), [1.0], 100)
+    with pytest.raises(ValueError):
+        endpoints(curve, np.eye(4), [1.0, 0.5], 1)
+    with pytest.raises(ValueError):
+        endpoints(curve, np.eye(4), [1.0, 0.0, -1.0], 100)
+    with pytest.raises(ExprDomainError):
+        endpoints(SymmetricCurve.from_strings({"0,0": "1/(t - 0.5)"}), np.eye(4), [0.2, 1.0], 100)
+
+
+def test_endpoints_raise_on_nonconforming_drift():
+    curve = SymmetricCurve.from_strings(NONLINEAR_EPS_ENTRIES)
+    g0 = make_jordan_symplectic(np.pi / 3, np.eye(2))
+    _, drifts = endpoints(curve, g0, 1.0, 200, [0.0, 0.2], drift_tol=1.0)
+    with pytest.raises(NonConformingFlowError) as err:
+        endpoints(curve, g0, 1.0, 200, [0.0, 0.2], drift_tol=1e-30)
+    worst = int(np.argmax(drifts))
+    assert f"{drifts[worst]:.3e}" in str(err.value)
+    assert f"eps = {[0.0, 0.2][worst]!r}" in str(err.value)
+

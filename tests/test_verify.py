@@ -19,6 +19,11 @@ from kreinsplit.errors import (
 from kreinsplit.verify import BranchTrack
 
 
+def stacked(fn, grid):
+    """The family ``fn`` at every grid point, stacked as ``track`` takes it."""
+    return np.stack([fn(float(s)) for s in grid])
+
+
 def synthetic_track(lambda0, a, mu, grid, extra=None):
     grid = np.asarray(grid, dtype=float)
     roots = np.sqrt(grid)
@@ -32,7 +37,7 @@ def synthetic_track(lambda0, a, mu, grid, extra=None):
 def test_track_constant_family():
     M = make_jordan_symplectic(np.pi / 3, np.eye(2))
     lam = detect_double_unitary(M)
-    tr = track(lambda s: M, lam, np.geomspace(1e-6, 1e-3, 6))
+    tr = track(np.repeat(M[None], 6, axis=0), lam, np.geomspace(1e-6, 1e-3, 6))
     assert np.max(np.abs(tr.branch1 - lam)) < 1e-7
     assert np.max(np.abs(tr.branch2 - lam)) < 1e-7
 
@@ -41,9 +46,11 @@ def test_track_requires_positive_monotone_grid():
     M = make_jordan_symplectic(np.pi / 3, np.eye(2))
     lam = detect_double_unitary(M)
     with pytest.raises(ValueError):
-        track(lambda s: M, lam, [1e-3, 1e-6, 1e-4])
+        track(np.repeat(M[None], 3, axis=0), lam, [1e-3, 1e-6, 1e-4])
     with pytest.raises(ValueError):
-        track(lambda s: M, lam, [-1e-3, 1e-6])
+        track(np.repeat(M[None], 2, axis=0), lam, [-1e-3, 1e-6])
+    with pytest.raises(ValueError):
+        track(np.repeat(M[None], 2, axis=0), lam, [1e-6, 1e-4, 1e-3])
 
 
 def test_track_ambiguity_detection():
@@ -53,8 +60,9 @@ def test_track_ambiguity_detection():
         d = np.sqrt(s)
         return np.diag([lam + d, lam - d, lam + 1.9 * d, np.conj(lam)])
 
+    grid = np.geomspace(1e-8, 1e-5, 5)
     with pytest.raises(TrackingAmbiguityError):
-        track(crowded, lam, np.geomspace(1e-8, 1e-5, 5))
+        track(stacked(crowded, grid), lam, grid)
 
 
 def test_track_continuity_and_reversal(pi3_scenario, pi3_report):
@@ -79,8 +87,8 @@ def test_track_reversed_grid_matches():
         return out
 
     grid = np.geomspace(1e-7, 1e-4, 8)
-    fwd = track(family, lam, grid)
-    rev = track(family, lam, grid[::-1])
+    fwd = track(stacked(family, grid), lam, grid)
+    rev = track(stacked(family, grid[::-1]), lam, grid[::-1])
     same = max(np.max(np.abs(fwd.branch1 - rev.branch1[::-1])),
                np.max(np.abs(fwd.branch2 - rev.branch2[::-1])))
     swapped = max(np.max(np.abs(fwd.branch1 - rev.branch2[::-1])),
@@ -98,8 +106,8 @@ def test_tracked_quartet_mirrors_conjugate_cluster(pi3_scenario):
         return endpoint(integrate(curve, g0, s, 2000, 0.0))
 
     grid = np.geomspace(1e-6, 1e-4, 5)
-    up = track(family, lam, grid)
-    down = track(family, np.conj(lam), grid)
+    up = track(stacked(family, grid), lam, grid)
+    down = track(stacked(family, grid), np.conj(lam), grid)
     for i in range(grid.size):
         got = sorted([down.branch1[i], down.branch2[i]], key=lambda z: z.imag)
         want = sorted([np.conj(up.branch1[i]), np.conj(up.branch2[i])],
