@@ -4,13 +4,17 @@ Fixed-step classical Runge-Kutta on the 4x4 matrix unknown.  Uniform
 grids keep the quadrature of the effective perturbation generator simple
 and runs reproducible; there is no adaptivity and no dense output.
 
-Two entry points share one step function.  ``integrate`` keeps the whole
-trajectory of one flow, which the perturbation quadrature needs.
-``endpoints`` runs K flows from one initial condition in a single loop
-over a stacked (K, 4, 4) state, each flow with its own horizon, grid and
-eps, and keeps only the endpoints.  It evaluates A and checks the drift
-chunk by chunk: it holds A and the states for K * _CHUNK steps at a time,
-never for K * steps (only the K time grids span every step).
+For a linear system one RK4 step is a matrix R_n = I + D_n that depends
+only on A, so no step loop is needed.  One chunk engine runs K flows from
+one initial condition, each with its own horizon, grid and eps, _CHUNK
+steps at a time: one evaluation of A, one batch of step increments D_n,
+a log2-depth prefix scan that composes them while carrying only the
+increment of the product (small numbers keep their own rounding instead
+of being rounded against the identity), then the states G + D @ G from
+the previous chunk's last state, each checked for symplectic drift.
+``integrate`` is the K = 1 case and keeps every state, which the
+perturbation quadrature needs; ``endpoints`` keeps only the endpoints.
+Both run the same code, so they agree bit for bit.
 """
 
 import warnings
@@ -21,9 +25,9 @@ import numpy as np
 from .errors import CorruptedSolutionError, NonConformingFlowError, NonSymplecticError
 from .linalg import J4, is_symplectic, max_abs, symplectic_inverse
 
-# Time steps per chunk of ``endpoints``: A(t, eps) is evaluated for the
-# nodes and midpoints of a chunk of every flow in one call, and the
-# chunk's states are held for the drift check.
+# Time steps per chunk.  Longer chunks cut the per-chunk Python work and
+# the roundoff carried between chunks, but grow the working set, which
+# holds K * _CHUNK steps at a time and never K * steps.
 _CHUNK = 128
 
 
@@ -40,7 +44,7 @@ class FlowSolution:
     ``gammas[i]`` is the solution at ``ts[i]``; ``gammas[0]`` is the
     supplied initial condition, bit for bit.  ``drift`` is the largest
     entrywise deviation of G^T J4 G from J4 over the grid; solutions whose
-    drift exceeds ``drift_tol`` are kept but flagged non-conforming.
+    drift exceeds ``drift_tol`` or is NaN are kept but flagged non-conforming.
     """
 
     ts: np.ndarray
@@ -63,33 +67,109 @@ class FlowSolution:
             raise _nonconforming(self.drift, self.drift_tol, self.T, self.eps)
 
 
-def _initial_condition(gamma_init, steps):
-    """Validated real copy of the initial condition; also rejects a step
-    count below 2, in the order ``integrate`` always checked."""
-    Ga = np.asarray(gamma_init)
-    if Ga.shape != (4, 4):
+def _j4(X):
+    """J4 @ X for a stack of 4-row matrices: a row swap with a sign flip."""
+    out = np.empty_like(X)
+    out[..., :2, :] = X[..., 2:, :]
+    np.negative(X[..., :2, :], out=out[..., 2:, :])
+    return out
+
+
+def _drift(states):
+    """Each flow's largest entrywise |G^T J4 G - J4| over a stack of
+    states shaped (n, K, 4, 4); shape (K,)."""
+    # matmul is several times slower on a transposed view than on a copy.
+    residual = np.ascontiguousarray(np.swapaxes(states, -1, -2)) @ _j4(states)
+    residual -= J4
+    return np.abs(residual, out=residual).max(axis=0).max(axis=(-2, -1))
+
+
+def _step_increments(hB):
+    """D_n = R_n - I for each RK4 step of a chunk, shape (n, K, 4, 4).
+
+    ``hB`` is h J4 A at the chunk's n + 1 nodes, then its n midpoints,
+    for all K flows, shape (2n + 1, K, 4, 4), each flow scaled by its own
+    step h.  R_n G is the classical RK4 step from G: with B = J4 A,
+    P1 = B_n, P2 = B_m (I + h/2 P1), P3 = B_m (I + h/2 P2),
+    P4 = B_n+1 (I + h P3) and D = h/6 (P1 + 2 P2 + 2 P3 + P4).  Below,
+    P holds h P2, then h P3, then h P4.
+    """
+    n = hB.shape[0] // 2
+    now, mid, nxt = hB[:n], hB[n + 1:], hB[1:n + 1]
+    # In place where possible: the chunk's working set is a few arrays
+    # of this size, and it sets the peak memory of a run.
+    P = mid @ now
+    P *= 0.5
+    P += mid                      # h P2
+    D = now + 2.0 * P
+    P = mid @ P
+    P *= 0.5
+    P += mid                      # h P3
+    D += 2.0 * P
+    P = nxt @ P
+    P += nxt                      # h P4
+    D += P
+    D /= 6.0
+    return D
+
+
+def _times(Ts, steps, halves):
+    """Times at the given half-step indices of each flow's uniform grid of
+    ``steps`` steps over [0, Ts[k]]; shape (len(halves), K)."""
+    return (halves / (2 * steps))[:, None] * Ts
+
+
+def _flows(curve, gamma_init, horizons, steps, eps_values, keep):
+    """The chunk engine behind ``endpoints``, with its arguments.  Returns
+    the K horizons and eps values, the states (all of them,
+    (steps + 1, K, 4, 4), when ``keep``, else the endpoints) and drifts."""
+    G = np.asarray(gamma_init)
+    if G.shape != (4, 4):
         raise ValueError("gamma_init must be 4x4")
-    if not is_symplectic(Ga.astype(complex), 1e-8):
+    if not is_symplectic(G.astype(complex), 1e-8):
         raise NonSymplecticError("initial condition is not symplectic within 1e-8")
-    if int(steps) < 2:
+    steps = int(steps)
+    if steps < 2:
         raise ValueError("steps must be at least 2")
-    return np.ascontiguousarray(Ga.real if np.iscomplexobj(Ga) else Ga, dtype=float)
+    Ts, eps = (np.asarray(a, dtype=float).ravel()
+               for a in np.broadcast_arrays(horizons, eps_values))
+    if np.any(Ts == 0):
+        raise ValueError("every horizon T must be nonzero")
+    K = Ts.size
 
-
-def _rk4_step(G, An, Am, An1, h):
-    """One classical Runge-Kutta step from G; broadcasts over leading axes,
-    with ``h`` shaped to broadcast against G."""
-    k1 = J4 @ (An @ G)
-    k2 = J4 @ (Am @ (G + (h / 2.0) * k1))
-    k3 = J4 @ (Am @ (G + (h / 2.0) * k2))
-    k4 = J4 @ (An1 @ (G + h * k3))
-    return G + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _drift(gammas):
-    """Largest entrywise |G^T J4 G - J4| of each matrix in a stack."""
-    residual = np.swapaxes(gammas, -1, -2) @ J4 @ gammas - J4
-    return np.max(np.abs(residual), axis=(-2, -1))
+    h = Ts / steps
+    G = np.repeat(np.real(G).astype(float)[None], K, axis=0)
+    drifts = _drift(G[None])
+    trajectory = np.empty((steps + 1, K, 4, 4)) if keep else None
+    if keep:
+        trajectory[0] = G
+    for start in range(0, steps, _CHUNK):
+        n = min(_CHUNK, steps - start)
+        # The chunk's n + 1 nodes, then its n midpoints, as rows; so hB[i]
+        # is the contiguous stack of all K matrices at point i.
+        halves = 2 * start + np.arange(2 * n + 1)
+        points = _times(Ts, steps, np.concatenate([halves[::2], halves[1::2]]))
+        hB = _j4(curve.eval_matrix_batch(
+            points.ravel(), np.broadcast_to(eps, points.shape).ravel()
+        ).reshape(2 * n + 1, K, 4, 4))
+        hB *= h[:, None, None]
+        D = _step_increments(hB)
+        del hB  # not needed past this point; keeps the working set small
+        # Inclusive prefix composition: afterwards I + D[i] is the product
+        # (I + D_i) ... (I + D_0), built in log2(n) levels from
+        # (I + X)(I + Y) = I + (X + Y + X Y), never forming I + D.
+        d = 1
+        while d < n:
+            D[d:] += D[:-d] + D[d:] @ D[:-d]
+            d *= 2
+        states = D @ G
+        del D
+        states += G
+        drifts = np.maximum(drifts, _drift(states))
+        G = states[-1]
+        if keep:
+            trajectory[start + 1:start + n + 1] = states
+    return Ts, eps, (trajectory if keep else G), drifts
 
 
 def integrate(curve, gamma_init, T, steps, eps=0.0, drift_tol=1e-8):
@@ -103,28 +183,15 @@ def integrate(curve, gamma_init, T, steps, eps=0.0, drift_tol=1e-8):
     Real arithmetic throughout: every stored matrix has exactly zero
     imaginary part.
     """
-    G = _initial_condition(gamma_init, steps)
-    steps = int(steps)
-    if T == 0:
-        raise ValueError("T must be nonzero")
-
-    ts = np.linspace(0.0, float(T), steps + 1)
-    h = ts[1] - ts[0]
-    mids = ts[:-1] + h / 2.0
-    A_nodes = curve.eval_matrix_batch(ts, eps)
-    A_mids = curve.eval_matrix_batch(mids, eps)
-
-    gammas = np.empty((steps + 1, 4, 4))
-    gammas[0] = G
-    for i in range(steps):
-        gammas[i + 1] = _rk4_step(gammas[i], A_nodes[i], A_mids[i], A_nodes[i + 1], h)
-
-    return FlowSolution(ts=ts, gammas=gammas, eps=float(eps),
-                        drift=float(np.max(_drift(gammas))), drift_tol=float(drift_tol))
+    Ts, _, gammas, drifts = _flows(curve, gamma_init, T, steps, eps, keep=True)
+    steps = len(gammas) - 1
+    ts = _times(Ts, steps, np.arange(0, 2 * steps + 1, 2))[:, 0]
+    return FlowSolution(ts=ts, gammas=gammas[:, 0], eps=float(eps),
+                        drift=float(drifts[0]), drift_tol=float(drift_tol))
 
 
 def endpoints(curve, gamma_init, horizons, steps, eps_values=0.0, drift_tol=1e-8):
-    """Endpoints of K flows from one initial condition, in one RK4 loop.
+    """Endpoints of K flows from one initial condition, in one batch.
 
     ``horizons`` and ``eps_values`` (scalars or 1-D arrays) broadcast to
     K flows; flow k runs over [0, horizons[k]] at eps_values[k] on its own
@@ -134,39 +201,15 @@ def endpoints(curve, gamma_init, horizons, steps, eps_values=0.0, drift_tol=1e-8
     arguments bit for bit.
 
     Raises the errors ``integrate`` raises, and NonConformingFlowError
-    naming the worst flow when any drift exceeds ``drift_tol``.
+    naming the worst flow when any drift exceeds ``drift_tol`` or is NaN.
     """
-    G = _initial_condition(gamma_init, steps)
-    steps = int(steps)
-    Ts, eps = (np.asarray(a, dtype=float).ravel()
-               for a in np.broadcast_arrays(horizons, eps_values))
-    if np.any(Ts == 0):
-        raise ValueError("horizons must be nonzero")
-    K = Ts.size
-
-    ts = np.linspace(0.0, Ts, steps + 1, axis=1)
-    h = ts[:, 1] - ts[:, 0]
-    hb = h[:, None, None]
-    drifts = np.full(K, _drift(G))
-    G = np.repeat(G[None], K, axis=0)
-    for start in range(0, steps, _CHUNK):
-        n = min(_CHUNK, steps - start)
-        nodes = ts[:, start:start + n + 1]
-        # Rows are time points (n + 1 nodes, then n midpoints), columns are
-        # flows, so A[i] is the contiguous stack of all K matrices at point i.
-        points = np.concatenate([nodes, nodes[:, :-1] + h[:, None] / 2.0], axis=1).T
-        A = curve.eval_matrix_batch(
-            points.ravel(), np.broadcast_to(eps, points.shape).ravel()
-        ).reshape(2 * n + 1, K, 4, 4)
-        states = np.empty((n, K, 4, 4))
-        for i in range(n):
-            G = states[i] = _rk4_step(G, A[i], A[n + 1 + i], A[i + 1], hb)
-        drifts = np.maximum(drifts, np.max(_drift(states), axis=0))
-
-    worst = int(np.argmax(drifts))
-    if drifts[worst] > drift_tol:
-        raise _nonconforming(float(drifts[worst]), drift_tol, float(Ts[worst]), float(eps[worst]))
-    return G, drifts
+    Ts, eps, ends, drifts = _flows(curve, gamma_init, horizons, steps, eps_values,
+                                   keep=False)
+    worst = int(np.argmax(drifts))  # argmax picks the first NaN, if any
+    if not drifts[worst] <= drift_tol:
+        raise _nonconforming(float(drifts[worst]), drift_tol, float(Ts[worst]),
+                             float(eps[worst]))
+    return ends, drifts
 
 
 def endpoint(sol):

@@ -1,9 +1,9 @@
 """Independent reference implementations used only by tests.
 
 These deliberately avoid the package's own code paths: determinants by
-cofactor expansion, the matrix exponential by scaling and squaring, and
+cofactor expansion, the matrix exponential by scaling and squaring,
 characteristic coefficients by sampling the determinant and solving a
-Vandermonde system.
+Vandermonde system, and flow endpoints by the sequential RK4 loop.
 """
 
 from itertools import permutations
@@ -71,3 +71,21 @@ def random_symmetric4(rng, scale=1.0):
 def random_symmetric2(rng, scale=1.0):
     A = rng.normal(size=(2, 2)) * scale
     return (A + A.T) / 2.0
+
+
+def rk4_reference(curve, gamma_init, T, steps, eps=0.0):
+    """Endpoint of dG/dt = J4 A(t, eps) G over [0, T] by the plain
+    sequential RK4 loop, one step at a time (A comes from the curve)."""
+    J = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+    ts = np.linspace(0.0, float(T), steps + 1)
+    h = ts[1] - ts[0]
+    A_nodes = curve.eval_matrix_batch(ts, eps)
+    A_mids = curve.eval_matrix_batch(ts[:-1] + h / 2.0, eps)
+    G = np.array(gamma_init, dtype=float)
+    for An, Am, An1 in zip(A_nodes[:-1], A_mids, A_nodes[1:]):
+        k1 = J @ (An @ G)
+        k2 = J @ (Am @ (G + (h / 2.0) * k1))
+        k3 = J @ (Am @ (G + (h / 2.0) * k2))
+        k4 = J @ (An1 @ (G + h * k3))
+        G = G + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return G

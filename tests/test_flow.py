@@ -19,7 +19,7 @@ from kreinsplit.errors import (
 from kreinsplit.flow import _CHUNK, FlowSolution, endpoints
 from kreinsplit.spectral import eigenvalues
 
-from oracles import best_match_distance, expm_taylor, random_symmetric4
+from oracles import best_match_distance, expm_taylor, random_symmetric4, rk4_reference
 
 SMOOTH_ENTRIES = {
     "0,0": "1 + 0.4*sin(t)",
@@ -246,3 +246,29 @@ def test_endpoints_raise_on_nonconforming_drift():
     assert f"{drifts[worst]:.3e}" in str(err.value)
     assert f"eps = {[0.0, 0.2][worst]!r}" in str(err.value)
 
+
+def test_endpoints_raise_on_nan_drift_like_integrate():
+    # Overflow turns the flow and its drift into NaN, which compares false
+    # against any tolerance; both entry points must still reject it.
+    curve = SymmetricCurve.from_strings({"0,0": "1e200", "2,2": "1e200", "0,2": "1e200"})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonConformingFlowError, match="nan"):
+            integrate(curve, np.eye(4), 1.0, 50).require_conforming()
+        with pytest.raises(NonConformingFlowError, match="nan"):
+            endpoints(curve, np.eye(4), [1.0, 0.5], 50)
+
+
+@pytest.mark.parametrize("steps, horizons, eps_values", [
+    (2, [0.9, -0.6], [0.1, -2e-3]),
+    (50, [0.9, -0.6], [0.1, -2e-3]),
+    (_CHUNK, [0.9, -0.6], [0.1, -2e-3]),
+    (3 * _CHUNK + 7, [0.9, -0.6], [0.1, -2e-3]),
+    (10_000, [1e-6, -1e-6], [0.1, 0.0]),
+])
+def test_endpoints_match_sequential_rk4(steps, horizons, eps_values):
+    curve = SymmetricCurve.from_strings(NONLINEAR_EPS_ENTRIES)
+    g0 = make_jordan_symplectic(np.pi / 3, np.eye(2))
+    ends, _ = endpoints(curve, g0, horizons, steps, eps_values, drift_tol=1.0)
+    for k, (T, eps) in enumerate(zip(horizons, eps_values)):
+        ref = rk4_reference(curve, g0, T, steps, eps)
+        assert np.max(np.abs(ends[k] - ref)) <= 1e-12, k

@@ -175,6 +175,15 @@ def test_eps_scenario_oracle_agreement(resonant_report):
     assert elapsed < 30.0
 
 
+def test_sum_derivative_oracle_error_below_roundoff_growth(pi3_report, pi3_neg_report,
+                                                          resonant_report):
+    # The flow engine composes step increments without forming I + D, so
+    # roundoff in G no longer swamps the second-order coefficient.
+    assert pi3_report[0].t.relative_errors["sum_derivative"] <= 1e-6
+    assert pi3_neg_report[0].t.relative_errors["sum_derivative"] <= 1e-6
+    assert resonant_report[0].eps.relative_errors["sum_derivative"] <= 1e-7
+
+
 def test_eps_mode_requires_eps(pi3_scenario):
     with pytest.raises(InputError):
         compare(pi3_scenario, mode="eps")
