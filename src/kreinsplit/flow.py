@@ -119,6 +119,8 @@ def _times(Ts, steps, halves):
     return (halves / (2 * steps))[:, None] * Ts
 
 
+# An overflowing flow shows as a NaN drift (NonConformingFlowError), not as warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def _flows(curve, gamma_init, horizons, steps, eps_values, keep):
     """The chunk engine behind ``endpoints``, with its arguments.  Returns
     the K horizons and eps values, the states (all of them,

@@ -22,18 +22,12 @@ J4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
 _ID4 = np.eye(4)
 
 
-def as_vec4(x):
-    """Coerce to a complex 4-vector, rejecting non-finite entries."""
-    v = np.asarray(x, dtype=complex).reshape(4)
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-        raise ValueError("vector has non-finite entries")
-    return v
-
-
 def as_mat4(m):
-    """Coerce to a complex 4x4 matrix, rejecting non-finite entries."""
-    a = np.asarray(m, dtype=complex).reshape(4, 4)
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    """Coerce to a complex 4x4 matrix or a stack (..., 4, 4) of them,
+    rejecting non-finite entries."""
+    a = np.asarray(m, dtype=complex)
+    a = a.reshape(a.shape[:-2] + (4, 4))
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return a
 
@@ -80,52 +74,55 @@ def symplectic_inverse(M):
     return -J4 @ M.T @ J4
 
 
+def _assignment_table():
+    """Every assignment of {identity, A1, A2} (0, 1, 2) to the four columns,
+    grouped by occurrence counts (k1, k2), A1's columns chosen first, then
+    A2's, each in lexicographic order; and the rows of each class."""
+    rows, classes = [], {}
+    for k1 in range(5):
+        for k2 in range(5 - k1):
+            start = len(rows)
+            for ones in combinations(range(4), k1):
+                for twos in combinations([i for i in range(4) if i not in ones], k2):
+                    rows.append([1 if i in ones else 2 if i in twos else 0 for i in range(4)])
+            classes[k1, k2] = slice(start, len(rows))
+    return np.array(rows), classes
+
+
+_ASSIGN, _CLASSES = _assignment_table()
+
+
+def _dets(A1, A2, rows=slice(None)):
+    """Determinants of the column matrices of the table rows ``rows``, over
+    the stack axes of A1 and A2, from one stacked det; shape (..., rows)."""
+    choices = np.stack(np.broadcast_arrays(_ID4, A1, A2), axis=-3)
+    # cols[..., r, i, j] = choices[..., _ASSIGN[rows][r, j], i, j]
+    return np.linalg.det(choices[..., _ASSIGN[rows, None, :], np.arange(4)[:, None], np.arange(4)])
+
+
+def _fold(dets):
+    """Left-to-right sum over the last axis (np.sum adds pairwise)."""
+    return np.add.accumulate(dets, axis=-1)[..., -1]
+
+
 def exterior_power(k1, k2, A1, A2=None):
     """Scaling factor of the mixed exterior power of two maps on C^4.
 
     Sums, over all assignments of {identity, A1, A2} to the four basis
-    columns using A1 exactly ``k1`` times and A2 exactly ``k2`` times, the
-    determinant of the resulting column matrix.  Special cases:
-    ``exterior_power(0, 0, ...)`` is 1, ``exterior_power(1, 0, A)`` is
-    trace(A) and ``exterior_power(4, 0, A)`` is det(A).
-
-    Parameters
-    ----------
-    k1, k2 : int
-        Occurrence counts, k1 >= 0, k2 >= 0, k1 + k2 <= 4.
-    A1, A2 : 4x4 arrays
-        The two maps.  A2 may be omitted when k2 == 0.
-
-    Returns
-    -------
-    complex
+    columns using A1 exactly ``k1`` times and A2 exactly ``k2`` times
+    (k1, k2 >= 0, k1 + k2 <= 4), the determinant of the resulting column
+    matrix.  Special cases: ``exterior_power(0, 0, ...)`` is 1,
+    ``exterior_power(1, 0, A)`` is trace(A) and ``exterior_power(4, 0, A)``
+    is det(A).  A2 may be omitted when k2 == 0.  Returns a complex, or an
+    array over the stack axes when a map is a stack of 4x4 matrices.
     """
     if k1 < 0 or k2 < 0 or k1 + k2 > 4:
         raise ValueError(f"invalid occurrence counts k1={k1}, k2={k2}")
-    A1 = as_mat4(A1) if A1 is not None else _ID4.astype(complex)
-    if A2 is None:
-        if k2 > 0:
-            raise ValueError("A2 required when k2 > 0")
-        A2 = _ID4.astype(complex)
-    else:
-        A2 = as_mat4(A2)
-
-    total = 0.0 + 0.0j
-    cols = np.empty((4, 4), dtype=complex)
-    indices = range(4)
-    for ones in combinations(indices, k1):
-        rest = [i for i in indices if i not in ones]
-        for twos in combinations(rest, k2):
-            for i in indices:
-                if i in ones:
-                    cols[:, i] = A1[:, i]
-                elif i in twos:
-                    cols[:, i] = A2[:, i]
-                else:
-                    cols[:, i] = 0.0
-                    cols[i, i] = 1.0
-            total += np.linalg.det(cols)
-    return complex(total)
+    if A2 is None and k2 > 0:
+        raise ValueError("A2 required when k2 > 0")
+    A1, A2 = (_ID4 if A is None else as_mat4(A) for A in (A1, A2))
+    total = _fold(_dets(A1, A2, _CLASSES[k1, k2]))
+    return complex(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)
@@ -180,21 +177,21 @@ def charpoly_three_term(gamma0, gammat, lambda0):
     coefficient of (lambda - lambda0)^k is a signed sum of mixed exterior
     powers of the two constant maps.  Recentring at a near-double root
     avoids catastrophic cancellation when the roots are later extracted.
+    Stacks (n, 4, 4) of both maps give a list of n polynomials, one batch.
     """
-    gamma0 = as_mat4(gamma0)
-    gammat = as_mat4(gammat)
-    lambda0 = complex(lambda0)
+    gamma0, gammat, lambda0 = as_mat4(gamma0), as_mat4(gammat), complex(lambda0)
     K = lambda0 * _ID4 - gamma0
     D = gammat - gamma0
-    coeffs = []
-    for k in range(5):
-        ck = 0j
-        for k2 in range(4 - k + 1):
-            k1 = 4 - k - k2
-            term = exterior_power(k1, k2, K, D)
-            ck += term if k2 % 2 == 0 else -term
-        coeffs.append(ck)
-    return QuarticPoly(tuple(coeffs), center=lambda0)
+    dets = _dets(K, D)
+    # The coefficient of (lambda - lambda0)^k sums the classes with
+    # k1 + k2 = 4 - k in increasing k2, odd k2 with a minus sign.
+    signed = {(k1, k2): -_fold(dets[..., rows]) if k2 % 2 else _fold(dets[..., rows])
+              for (k1, k2), rows in _CLASSES.items()}
+    coeffs = np.stack([sum(signed[4 - k - k2, k2] for k2 in range(5 - k)) for k in range(5)],
+                      axis=-1)
+    if coeffs.ndim == 1:
+        return QuarticPoly(tuple(coeffs), center=lambda0)
+    return [QuarticPoly(tuple(c), center=lambda0) for c in coeffs]
 
 
 def _quadratic_roots(b, c):

@@ -42,7 +42,6 @@ def eigenvalues(M, center=0j):
     cancellation that plagues near-double roots extracted from the
     expansion about zero.
     """
-    M = as_mat4(M)
     return quartic_roots(charpoly_three_term(M, M, center))
 
 

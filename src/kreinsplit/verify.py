@@ -48,8 +48,8 @@ def track(matrices, lambda0, grid, a_seed=None):
     """Track the two near eigenvalues of a matrix family over a grid.
 
     ``matrices[n]`` is the family's matrix at ``grid[n]``, stacked with
-    shape (len(grid), 4, 4).  The characteristic quartic is recentred at
-    ``lambda0`` before root extraction, which keeps the nearly-double roots
+    shape (len(grid), 4, 4).  The grid's characteristic quartics come from
+    one batch, recentred at ``lambda0`` to keep the nearly-double roots
     well conditioned.  Branch labels continue by nearest-neighbor matching
     from the previous grid point; at the first point, ``a_seed`` (the
     predicted square-root coefficient) orients branch 2 along +a_seed when
@@ -71,13 +71,9 @@ def track(matrices, lambda0, grid, a_seed=None):
         raise ValueError(f"need one 4x4 matrix per grid point, got shape {matrices.shape}")
     lambda0 = complex(lambda0)
 
-    b1 = np.empty(grid.size, dtype=complex)
-    b2 = np.empty(grid.size, dtype=complex)
-    res = np.empty((grid.size, 2))
-    prev = None
-    for n, s in enumerate(grid):
-        M = matrices[n]
-        poly = charpoly_three_term(M, M, lambda0)
+    polys = charpoly_three_term(matrices, matrices, lambda0)
+    pairs, prev = [], None
+    for s, poly in zip(grid, polys):
         roots = quartic_roots(poly)
         dist = np.abs(roots - lambda0)
         order = np.argsort(dist)
@@ -98,9 +94,9 @@ def track(matrices, lambda0, grid, a_seed=None):
             if swap < keep:
                 pair.reverse()
         prev = pair
-        b1[n] = pair[0]
-        b2[n] = pair[1]
-        res[n] = (abs(poly(pair[0])), abs(poly(pair[1])))
+        pairs.append(pair)
+    b1, b2 = np.array(pairs, dtype=complex).T
+    res = np.array([[abs(poly(z)) for z in pair] for poly, pair in zip(polys, pairs)])
     return BranchTrack(grid=grid, branch1=b1, branch2=b2, residuals=res)
 
 

@@ -3,10 +3,11 @@
 These deliberately avoid the package's own code paths: determinants by
 cofactor expansion, the matrix exponential by scaling and squaring,
 characteristic coefficients by sampling the determinant and solving a
-Vandermonde system, and flow endpoints by the sequential RK4 loop.
+Vandermonde system, flow endpoints by the sequential RK4 loop, and mixed
+exterior powers by one determinant call per column assignment.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -89,3 +90,32 @@ def rk4_reference(curve, gamma_init, T, steps, eps=0.0):
         k4 = J @ (An1 @ (G + h * k3))
         G = G + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return G
+
+
+def exterior_power_loop(k1, k2, A1, A2):
+    """Mixed exterior power by the per-assignment loop: one column matrix
+    and one ``np.linalg.det`` per assignment, summed left to right."""
+    total = 0j
+    for ones in combinations(range(4), k1):
+        rest = [i for i in range(4) if i not in ones]
+        for twos in combinations(rest, k2):
+            cols = np.eye(4, dtype=complex)
+            cols[:, list(ones)] = A1[:, list(ones)]
+            cols[:, list(twos)] = A2[:, list(twos)]
+            total += np.linalg.det(cols)
+    return total
+
+
+def charpoly_loop(gamma0, gammat, center):
+    """Recentred characteristic coefficients from ``exterior_power_loop``,
+    signed and summed in increasing k2."""
+    K = center * np.eye(4) - gamma0
+    D = gammat - gamma0
+    coeffs = []
+    for k in range(5):
+        ck = 0j
+        for k2 in range(5 - k):
+            term = exterior_power_loop(4 - k - k2, k2, K, D)
+            ck += term if k2 % 2 == 0 else -term
+        coeffs.append(ck)
+    return tuple(coeffs)

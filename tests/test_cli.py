@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,8 @@ def test_load_minimal_scenario_fills_defaults():
     assert sc.name == "degenerate_a0"
     assert sc.T == 1.0
     assert sc.t_grid.count == 16
-    assert sc.tolerances.steps_t == 10000
+    # 128 RK4 steps, one flow-engine chunk, is the t-family default.
+    assert sc.tolerances.steps_t == 128
     assert sc.generator is not None
 
 
@@ -218,6 +220,19 @@ def test_nonconforming_flow_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "NonConformingFlowError" in err
     assert "drift" in err and "T = " in err
+
+
+def test_overflowing_flow_exit_two_without_numpy_warnings(tmp_path, capsys):
+    def edit(doc):
+        doc["curve"]["entries"]["0,0"] = "1 + 1e300*t"
+
+    path = _scenario_copy(tmp_path, DATA / "pi3_fast.json", edit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", path, "--mode", "t"]) == 2
+    err = capsys.readouterr().err
+    assert "NonConformingFlowError" in err and "nan" in err
+    assert "RuntimeWarning" not in err
 
 
 def test_eps_batch_domain_error_is_located(tmp_path, capsys):

@@ -13,7 +13,13 @@ from kreinsplit import (
 )
 from kreinsplit.errors import DegeneratePolynomialError
 
-from oracles import best_match_distance, charpoly_by_sampling, det_cofactor
+from oracles import (
+    best_match_distance,
+    charpoly_by_sampling,
+    charpoly_loop,
+    det_cofactor,
+    exterior_power_loop,
+)
 
 E = np.eye(4, dtype=complex)
 
@@ -129,6 +135,37 @@ def test_charpoly_center_independence():
         pb = charpoly_three_term(M, M, -1.1 + 0.2j).to_absolute()
         scale = max(max(abs(c) for c in pa), 1.0)
         assert max(abs(a - b) for a, b in zip(pa, pb)) < 1e-12 * scale
+
+
+def test_stacked_det_path_equals_per_assignment_loop():
+    # Same determinants, summed in the same order: equal bit for bit.
+    rng = np.random.default_rng(20)
+    for _ in range(10):
+        A1 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        A2 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        for k1 in range(5):
+            for k2 in range(5 - k1):
+                assert exterior_power(k1, k2, A1, A2) == exterior_power_loop(k1, k2, A1, A2)
+        lam0 = rng.normal() + 1j * rng.normal()
+        for gt in (A2, A1):
+            assert charpoly_three_term(A1, gt, lam0).coeffs == charpoly_loop(A1, gt, lam0)
+
+
+def test_charpoly_stacked_equals_one_matrix_calls():
+    rng = np.random.default_rng(19)
+    for n in (1, 5, 16):
+        G0 = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+        Gt = G0 + 1e-3 * rng.normal(size=(n, 4, 4))
+        lam0 = rng.normal() + 1j * rng.normal()
+        for a, b in ((G0, Gt), (G0, G0)):
+            batch = charpoly_three_term(a, b, lam0)
+            assert len(batch) == n
+            for i, p in enumerate(batch):
+                one = charpoly_three_term(a[i], b[i], lam0)
+                assert p.coeffs == one.coeffs and p.center == one.center
+        ext = exterior_power(2, 1, G0, Gt)
+        assert ext.shape == (n,)
+        assert all(ext[i] == exterior_power(2, 1, G0[i], Gt[i]) for i in range(n))
 
 
 def test_quartic_roots_simple():

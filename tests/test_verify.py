@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -177,11 +179,24 @@ def test_eps_scenario_oracle_agreement(resonant_report):
 
 def test_sum_derivative_oracle_error_below_roundoff_growth(pi3_report, pi3_neg_report,
                                                           resonant_report):
-    # The flow engine composes step increments without forming I + D, so
-    # roundoff in G no longer swamps the second-order coefficient.
-    assert pi3_report[0].t.relative_errors["sum_derivative"] <= 1e-6
-    assert pi3_neg_report[0].t.relative_errors["sum_derivative"] <= 1e-6
+    # The flow engine composes step increments without forming I + D, and
+    # the default t-family flows fit in one chunk, so roundoff in G no
+    # longer swamps the second-order coefficient (about 2e-9 on the t
+    # anchors).
+    assert pi3_report[0].t.relative_errors["sum_derivative"] <= 1e-8
+    assert pi3_neg_report[0].t.relative_errors["sum_derivative"] <= 1e-8
     assert resonant_report[0].eps.relative_errors["sum_derivative"] <= 1e-7
+
+
+def test_default_steps_t_agrees_with_sixteen_times_more(pi3_scenario, pi3_report):
+    # Two-step-count check of the default: 2,048 RK4 steps (16 chunks)
+    # move neither fitted coefficient by more than 1e-8 relative.
+    tol = replace(pi3_scenario.tolerances, steps_t=2048)
+    fine = compare(replace(pi3_scenario, tolerances=tol), mode="t", stability=False).t
+    base = pi3_report[0].t
+    for name in ("kappa_empirical", "sum_derivative_empirical"):
+        ref = getattr(base, name)
+        assert abs(getattr(fine, name) - ref) <= 1e-8 * abs(ref), name
 
 
 def test_eps_mode_requires_eps(pi3_scenario):
