@@ -4,8 +4,14 @@ Entries of the symmetric coefficient matrix A(t, eps) are written as text
 in the two variables ``t`` and ``eps`` with the functions sin, cos, exp,
 sqrt and abs.  Precedence is ``^`` above unary minus above ``*``/``/``
 above ``+``/``-``; ``^`` is right-associative, everything else is left-
-associative.  Evaluation is double precision and raises on division by
-zero or a negative square root instead of producing NaN.
+associative.
+
+A curve's entries are compiled into one numpy evaluator
+(:func:`compile_array`); dA/deps is the symbolic derivative of each entry
+(:func:`d_eps`), compiled the same way.  :func:`evaluate` is the reference tree walker in double
+precision: it raises on division by zero or a negative square root
+instead of producing NaN, and the curve runs it only to locate a
+non-finite value in the source text.
 """
 
 import math
@@ -275,6 +281,10 @@ def evaluate(e, t, eps):
                 return math.exp(arg)
             if e.fn == "sqrt":
                 return math.sqrt(arg)
+            if e.fn == "log":
+                return math.log(arg)
+            if e.fn == "sign":
+                return math.copysign(1.0, arg) if arg else 0.0
             return math.fabs(arg)
         except (ValueError, OverflowError) as exc:
             raise ExprDomainError(e.offset, f"{e.fn} out of domain: {exc}") from None
@@ -309,61 +319,68 @@ def contains_eps(e):
     return contains_eps(e.lhs) or contains_eps(e.rhs)
 
 
-def eps_degree(e):
-    """Degree in eps when the tree is syntactically polynomial in eps and
-    eps never appears inside a function argument, an exponent or a
-    denominator; None otherwise."""
+_ZERO = Num(0.0)
+_ONE = Num(1.0)
+
+
+def _add(a, b, at):
+    return b if a == _ZERO else a if b == _ZERO else Add(a, b, at)
+
+
+def _sub(a, b, at):
+    return a if b == _ZERO else _neg(b, at) if a == _ZERO else Sub(a, b, at)
+
+
+def _neg(a, at):
+    return _ZERO if a == _ZERO else Neg(a, at)
+
+
+def _mul(a, b, at):
+    if a == _ZERO or b == _ZERO:
+        return _ZERO
+    return b if a == _ONE else a if b == _ONE else Mul(a, b, at)
+
+
+def d_eps(e):
+    """Symbolic derivative of a tree with respect to eps.
+
+    Eps-free subtrees give ``Num(0)``, and zero terms and unit factors are
+    folded away, so a coupling linear in eps differentiates to its
+    coefficient: ``0.4 + eps*(1 + 0.3*sin(t))`` gives ``1 + 0.3*sin(t)``.
+    Every new node carries the offset of the source node it comes from,
+    so :func:`evaluate` on the derivative locates a domain error in the
+    source text.  The result may call ``log`` and ``sign``, which only the
+    code generator and :func:`evaluate` know, not the parser.
+    """
     kind = type(e)
-    if kind is Num:
-        return 0
-    if kind is Var:
-        return 1 if e.name == "eps" else 0
+    if kind is Var and e.name == "eps":
+        return _ONE
+    if not contains_eps(e):
+        return _ZERO
+    at = e.offset
     if kind is Neg:
-        return eps_degree(e.arg)
-    if kind in (Add, Sub):
-        a = eps_degree(e.lhs)
-        b = eps_degree(e.rhs)
-        return None if a is None or b is None else max(a, b)
-    if kind is Mul:
-        a = eps_degree(e.lhs)
-        b = eps_degree(e.rhs)
-        return None if a is None or b is None else a + b
-    if kind is Div:
-        a = eps_degree(e.lhs)
-        b = eps_degree(e.rhs)
-        return a if b == 0 and a is not None else None
-    if kind is Pow:
-        a = eps_degree(e.lhs)
-        b = eps_degree(e.rhs)
-        return 0 if a == 0 and b == 0 else None
+        return _neg(d_eps(e.arg), at)
     if kind is Call:
-        return 0 if eps_degree(e.arg) == 0 else None
-    return None
-
-
-def d_eps_exact(e, t, eps):
-    """Exact eps-derivative for trees whose eps_degree is at most one."""
-    kind = type(e)
-    if kind is Num:
-        return 0.0
-    if kind is Var:
-        return 1.0 if e.name == "eps" else 0.0
-    if kind is Neg:
-        return -d_eps_exact(e.arg, t, eps)
+        u = e.arg
+        outer = {"sin": Call("cos", u, at), "cos": Neg(Call("sin", u, at), at),
+                 "exp": e, "sqrt": Div(Num(0.5, at), e, at),
+                 "abs": Call("sign", u, at)}[e.fn]
+        return _mul(outer, d_eps(u), at)
+    u, v = e.lhs, e.rhs
+    du, dv = d_eps(u), d_eps(v)
     if kind is Add:
-        return d_eps_exact(e.lhs, t, eps) + d_eps_exact(e.rhs, t, eps)
+        return _add(du, dv, at)
     if kind is Sub:
-        return d_eps_exact(e.lhs, t, eps) - d_eps_exact(e.rhs, t, eps)
+        return _sub(du, dv, at)
     if kind is Mul:
-        return (d_eps_exact(e.lhs, t, eps) * evaluate(e.rhs, t, eps)
-                + evaluate(e.lhs, t, eps) * d_eps_exact(e.rhs, t, eps))
+        return _add(_mul(du, v, at), _mul(u, dv, at), at)
     if kind is Div:
-        denom = evaluate(e.rhs, t, eps)
-        if denom == 0.0:
-            raise ExprDomainError(e.offset, "division by zero")
-        return d_eps_exact(e.lhs, t, eps) / denom
-    # Pow and Call are eps-free on the linear fast path.
-    return 0.0
+        # (u/v)' = (u' - (u/v) v') / v
+        top = _sub(du, _mul(e, dv, at), at)
+        return _ZERO if top == _ZERO else Div(top, v, at)
+    # (u^v)' = u^v log(u) v' + v u^(v-1) u'; log(u) only when v has eps
+    return _add(_mul(_mul(e, Call("log", u, at), at), dv, at),
+                _mul(_mul(v, Pow(u, Sub(v, _ONE, at), at), at), du, at), at)
 
 
 # --- compilation ------------------------------------------------------------
@@ -383,55 +400,36 @@ def _codegen(e):
     if kind is Mul:
         return f"({_codegen(e.lhs)} * {_codegen(e.rhs)})"
     if kind is Div:
-        return f"({_codegen(e.lhs)} / {_codegen(e.rhs)})"
+        # np.divide, not "/": two Python floats would raise on a zero divisor
+        return f"_div({_codegen(e.lhs)}, {_codegen(e.rhs)})"
     if kind is Pow:
         return f"_pow({_codegen(e.lhs)}, {_codegen(e.rhs)})"
     return f"{e.fn}({_codegen(e.arg)})"
 
 
-_SCALAR_NS = {
-    "sin": math.sin, "cos": math.cos, "exp": math.exp,
-    "sqrt": math.sqrt, "abs": math.fabs, "_pow": math.pow,
-}
 _ARRAY_NS = {
     "sin": np.sin, "cos": np.cos, "exp": np.exp,
     "sqrt": np.sqrt, "abs": np.abs, "_pow": np.power,
+    "_div": np.divide, "log": np.log, "sign": np.sign,
 }
 
 
-def compile_scalar(e):
-    """Compile to a fast (t, eps) -> float callable with the same domain
-    errors as :func:`evaluate` (the slow path re-runs to locate them)."""
-    code = compile(f"lambda t, eps: {_codegen(e)}", "<expr>", "eval")
-    fn = eval(code, dict(_SCALAR_NS))
-
-    def wrapped(t, eps):
-        try:
-            return fn(t, eps)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            return evaluate(e, t, eps)
-
-    return wrapped
-
-
-def compile_array(e):
-    """Compile to a callable mapping a numpy array of t values (and a
-    scalar eps) to an array of values.  Out-of-domain points come back
-    non-finite; callers must check."""
-    code = compile(f"lambda t, eps: {_codegen(e)}", "<expr>", "eval")
-    fn = eval(code, dict(_ARRAY_NS))
+def compile_array(trees):
+    """Compile trees into one callable mapping a numpy array of t values
+    and an eps (a scalar or an array shaped like t) to a tuple with one
+    value per tree, broadcastable to the shape of t.  Out-of-domain points
+    come back non-finite, without numpy warnings; callers must check."""
+    body = "".join(f"{_codegen(e)}, " for e in trees)
+    fn = eval(compile(f"lambda t, eps: ({body})", "<expr>", "eval"), dict(_ARRAY_NS))
 
     def wrapped(ts, eps):
         with np.errstate(all="ignore"):
-            out = fn(ts, eps)
-        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(ts)).copy()
+            return fn(ts, eps)
 
     return wrapped
 
 
 # --- the symmetric curve ----------------------------------------------------
-
-_ZERO = Num(0.0)
 
 
 class SymmetricCurve:
@@ -453,11 +451,8 @@ class SymmetricCurve:
                     f"conflicting expressions for symmetric entries {key} and {key[::-1]}")
             self._entries[key] = node
         self.has_eps = any(contains_eps(e) for e in self._entries.values())
-        self._linear_in_eps = all(
-            (eps_degree(e) is not None and eps_degree(e) <= 1)
-            for e in self._entries.values())
-        self._scalar = {k: compile_scalar(e) for k, e in self._entries.items()}
-        self._array = {k: compile_array(e) for k, e in self._entries.items()}
+        self._compiled = _compile_entries(self._entries)
+        self._d_eps = None  # compiled on the first d_eps_matrix_batch call
 
     @classmethod
     def from_strings(cls, mapping):
@@ -496,68 +491,52 @@ class SymmetricCurve:
 
     def eval_matrix(self, t, eps=0.0):
         """The symmetric real matrix A(t, eps)."""
-        M = np.zeros((4, 4))
-        for (i, j), fn in self._scalar.items():
-            try:
-                v = fn(t, eps)
-            except ExprDomainError as exc:
-                raise ExprDomainError(exc.offset, f"entry ({i},{j}): {exc.reason}") from None
-            M[i, j] = v
-            M[j, i] = v
-        return M
+        return self.eval_matrix_batch([t], eps)[0]
 
     def eval_matrix_batch(self, ts, eps=0.0):
         """A(t, eps) for every t in ``ts``; shape (len(ts), 4, 4).
 
         ``eps`` is a scalar or an array shaped like ``ts``, paired with it
-        point by point."""
-        ts = np.asarray(ts, dtype=float)
-        out = np.zeros((ts.size, 4, 4))
-        for (i, j), fn in self._array.items():
-            vals = fn(ts, eps)
-            if not np.all(np.isfinite(vals)):
-                bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-                t_bad = float(ts[bad])
-                eps_bad = float(np.broadcast_to(eps, ts.shape)[bad])
-                where = f"at (t, eps) = ({t_bad!r}, {eps_bad!r})"
-                # Re-evaluate the scalar path to produce a located error.
-                try:
-                    self.eval_matrix(t_bad, eps_bad)
-                except ExprDomainError as exc:
-                    raise ExprDomainError(exc.offset, f"{exc.reason} {where}") from None
-                raise ExprDomainError(0, f"entry ({i},{j}) non-finite {where}")
-            out[:, i, j] = vals
-            out[:, j, i] = vals
-        return out
+        point by point.  A non-finite entry raises ExprDomainError naming
+        the entry, the point and the offending subexpression."""
+        return _fill(self._compiled, ts, eps, "entry")
 
-    def d_eps_matrix(self, t, eps=0.0, h=None):
-        """Entrywise derivative of A with respect to eps.
+    def d_eps_matrix_batch(self, ts, eps=0.0):
+        """dA/deps for every t in ``ts``, paired with ``eps`` as in
+        :meth:`eval_matrix_batch`.
 
-        Uses the exact coefficient when every entry is (at most) linear in
-        eps with no eps inside function arguments; otherwise a central
-        difference with step h (default 1e-6 * (1 + |eps|))."""
-        if self._linear_in_eps:
-            M = np.zeros((4, 4))
-            for (i, j), e in self._entries.items():
-                v = d_eps_exact(e, t, eps)
-                M[i, j] = v
-                M[j, i] = v
-            return M
-        if h is None:
-            h = 1e-6 * (1.0 + abs(eps))
-        if h <= 0:
-            raise ValueError("h must be positive")
-        return (self.eval_matrix(t, eps + h) - self.eval_matrix(t, eps - h)) / (2.0 * h)
+        Each entry that mentions eps is differentiated symbolically and
+        compiled on the first call; the other entries are zero."""
+        if self._d_eps is None:
+            self._d_eps = _compile_entries(
+                {k: d_eps(e) for k, e in self._entries.items() if contains_eps(e)})
+        return _fill(self._d_eps, ts, eps, "d/deps of entry")
 
-    def d_eps_matrix_batch(self, ts, eps=0.0, h=None):
-        """Derivative with respect to eps for every t in ``ts``."""
-        ts = np.asarray(ts, dtype=float)
-        if self._linear_in_eps:
-            out = np.empty((ts.size, 4, 4))
-            for n, t in enumerate(ts):
-                out[n] = self.d_eps_matrix(float(t), eps)
-            return out
-        if h is None:
-            h = 1e-6 * (1.0 + abs(eps))
-        return (self.eval_matrix_batch(ts, eps + h)
-                - self.eval_matrix_batch(ts, eps - h)) / (2.0 * h)
+
+def _compile_entries(entries):
+    """{(i, j): tree} as (keys, trees, one compiled evaluator of all)."""
+    return tuple(entries), tuple(entries.values()), compile_array(entries.values())
+
+
+def _fill(compiled, ts, eps, what):
+    """Evaluate a :func:`_compile_entries` curve into a stack of symmetric
+    matrices; a non-finite value is located by running the tree walker at
+    the first bad point."""
+    keys, trees, fn = compiled
+    ts = np.asarray(ts, dtype=float)
+    out = np.zeros((ts.size, 4, 4))
+    for (i, j), tree, vals in zip(keys, trees, fn(ts, eps)):
+        if not np.all(np.isfinite(vals)):
+            bad = int(np.flatnonzero(~np.isfinite(np.broadcast_to(vals, ts.shape)))[0])
+            t_bad = float(ts[bad])
+            eps_bad = float(np.broadcast_to(eps, ts.shape)[bad])
+            where = f"at (t, eps) = ({t_bad!r}, {eps_bad!r})"
+            try:
+                evaluate(tree, t_bad, eps_bad)
+            except ExprDomainError as exc:
+                raise ExprDomainError(exc.offset,
+                                      f"{what} ({i},{j}): {exc.reason} {where}") from None
+            raise ExprDomainError(tree.offset, f"{what} ({i},{j}) non-finite {where}")
+        out[:, i, j] = vals
+        out[:, j, i] = vals
+    return out

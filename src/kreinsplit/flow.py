@@ -219,7 +219,7 @@ def endpoint(sol):
     return sol.gammas[-1].copy()
 
 
-def perturbation_hamiltonian(curve, sol, T=None, h_eps=None):
+def perturbation_hamiltonian(curve, sol, T=None):
     """Effective symmetric generator of the endpoint's eps-motion.
 
     For the flow started at the identity, the derivative of the endpoint
@@ -227,10 +227,11 @@ def perturbation_hamiltonian(curve, sol, T=None, h_eps=None):
 
         B = integral_0^T (G(T)^-1)^T G(t)^T dA/deps(t, eps) G(t) G(T)^-1 dt.
 
-    Composite Simpson quadrature on the solution's grid (one trapezoid
-    panel absorbs an odd step count).  The result is symmetrized; the
-    asymmetry it removes measures quadrature error and triggers a warning
-    above 1e-6.
+    dA/deps is the curve's symbolic derivative, exact up to rounding,
+    evaluated at every grid time.  Composite Simpson quadrature on the
+    solution's grid (one trapezoid panel absorbs an odd step count).  The
+    result is symmetrized; the asymmetry it removes measures quadrature
+    error and triggers a warning above 1e-6.
     """
     if max_abs(sol.gammas[0] - np.eye(4)) > 1e-12:
         raise ValueError("perturbation generator needs a flow started at the identity")
@@ -242,7 +243,7 @@ def perturbation_hamiltonian(curve, sol, T=None, h_eps=None):
     if max_abs(Gend @ Ginv - np.eye(4)) > 1e-6:
         raise CorruptedSolutionError("endpoint failed symplectic inversion sanity check")
 
-    Aprime = curve.d_eps_matrix_batch(sol.ts, sol.eps, h=h_eps)
+    Aprime = curve.d_eps_matrix_batch(sol.ts, sol.eps)
     W = sol.gammas @ Ginv
     integrand = np.transpose(W, (0, 2, 1)) @ Aprime @ W
 

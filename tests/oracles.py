@@ -3,13 +3,16 @@
 These deliberately avoid the package's own code paths: determinants by
 cofactor expansion, the matrix exponential by scaling and squaring,
 characteristic coefficients by sampling the determinant and solving a
-Vandermonde system, flow endpoints by the sequential RK4 loop, and mixed
-exterior powers by one determinant call per column assignment.
+Vandermonde system, flow endpoints by the sequential RK4 loop, mixed
+exterior powers by one determinant call per column assignment, and
+eps-derivatives by walking the tree at one point at a time.
 """
 
 from itertools import combinations, permutations
 
 import numpy as np
+
+from kreinsplit.expr import Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var, evaluate
 
 
 def det_cofactor(A):
@@ -119,3 +122,28 @@ def charpoly_loop(gamma0, gammat, center):
             ck += term if k2 % 2 == 0 else -term
         coeffs.append(ck)
     return tuple(coeffs)
+
+
+def d_eps_exact(e, t, eps):
+    """Eps-derivative at one point of a tree that is at most linear in eps,
+    with no eps inside a function argument, an exponent or a denominator:
+    the product rule walked over the tree, with values from ``evaluate``."""
+    kind = type(e)
+    if kind is Num:
+        return 0.0
+    if kind is Var:
+        return 1.0 if e.name == "eps" else 0.0
+    if kind is Neg:
+        return -d_eps_exact(e.arg, t, eps)
+    if kind is Add:
+        return d_eps_exact(e.lhs, t, eps) + d_eps_exact(e.rhs, t, eps)
+    if kind is Sub:
+        return d_eps_exact(e.lhs, t, eps) - d_eps_exact(e.rhs, t, eps)
+    if kind is Mul:
+        return (d_eps_exact(e.lhs, t, eps) * evaluate(e.rhs, t, eps)
+                + evaluate(e.lhs, t, eps) * d_eps_exact(e.rhs, t, eps))
+    if kind is Div:
+        return d_eps_exact(e.lhs, t, eps) / evaluate(e.rhs, t, eps)
+    if kind in (Pow, Call):
+        return 0.0
+    raise TypeError(f"not an expression node: {e!r}")

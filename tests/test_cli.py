@@ -248,6 +248,21 @@ def test_eps_batch_domain_error_is_located(tmp_path, capsys):
     assert "entry (0,1)" in err and "(t, eps) = " in err
 
 
+def test_eps_derivative_domain_error_is_located_on_the_family(tmp_path, capsys):
+    # sqrt(eps) is finite on the family but its eps-derivative is not at
+    # eps = 0, where the quadrature evaluates it.
+    def edit(doc):
+        doc["curve"]["entries"]["0,1"] += " + 0.01*sqrt(eps)"
+
+    path = _scenario_copy(tmp_path, SCENARIOS / "resonant_eps.json", edit)
+    assert main(["analyze", path, "--mode", "eps"]) == 2
+    err = capsys.readouterr().err
+    assert "ExprDomainError" in err and "entry (0,1)" in err
+    offset = "0.2*eps*t + 0.01*sqrt(eps)".index("sqrt")
+    assert f"(subexpression at offset {offset})" in err
+    assert "(t, eps) = (0.0, 0.0)" in err
+
+
 def test_classify_verdicts(capsys):
     assert main(["classify", str(SCENARIOS / "jordan_pi3.json")]) == 0
     assert "stable_forward_unstable_backward" in capsys.readouterr().out

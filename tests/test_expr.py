@@ -1,8 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kreinsplit.expr as expr
 from kreinsplit import SymmetricCurve, evaluate, parse, pretty
 from kreinsplit.errors import (
     ExprDomainError,
@@ -17,10 +20,11 @@ from kreinsplit.expr import (
     Num,
     Var,
     compile_array,
-    compile_scalar,
-    d_eps_exact,
-    eps_degree,
+    d_eps,
 )
+from oracles import d_eps_exact
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 # Corpus for round-trip and compilation-equivalence checks.
 CORPUS = [
@@ -122,36 +126,44 @@ def test_pretty_round_trip_corpus():
 
 def test_compiled_paths_agree_with_evaluate():
     rng = np.random.default_rng(21)
-    for src in CORPUS:
-        tree = parse(src)
-        fast = compile_scalar(tree)
-        batch = compile_array(tree)
+    trees = [parse(src) for src in CORPUS]
+    together = compile_array(trees)
+    for k, (src, tree) in enumerate(zip(CORPUS, trees)):
         ts = rng.uniform(0.1, 2.0, size=5)
         ep = 0.3
         want = np.array([evaluate(tree, t, ep) for t in ts])
-        got_fast = np.array([fast(t, ep) for t in ts])
-        got_batch = batch(ts, ep)
-        assert np.array_equal(want, got_fast), src
-        # numpy's power kernel may differ from libm by an ulp
-        assert np.allclose(got_batch, want, rtol=5e-16, atol=0.0), src
+        got = np.broadcast_to(compile_array([tree])(ts, ep)[0], ts.shape)
+        # numpy's power and exp kernels may differ from libm by an ulp
+        assert np.allclose(got, want, rtol=5e-16, atol=0.0), src
+        assert np.array_equal(np.broadcast_to(together(ts, ep)[k], ts.shape), got), src
 
 
-def test_eps_degree():
-    assert eps_degree(parse("t + 1")) == 0
-    assert eps_degree(parse("t + 2*eps")) == 1
-    assert eps_degree(parse("eps*sin(t)")) == 1
-    assert eps_degree(parse("eps*eps")) == 2
-    assert eps_degree(parse("sin(eps)")) is None
-    assert eps_degree(parse("1/eps")) is None
-    assert eps_degree(parse("2^eps")) is None
-    assert eps_degree(parse("eps/(1 + t)")) == 1
+def test_codegen_helpers_stay_out_of_the_parser():
+    for name in ("log", "sign"):
+        with pytest.raises(UnknownIdentifierError):
+            parse(f"{name}(t)")
+    assert evaluate(Call("sign", Num(-2.0)), 0.0, 0.0) == -1.0
+    assert evaluate(Call("sign", Num(0.0)), 0.0, 0.0) == 0.0
+    assert evaluate(Call("log", Var("t")), math.e, 0.0) == 1.0
+    with pytest.raises(ExprDomainError):
+        evaluate(Call("log", Var("t")), 0.0, 0.0)
 
 
 def test_d_eps_exact_linear():
+    # the reference walker the compiled derivative is held to
     assert d_eps_exact(parse("t + 2*eps"), 0.7, 0.0) == 2.0
     tree = parse("eps*sin(t)")
     assert d_eps_exact(tree, 0.7, 0.0) == math.sin(0.7)
     assert d_eps_exact(parse("0.2*eps*t"), 0.7, 0.0) == pytest.approx(0.14)
+
+
+def test_d_eps_folds_to_the_coefficient():
+    assert d_eps(parse("0.4 + eps*(1 + 0.3*sin(t))")) == parse("1 + 0.3*sin(t)")
+    assert d_eps(parse("0.2*eps*t")) == parse("0.2*t")
+    assert d_eps(parse("eps/(1 + t)")) == parse("1/(1 + t)")
+    assert d_eps(parse("t - eps")) == parse("-1")
+    assert d_eps(parse("sin(t)*exp(t)")) == Num(0.0)
+    assert d_eps(parse("0*eps/t")) == Num(0.0)
 
 
 def test_curve_symmetry_is_bitwise():
@@ -209,32 +221,107 @@ def test_curve_batch_matches_scalar():
 
 def test_d_eps_matrix_linear_fast_path():
     curve = SymmetricCurve.from_strings({"0,0": "t + 2*eps", "0,1": "eps*sin(t)"})
-    D = curve.d_eps_matrix(0.7)
+    D = curve.d_eps_matrix_batch([0.7])[0]
     assert D[0, 0] == 2.0
     assert D[0, 1] == D[1, 0] == math.sin(0.7)
 
 
 def test_d_eps_matrix_eps_free_is_zero():
     curve = SymmetricCurve.from_strings({"0,0": "sin(t)"})
-    assert np.array_equal(curve.d_eps_matrix(0.3), np.zeros((4, 4)))
+    assert np.array_equal(curve.d_eps_matrix_batch([0.3, 1.2]), np.zeros((2, 4, 4)))
 
 
 def test_d_eps_matrix_finite_difference():
     curve = SymmetricCurve.from_strings({"0,0": "sin(eps)"})
-    D = curve.d_eps_matrix(0.0, 0.0, h=1e-5)
-    assert abs(D[0, 0] - 1.0) < 1e-9
+    D = curve.d_eps_matrix_batch([0.0], 0.0)[0]
+    fd = (curve.eval_matrix(0.0, 1e-5) - curve.eval_matrix(0.0, -1e-5)) / 2e-5
+    assert D[0, 0] == 1.0
+    assert abs(D[0, 0] - fd[0, 0]) < 1e-9
 
 
 def test_d_eps_linear_fast_path_matches_finite_difference():
     curve = SymmetricCurve.from_strings(
         {"0,0": "t + 2*eps", "1,2": "eps*(1 + 0.3*sin(t))", "3,3": "0.2*eps*t"})
-    for t in (0.0, 0.4, 1.7):
-        exact = curve.d_eps_matrix(t, 0.0)
+    exact = curve.d_eps_matrix_batch([0.0, 0.4, 1.7], 0.0)
+    for t, D in zip((0.0, 0.4, 1.7), exact):
         fd = (curve.eval_matrix(t, 1e-6) - curve.eval_matrix(t, -1e-6)) / 2e-6
-        assert np.max(np.abs(exact - fd)) < 1e-8
+        assert np.max(np.abs(D - fd)) < 1e-8
 
 
-def test_d_eps_matrix_rejects_bad_step():
-    curve = SymmetricCurve.from_strings({"0,0": "sin(eps)"})
-    with pytest.raises(ValueError):
-        curve.d_eps_matrix(0.0, 0.0, h=-1.0)
+def _linear_couplings():
+    doc = json.loads((SCENARIOS / "resonant_eps.json").read_text())
+    rng = np.random.default_rng(5)
+    seeded = {f"{i},{j}": f"eps*({float(d)!r} + 0.3*sin(t))"
+              for (i, j), d in zip([(0, 0), (0, 2), (1, 3), (3, 3)], rng.uniform(-1, 1, 4))}
+    return [pytest.param(doc["curve"]["entries"], id="resonant_eps"),
+            pytest.param(seeded, id="seeded"),
+            pytest.param({"0,1": "0.2*eps*t"}, id="0.2*eps*t")]
+
+
+@pytest.mark.parametrize("entries", _linear_couplings())
+def test_d_eps_linear_couplings_bitwise_equal_reference_walker(entries):
+    curve = SymmetricCurve.from_strings(entries)
+    ts = np.linspace(0.0, 1.0, 3001)
+    for eps in (0.0, 1e-3):
+        D = curve.d_eps_matrix_batch(ts, eps)
+        want = np.zeros_like(D)
+        for (i, j), tree in curve.entries.items():
+            vals = [d_eps_exact(tree, t, eps) for t in ts]
+            want[:, i, j] = want[:, j, i] = vals
+        assert np.array_equal(D, want)
+
+
+@pytest.mark.parametrize("src", [
+    "sin(2*eps + t)",
+    "cos(eps*t + 0.3)",
+    "exp(eps - t)",
+    "sqrt(1 + eps + t)",
+    "abs(eps - 0.5)*t",
+    "t/(1.5 + eps)",
+    "(1 + eps + t)^2.5",
+    "(1 + t)^eps",
+    "(1.2 + eps)^(t - eps)",
+    "sin(eps*0.7)*(1 + 0.3*cos(t))",
+    "-eps^2 + 3 - eps*t",
+])
+def test_d_eps_matches_central_difference(src):
+    curve = SymmetricCurve.from_strings({"1,2": src})
+    ts = np.linspace(0.0, 1.0, 11)
+    h = 1e-5
+    for eps in (0.0, 0.2):
+        D = curve.d_eps_matrix_batch(ts, eps)[:, 1, 2]
+        fd = (curve.eval_matrix_batch(ts, eps + h)
+              - curve.eval_matrix_batch(ts, eps - h))[:, 1, 2] / (2.0 * h)
+        assert np.max(np.abs(D - fd)) <= 1e-8, src
+
+
+def test_d_eps_domain_error_is_located_in_the_source():
+    src = "0.2*eps*t + 0.01*sqrt(eps)"
+    curve = SymmetricCurve.from_strings({"0,1": src})
+    assert np.all(np.isfinite(curve.eval_matrix_batch([0.0, 0.5], 0.0)))
+    with pytest.raises(ExprDomainError) as err:
+        curve.d_eps_matrix_batch([0.0, 0.5], 0.0)
+    assert err.value.offset == src.index("sqrt")
+    assert "entry (0,1)" in str(err.value)
+    assert "(t, eps) = (0.0, 0.0)" in str(err.value)
+
+
+def test_d_eps_compiled_once_and_only_for_eps_entries(monkeypatch):
+    compiled = []
+
+    def counting(trees):
+        trees = list(trees)
+        compiled.append(trees)
+        return real(trees)
+
+    real = expr.compile_array
+    monkeypatch.setattr(expr, "compile_array", counting)
+    curve = SymmetricCurve.from_strings({"0,0": "1 + t", "1,1": "eps*sin(t)", "2,3": "2"})
+    curve.eval_matrix_batch([0.1, 0.2], 0.0)
+    assert len(compiled) == 1
+    curve.d_eps_matrix_batch([0.1, 0.2])
+    curve.d_eps_matrix_batch([0.3])
+    assert compiled[1:] == [[parse("sin(t)")]]
+    eps_free = SymmetricCurve.from_strings({"0,0": "1 + t"})
+    eps_free.eval_matrix(0.5)
+    assert len(compiled) == 3

@@ -1,0 +1,83 @@
+"""Property test: the compiled symbolic eps-derivative of random trees
+agrees with a fourth-order central difference of the compiled tree."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from kreinsplit.expr import (  # noqa: E402
+    _FUNCTIONS,
+    Add,
+    Call,
+    Div,
+    Mul,
+    Neg,
+    Num,
+    Pow,
+    Sub,
+    Var,
+    compile_array,
+    d_eps,
+)
+
+LEAVES = st.one_of(
+    st.sampled_from([Var("t"), Var("eps")]),
+    st.integers(-20, 20).map(lambda k: Num(k / 10.0)),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(Neg, children),
+        st.builds(Call, st.sampled_from(_FUNCTIONS), children),
+        st.builds(lambda op, a, b: op(a, b), st.sampled_from([Add, Sub, Mul, Div, Pow]),
+                  children, children),
+    )
+
+
+TREES = st.recursive(LEAVES, _extend, max_leaves=8)
+
+
+def _abs_arguments(e):
+    if type(e) in (Num, Var):
+        return []
+    if type(e) in (Neg, Call):
+        return ([e.arg] if type(e) is Call and e.fn == "abs" else []) + _abs_arguments(e.arg)
+    return _abs_arguments(e.lhs) + _abs_arguments(e.rhs)
+
+
+def _stencil(fn, t, eps, h):
+    """The values of each compiled tree at eps + h*(-2, -1, 1, 2)."""
+    offsets = np.array([-2.0, -1.0, 1.0, 2.0])
+    return [np.broadcast_to(v, (4,)) for v in fn(np.full(4, t), eps + h * offsets)]
+
+
+def _fourth_order_difference(f, h):
+    return (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TREES, st.floats(0.1, 1.5), st.floats(-0.5, 0.5))
+def test_compiled_d_eps_matches_fourth_order_difference(tree, t, eps):
+    fn = compile_array([tree])
+    dfn = compile_array([d_eps(tree)])
+    exact = float(np.broadcast_to(dfn(np.array([t]), eps)[0], (1,))[0])
+    (f_coarse,) = _stencil(fn, t, eps, 2e-3)
+    (f_fine,) = _stencil(fn, t, eps, 1e-3)
+    coarse = _fourth_order_difference(f_coarse, 2e-3)
+    fine = _fourth_order_difference(f_fine, 1e-3)
+    assume(np.isfinite(exact) and np.isfinite(coarse) and np.isfinite(fine))
+    # The difference sees the derivative only where the tree is smooth
+    # over the stencil: no abs argument changes sign there, the derivative
+    # barely moves across it, and the two step sizes agree to their
+    # O(h^4) error.
+    for u in _stencil(compile_array(_abs_arguments(tree)), t, eps, 2e-3):
+        assume(np.all(u > 0) or np.all(u < 0))
+    d_all = np.append(_stencil(dfn, t, eps, 2e-3)[0], exact)
+    assume(np.ptp(d_all) <= 0.1 * (1.0 + np.max(np.abs(d_all))))
+    resolved = 1e-6 * (1.0 + abs(fine) + np.max(np.abs(f_coarse)))
+    assume(abs(coarse - fine) <= resolved)
+    assert abs(exact - fine) <= resolved
