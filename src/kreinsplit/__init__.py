@@ -31,7 +31,7 @@ from .flow import FlowSolution, endpoint, endpoints, integrate, perturbation_ham
 from .linalg import (
     J4,
     QuarticPoly,
-    charpoly_three_term,
+    charpoly,
     exterior_power,
     inner,
     is_symplectic,
@@ -47,7 +47,6 @@ from .spectral import (
     jordan_pair,
     make_jordan_symplectic,
     pair_from_vectors,
-    svd4,
 )
 from .verify import BranchTrack, OracleReport, PuiseuxFit, compare, fit_puiseux, track
 
@@ -56,7 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "J4",
     "QuarticPoly",
-    "charpoly_three_term",
+    "charpoly",
     "exterior_power",
     "inner",
     "is_symplectic",
@@ -78,7 +77,6 @@ __all__ = [
     "make_jordan_symplectic",
     "jordan_pair",
     "pair_from_vectors",
-    "svd4",
     "CoefficientLadder",
     "ExpansionCoefficients",
     "StabilityVerdict",

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateCaseError, ExcludedCaseError, InconclusiveError
-from .linalg import as_mat4, exterior_power, inner
+from .linalg import as_mat4, charpoly, exterior_power, inner
 
 #: Verdict strings for the strong-stability dichotomy.
 UNSTABLE_FORWARD = "unstable_forward_stable_backward"
@@ -82,7 +82,7 @@ def ladder(gamma0, gammadot0, lambda0):
     gammadot0 = as_mat4(gammadot0)
     lambda0 = complex(lambda0)
     K = lambda0 * np.eye(4) - gamma0
-    c = tuple(exterior_power(4 - k, 0, K) for k in range(5))
+    c = charpoly(gamma0, lambda0).coeffs
     c31 = exterior_power(3, 1, K, gammadot0)
     c21 = exterior_power(2, 1, K, gammadot0)
     if abs(c[2]) < 1e-10:

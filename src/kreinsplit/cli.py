@@ -196,8 +196,8 @@ def cmd_sweep(scenario, args):
         header += [f"re_{k}", f"im_{k}"]
     header += [f"mod_{k}" for k in range(1, 5)]
     rows = []
-    for s, M in zip(grid, ends):
-        evs = sorted(eigenvalues(M), key=lambda z: (np.angle(z), abs(z)))
+    for s, roots in zip(grid, eigenvalues(ends)):
+        evs = sorted(roots, key=lambda z: (np.angle(z), abs(z)))
         row = [repr(float(s))]
         for z in evs:
             row += [repr(float(z.real)), repr(float(z.imag))]

@@ -1,10 +1,10 @@
 """Fixed-shape complex linear algebra for dimension four.
 
 Everything here is specialized to 4x4 matrices: the standard symplectic
-form, mixed exterior powers of one or two linear maps, characteristic
-polynomials written in three-term recentred form, and a closed-form
-quartic solver with Newton polishing.  All scalars are double precision;
-matrices are plain numpy arrays.
+form, mixed exterior powers of one or two linear maps, the characteristic
+polynomial recentred at a point (one stacked determinant for a stack of
+matrices), and a closed-form quartic solver with Newton polishing.  All
+scalars are double precision; matrices are plain numpy arrays.
 """
 
 import cmath
@@ -77,10 +77,11 @@ def symplectic_inverse(M):
 def _assignment_table():
     """Every assignment of {identity, A1, A2} (0, 1, 2) to the four columns,
     grouped by occurrence counts (k1, k2), A1's columns chosen first, then
-    A2's, each in lexicographic order; and the rows of each class."""
+    A2's, each in lexicographic order; and the rows of each class.  The
+    classes run over k1 within k2, so the 16 rows without A2 come first."""
     rows, classes = [], {}
-    for k1 in range(5):
-        for k2 in range(5 - k1):
+    for k2 in range(5):
+        for k1 in range(5 - k2):
             start = len(rows)
             for ones in combinations(range(4), k1):
                 for twos in combinations([i for i in range(4) if i not in ones], k2):
@@ -92,7 +93,7 @@ def _assignment_table():
 _ASSIGN, _CLASSES = _assignment_table()
 
 
-def _dets(A1, A2, rows=slice(None)):
+def _dets(A1, A2, rows):
     """Determinants of the column matrices of the table rows ``rows``, over
     the stack axes of A1 and A2, from one stacked det; shape (..., rows)."""
     choices = np.stack(np.broadcast_arrays(_ID4, A1, A2), axis=-3)
@@ -130,7 +131,7 @@ class QuarticPoly:
     """Quartic polynomial in powers of (lambda - center).
 
     ``coeffs`` are ordered by ascending power; characteristic polynomials
-    produced by :func:`charpoly_three_term` are monic (coeffs[4] == 1).
+    produced by :func:`charpoly` are monic (coeffs[4] == 1).
     """
 
     coeffs: tuple
@@ -169,26 +170,20 @@ class QuarticPoly:
         return tuple(out)
 
 
-def charpoly_three_term(gamma0, gammat, lambda0):
-    """Characteristic polynomial of ``gammat`` recentred at ``lambda0``.
+def charpoly(M, lambda0):
+    """Characteristic polynomial of ``M`` recentred at ``lambda0``.
 
-    Expands det(lambda*I - gammat) through the splitting
-    (lambda - lambda0)*I + (lambda0*I - gamma0) - (gammat - gamma0), so the
-    coefficient of (lambda - lambda0)^k is a signed sum of mixed exterior
-    powers of the two constant maps.  Recentring at a near-double root
+    With K = lambda0*I - M, det(lambda*I - M) = det((lambda - lambda0)*I + K),
+    so the coefficient of (lambda - lambda0)^k is the exterior power
+    ``exterior_power(4 - k, 0, K)``.  Recentring at a near-double root
     avoids catastrophic cancellation when the roots are later extracted.
-    Stacks (n, 4, 4) of both maps give a list of n polynomials, one batch.
+    A stack (n, 4, 4) gives a list of n polynomials from one stacked
+    determinant over the 16 column assignments of each matrix.
     """
-    gamma0, gammat, lambda0 = as_mat4(gamma0), as_mat4(gammat), complex(lambda0)
-    K = lambda0 * _ID4 - gamma0
-    D = gammat - gamma0
-    dets = _dets(K, D)
-    # The coefficient of (lambda - lambda0)^k sums the classes with
-    # k1 + k2 = 4 - k in increasing k2, odd k2 with a minus sign.
-    signed = {(k1, k2): -_fold(dets[..., rows]) if k2 % 2 else _fold(dets[..., rows])
-              for (k1, k2), rows in _CLASSES.items()}
-    coeffs = np.stack([sum(signed[4 - k - k2, k2] for k2 in range(5 - k)) for k in range(5)],
-                      axis=-1)
+    lambda0 = complex(lambda0)
+    K = lambda0 * _ID4 - as_mat4(M)
+    dets = _dets(K, _ID4, slice(0, 16))
+    coeffs = np.stack([_fold(dets[..., _CLASSES[4 - k, 0]]) for k in range(5)], axis=-1)
     if coeffs.ndim == 1:
         return QuarticPoly(tuple(coeffs), center=lambda0)
     return [QuarticPoly(tuple(c), center=lambda0) for c in coeffs]

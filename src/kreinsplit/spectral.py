@@ -7,8 +7,9 @@ pair (eta1, eta2) with
     M eta1 = L eta1,        M eta2 = L eta2 + L eta1,
 
 note the superdiagonal entry L rather than the textbook 1: every closed
-form downstream assumes this normalization.  Rank decisions come from an
-in-module one-sided Jacobi SVD specialized to the complex 4x4 case.
+form downstream assumes this normalization.  Eigenvalues come from the
+recentred characteristic quartic; rank decisions and the chain come from
+one LAPACK SVD of lambda0 I - M.
 """
 
 from dataclasses import dataclass, field
@@ -22,17 +23,10 @@ from .errors import (
     InconsistentChainError,
     NotAJordanBlockError,
 )
-from .linalg import (
-    J4,
-    as_mat4,
-    charpoly_three_term,
-    inner,
-    is_symplectic,
-    quartic_roots,
-    symplectic_form,
-)
+from .linalg import as_mat4, charpoly, quartic_roots, symplectic_form
 
 _RANK_RTOL = 1e-8  # sigma below this times sigma_max counts as zero
+_GAUGE_TIE = 1e-9  # entries of eta1 within this relative modulus tie
 
 
 def eigenvalues(M, center=0j):
@@ -40,59 +34,13 @@ def eigenvalues(M, center=0j):
 
     Recentring at an approximate eigenvalue removes the catastrophic
     cancellation that plagues near-double roots extracted from the
-    expansion about zero.
+    expansion about zero.  A stack (n, 4, 4) gives an (n, 4) array from
+    one batch of characteristic polynomials.
     """
-    return quartic_roots(charpoly_three_term(M, M, center))
-
-
-def svd4(A):
-    """One-sided Jacobi SVD of a complex 4x4 matrix.
-
-    Returns (U, s, V) with A = U @ diag(s) @ V.conj().T and s sorted
-    descending.  Columns are rotated in place by complex plane rotations
-    until all column pairs are orthogonal to working precision; a handful
-    of sweeps suffices at this size.
-    """
-    B = as_mat4(A).copy()
-    V = np.eye(4, dtype=complex)
-    for _ in range(60):
-        off = 0.0
-        for p in range(3):
-            for q in range(p + 1, 4):
-                ap = B[:, p]
-                aq = B[:, q]
-                alpha = np.vdot(ap, ap).real
-                beta = np.vdot(aq, aq).real
-                gam = np.vdot(ap, aq)
-                denom = np.sqrt(alpha * beta)
-                if denom == 0.0 or abs(gam) <= 1e-16 * denom:
-                    continue
-                off = max(off, abs(gam) / denom)
-                phase = gam / abs(gam)
-                tau = (beta - alpha) / (2.0 * abs(gam))
-                t = -(1.0 if tau >= 0 else -1.0) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = c * t
-                new_p = c * ap + s * np.conj(phase) * aq
-                new_q = -s * ap + c * np.conj(phase) * aq
-                B[:, p] = new_p
-                B[:, q] = new_q
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp + s * np.conj(phase) * vq
-                V[:, q] = -s * vp + c * np.conj(phase) * vq
-        if off <= 1e-15:
-            break
-    s = np.linalg.norm(B, axis=0)
-    order = np.argsort(-s)
-    s = s[order]
-    B = B[:, order]
-    V = V[:, order]
-    U = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        if s[i] > 0.0:
-            U[:, i] = B[:, i] / s[i]
-    return U, s, V
+    polys = charpoly(M, center)
+    if isinstance(polys, list):
+        return np.array([quartic_roots(p) for p in polys]).reshape(-1, 4)
+    return quartic_roots(polys)
 
 
 def detect_double_unitary(M, tol_cluster=1e-6, tol_circle=1e-6):
@@ -214,7 +162,8 @@ def jordan_pair(M, lambda0):
     eta1 spans the null space of K = lambda0 I - M (smallest singular
     direction); eta2 solves K eta2 = -lambda0 eta1 in least squares
     restricted to the orthogonal complement of the null space.  Gauge:
-    eta1 is scaled so its largest entry is exactly 1, and eta2 carries no
+    eta1 is scaled so that its first entry of largest modulus (ties within
+    a relative 1e-9 count as equal) is exactly 1, and eta2 carries no
     Euclidean component along eta1 (the minimum-norm solution already
     guarantees this).  All derived quantities are gauge-invariant; the
     gauge only makes runs reproducible.
@@ -227,7 +176,8 @@ def jordan_pair(M, lambda0):
         raise ExcludedCaseError("multiplier at +-1 is outside the covered case")
 
     K = lambda0 * np.eye(4) - M
-    U, s, V = svd4(K)
+    U, s, Vh = np.linalg.svd(K)
+    V = Vh.conj().T
     null_mask = s <= _RANK_RTOL * s[0]
     ndim = int(np.count_nonzero(null_mask))
     if ndim == 0:
@@ -239,8 +189,11 @@ def jordan_pair(M, lambda0):
             "geometric multiplicity exceeds one; the multiplier is semisimple")
 
     eta1 = V[:, 3]
-    # Gauge: largest entry becomes exactly 1.
-    idx = int(np.argmax(np.abs(eta1)))
+    # Gauge: the first entry of largest modulus becomes exactly 1.  Entries
+    # tied to within roundoff count as equal, so the choice does not hang
+    # on the SVD's last bits.
+    mod = np.abs(eta1)
+    idx = int(np.argmax(mod >= (1.0 - _GAUGE_TIE) * mod.max()))
     eta1 = eta1 / eta1[idx]
 
     b = -lambda0 * eta1

@@ -20,8 +20,8 @@ from .errors import (
     TrackingAmbiguityError,
 )
 from .flow import endpoint, endpoints, integrate, perturbation_hamiltonian
-from .linalg import charpoly_three_term, quartic_roots
-from .spectral import JordanPair, detect_double_unitary, eigenvalues, jordan_pair
+from .linalg import charpoly, quartic_roots
+from .spectral import JordanPair, detect_double_unitary, jordan_pair
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,18 @@ class BranchTrack:
         return np.abs(self.branch2 - self.branch1)
 
 
-def track(matrices, lambda0, grid, a_seed=None):
+def track(polys, roots, lambda0, grid, a_seed=None):
     """Track the two near eigenvalues of a matrix family over a grid.
 
-    ``matrices[n]`` is the family's matrix at ``grid[n]``, stacked with
-    shape (len(grid), 4, 4).  The grid's characteristic quartics come from
-    one batch, recentred at ``lambda0`` to keep the nearly-double roots
-    well conditioned.  Branch labels continue by nearest-neighbor matching
-    from the previous grid point; at the first point, ``a_seed`` (the
-    predicted square-root coefficient) orients branch 2 along +a_seed when
-    given.  The grid must be strictly monotone and positive; a decreasing
-    grid simply runs the continuation from the other end.
+    ``polys[n]`` is the characteristic quartic of the family's matrix at
+    ``grid[n]``, recentred at ``lambda0`` to keep the nearly-double roots
+    well conditioned (:func:`charpoly`), and ``roots[n]`` are its four
+    roots from :func:`quartic_roots`.  Branch labels continue by
+    nearest-neighbor matching from the previous grid point; at the first
+    point, ``a_seed`` (the predicted square-root coefficient) orients
+    branch 2 along +a_seed when given.  The grid must be strictly monotone
+    and positive; a decreasing grid simply runs the continuation from the
+    other end.
 
     Raises TrackingAmbiguityError when a third eigenvalue comes within
     twice the pair spread of the collision point.
@@ -66,18 +67,16 @@ def track(matrices, lambda0, grid, a_seed=None):
         d = np.diff(grid)
         if not (np.all(d > 0) or np.all(d < 0)):
             raise ValueError("grid must be strictly monotonic")
-    matrices = np.asarray(matrices)
-    if matrices.shape != (grid.size, 4, 4):
-        raise ValueError(f"need one 4x4 matrix per grid point, got shape {matrices.shape}")
+    if not len(polys) == len(roots) == grid.size:
+        raise ValueError(f"need one quartic and its roots per grid point, got "
+                         f"{len(polys)} and {len(roots)} for {grid.size} points")
     lambda0 = complex(lambda0)
 
-    polys = charpoly_three_term(matrices, matrices, lambda0)
     pairs, prev = [], None
-    for s, poly in zip(grid, polys):
-        roots = quartic_roots(poly)
-        dist = np.abs(roots - lambda0)
+    for s, z in zip(grid, roots):
+        dist = np.abs(z - lambda0)
         order = np.argsort(dist)
-        pair = [roots[order[0]], roots[order[1]]]
+        pair = [z[order[0]], z[order[1]]]
         if dist[order[2]] <= 2.0 * dist[order[1]]:
             raise TrackingAmbiguityError(
                 float(s),
@@ -219,11 +218,13 @@ def _relative_error(emp, pred):
     return abs(emp - pred) / max(abs(pred), 1e-12)
 
 
-def _mode_comparison(fam, grid, matrices, foot4):
-    """Track and fit ``matrices`` (the family over ``grid``); ``foot4`` is
-    the family at four times the smallest grid value."""
+def _mode_comparison(fam, grid, polys, roots):
+    """Track and fit the family over ``grid`` from its recentred quartics
+    ``polys`` and their ``roots``; one more entry, after the grid's,
+    holds the family at four times the smallest grid value."""
     lam, coeffs = fam.pair.lambda0, fam.coeffs
-    tr = track(matrices, lam, grid, a_seed=coeffs.a)
+    n = grid.size
+    tr = track(polys[:n], roots[:n], lam, grid, a_seed=coeffs.a)
     fit = fit_puiseux(tr, lam)
     kappa_emp = float((fit.a ** 2 / (lam * lam)).real)
     sumder_emp = 2.0 * fit.mu_sum
@@ -237,8 +238,8 @@ def _mode_comparison(fam, grid, matrices, foot4):
     # quotient grows by 2 when s shrinks by 4.
     foot = int(np.argmin(tr.grid))
     s0 = float(tr.grid[foot])
-    probe = track(np.stack([matrices[foot], foot4]), lam, np.array([s0, 4.0 * s0]),
-                  a_seed=coeffs.a)
+    probe = track([polys[foot], polys[n]], [roots[foot], roots[n]], lam,
+                  np.array([s0, 4.0 * s0]), a_seed=coeffs.a)
     dev = 0.5 * (np.abs(probe.branch1 - lam) + np.abs(probe.branch2 - lam))
     sqrt_ratio = float(dev[0] / dev[1])
     quotient_growth = float((dev[0] / s0) / (dev[1] / (4.0 * s0)))
@@ -260,14 +261,13 @@ def _mode_comparison(fam, grid, matrices, foot4):
     )
 
 
-def _stability_probe(forward, backward, lam, kappa, probe,
+def _stability_probe(evs_f, evs_b, kappa, probe,
                      off_tol=1e-6, circle_tol=1e-6, sep_tol=1e-3):
-    """Judge the dichotomy from the flow's endpoints at +probe and -probe."""
+    """Judge the dichotomy from the multipliers of the flow's endpoints at
+    +probe (``evs_f``) and -probe (``evs_b``)."""
     if kappa < 0:
-        forward, backward = backward, forward
+        evs_f, evs_b = evs_b, evs_f
     # "forward" now means the side the dichotomy claims unstable.
-    evs_f = eigenvalues(forward, center=lam)
-    evs_b = eigenvalues(backward, center=lam)
     fwd_max = float(np.max(np.abs(evs_f)))
     off_circle = fwd_max > 1.0 + off_tol
     bwd_dev = float(np.max(np.abs(np.abs(evs_b) - 1.0)))
@@ -368,15 +368,17 @@ def family_endpoints(scenario, mode, params):
 
 
 def _oracle(scenario, mode, grid, extra=()):
-    """Closed forms and oracle for one family.  One endpoint batch covers
+    """Closed forms and oracle for one family.  One endpoint batch, one
+    batch of quartics recentred at lambda0 and one root solve each cover
     the grid, the scaling probe at four times its foot and ``extra``
-    parameters, whose endpoints are returned alongside."""
+    parameters, whose roots are returned alongside."""
     fam = family(scenario, mode)
     grid = np.asarray(grid, dtype=float)
     params = np.concatenate([grid, [4.0 * np.min(grid)], extra])
-    ends = family_endpoints(scenario, mode, params)
-    part = _mode_comparison(fam, grid, ends[:grid.size], ends[grid.size])
-    return fam, part, ends[grid.size + 1:]
+    polys = charpoly(family_endpoints(scenario, mode, params), fam.pair.lambda0)
+    roots = [quartic_roots(p) for p in polys]
+    part = _mode_comparison(fam, grid, polys, roots)
+    return fam, part, roots[grid.size + 1:]
 
 
 def compare(scenario, mode="both", t_grid=None, eps_grid=None, stability=True):
@@ -397,10 +399,10 @@ def compare(scenario, mode="both", t_grid=None, eps_grid=None, stability=True):
     if mode in ("t", "both"):
         grid = t_grid if t_grid is not None else scenario.t_grid.points()
         probes = [tol.probe, -tol.probe] if stability else []
-        fam, t_part, probe_ends = _oracle(scenario, "t", grid, probes)
+        fam, t_part, probe_roots = _oracle(scenario, "t", grid, probes)
         if stability:
-            probe_part = _stability_probe(probe_ends[0], probe_ends[1], fam.pair.lambda0,
-                                          fam.coeffs.kappa, tol.probe)
+            probe_part = _stability_probe(probe_roots[0], probe_roots[1], fam.coeffs.kappa,
+                                          tol.probe)
 
     if mode == "eps" or (mode == "both" and scenario.curve.has_eps):
         grid = eps_grid if eps_grid is not None else scenario.eps_grid.points()

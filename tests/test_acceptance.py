@@ -13,7 +13,7 @@ import pytest
 
 from kreinsplit import (
     J4,
-    charpoly_three_term,
+    charpoly,
     detect_double_unitary,
     endpoint,
     eigenvalues,
@@ -51,8 +51,8 @@ def test_criterion_1_exterior_powers():
     worst_center = 0.0
     for _ in range(20):
         M = rng.normal(size=(4, 4))
-        pa = charpoly_three_term(M, M, 0.4 + 0.7j).to_absolute()
-        pb = charpoly_three_term(M, M, -0.9 - 0.3j).to_absolute()
+        pa = charpoly(M, 0.4 + 0.7j).to_absolute()
+        pb = charpoly(M, -0.9 - 0.3j).to_absolute()
         scale = max(max(abs(c) for c in pa), 1.0)
         worst_center = max(worst_center,
                            max(abs(a - b) for a, b in zip(pa, pb)) / scale)

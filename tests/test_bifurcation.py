@@ -5,10 +5,12 @@ from kreinsplit import (
     J4,
     STABLE_FORWARD,
     UNSTABLE_FORWARD,
+    charpoly,
     classify_stability,
     detect_double_unitary,
     expansion_eps,
     expansion_t,
+    exterior_power,
     jordan_pair,
     ladder,
     ladder_closed_forms,
@@ -65,6 +67,18 @@ def test_ladder_low_coefficients_vanish_at_collision():
     assert abs(lad.c[2] - d * d) < 1e-8
     assert abs(lad.c[3] - 2 * d) < 1e-8
     assert lad.c[4] == 1
+
+
+def test_ladder_coefficients_are_the_recentred_charpoly():
+    # Bit for bit: the ladder's c is the oracle's quartic at the collision,
+    # and both are the exterior powers of lambda0 I - M(0).
+    rng = np.random.default_rng(52)
+    for _ in range(10):
+        M, pair, A0 = random_jordan_scenario(rng)
+        lam = pair.lambda0
+        c = ladder(M, J4 @ A0 @ M, lam).c
+        assert c == charpoly(M, lam).coeffs
+        assert c == tuple(exterior_power(4 - k, 0, lam * np.eye(4) - M) for k in range(5))
 
 
 def test_ladder_rejects_multiplier_at_one():

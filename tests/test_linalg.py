@@ -4,10 +4,11 @@ import pytest
 from kreinsplit import (
     J4,
     QuarticPoly,
-    charpoly_three_term,
+    charpoly,
     exterior_power,
     inner,
     is_symplectic,
+    make_jordan_symplectic,
     quartic_roots,
     symplectic_form,
 )
@@ -102,7 +103,7 @@ def test_exterior_power_preconditions():
 def test_charpoly_double_pair_coefficients():
     # J4 has eigenvalues {i, i, -i, -i}; recentring at i exposes the
     # double-pair structure of the low coefficients.
-    p = charpoly_three_term(J4, J4, 1j)
+    p = charpoly(J4, 1j)
     assert abs(p.coeffs[0]) < 1e-12
     assert abs(p.coeffs[1]) < 1e-12
     assert abs(p.coeffs[2] - (2j) ** 2) < 1e-12
@@ -115,14 +116,14 @@ def test_charpoly_matches_sampled_determinant():
     for _ in range(10):
         M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         lam0 = rng.normal() + 1j * rng.normal()
-        got = np.array(charpoly_three_term(M, M, lam0).coeffs)
+        got = np.array(charpoly(M, lam0).coeffs)
         ref = charpoly_by_sampling(M, lam0)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(got - ref)) < 1e-10 * scale
 
 
 def test_charpoly_zero_matrix():
-    p = charpoly_three_term(np.zeros((4, 4)), np.zeros((4, 4)), 0.0)
+    p = charpoly(np.zeros((4, 4)), 0.0)
     assert p.coeffs[:4] == (0, 0, 0, 0)
     assert p.coeffs[4] == 1
 
@@ -131,8 +132,8 @@ def test_charpoly_center_independence():
     rng = np.random.default_rng(17)
     for _ in range(10):
         M = rng.normal(size=(4, 4))
-        pa = charpoly_three_term(M, M, 0.3 + 0.4j).to_absolute()
-        pb = charpoly_three_term(M, M, -1.1 + 0.2j).to_absolute()
+        pa = charpoly(M, 0.3 + 0.4j).to_absolute()
+        pb = charpoly(M, -1.1 + 0.2j).to_absolute()
         scale = max(max(abs(c) for c in pa), 1.0)
         assert max(abs(a - b) for a, b in zip(pa, pb)) < 1e-12 * scale
 
@@ -147,8 +148,23 @@ def test_stacked_det_path_equals_per_assignment_loop():
             for k2 in range(5 - k1):
                 assert exterior_power(k1, k2, A1, A2) == exterior_power_loop(k1, k2, A1, A2)
         lam0 = rng.normal() + 1j * rng.normal()
-        for gt in (A2, A1):
-            assert charpoly_three_term(A1, gt, lam0).coeffs == charpoly_loop(A1, gt, lam0)
+        assert charpoly(A1, lam0).coeffs == charpoly_loop(A1, A1, lam0)
+
+
+def test_charpoly_bitwise_equals_loop_on_near_jordan_matrices():
+    # A double unit multiplier with a perturbation from roundoff to 1e-2,
+    # recentred at the unperturbed multiplier: one matrix at a time and in
+    # stacks of three, equal bit for bit to the per-assignment loop.
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        theta = rng.uniform(0.2, 3.0)
+        C = rng.normal(size=(2, 2))
+        base = make_jordan_symplectic(theta, C + C.T)
+        stack = base + 10.0 ** rng.uniform(-14, -2) * rng.normal(size=(3, 4, 4))
+        lam0 = np.exp(1j * theta)
+        assert charpoly(base, lam0).coeffs == charpoly_loop(base, base, lam0)
+        for M, p in zip(stack, charpoly(stack, lam0)):
+            assert p.coeffs == charpoly_loop(M, M, lam0)
 
 
 def test_charpoly_stacked_equals_one_matrix_calls():
@@ -157,12 +173,11 @@ def test_charpoly_stacked_equals_one_matrix_calls():
         G0 = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
         Gt = G0 + 1e-3 * rng.normal(size=(n, 4, 4))
         lam0 = rng.normal() + 1j * rng.normal()
-        for a, b in ((G0, Gt), (G0, G0)):
-            batch = charpoly_three_term(a, b, lam0)
-            assert len(batch) == n
-            for i, p in enumerate(batch):
-                one = charpoly_three_term(a[i], b[i], lam0)
-                assert p.coeffs == one.coeffs and p.center == one.center
+        batch = charpoly(G0, lam0)
+        assert len(batch) == n
+        for i, p in enumerate(batch):
+            one = charpoly(G0[i], lam0)
+            assert p.coeffs == one.coeffs and p.center == one.center
         ext = exterior_power(2, 1, G0, Gt)
         assert ext.shape == (n,)
         assert all(ext[i] == exterior_power(2, 1, G0[i], Gt[i]) for i in range(n))

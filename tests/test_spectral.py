@@ -8,9 +8,9 @@ from kreinsplit import (
     inner,
     is_symplectic,
     jordan_pair,
+    load_scenario,
     make_jordan_symplectic,
     pair_from_vectors,
-    svd4,
 )
 from kreinsplit.errors import (
     DegenerateAngleError,
@@ -19,20 +19,8 @@ from kreinsplit.errors import (
 )
 from kreinsplit.spectral import krein_pairings_ok
 
-from conftest import COUPLINGS, SEMISIMPLE_COUPLINGS, THETAS
+from conftest import COUPLINGS, SCENARIOS, SEMISIMPLE_COUPLINGS, THETAS
 from oracles import best_match_distance, expm_taylor, random_symmetric4
-
-
-def test_svd4_against_numpy():
-    rng = np.random.default_rng(40)
-    for k in range(100):
-        A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        if k % 3 == 0:
-            A[:, 3] = 2.0 * A[:, 0] - 1j * A[:, 1]  # force rank deficiency
-        U, s, V = svd4(A)
-        assert np.max(np.abs(s - np.linalg.svd(A, compute_uv=False))) < 1e-12
-        assert np.max(np.abs(U @ np.diag(s) @ V.conj().T - A)) < 1e-12
-        assert np.max(np.abs(V.conj().T @ V - np.eye(4))) < 1e-13
 
 
 def test_eigenvalues_simple_cases():
@@ -40,6 +28,16 @@ def test_eigenvalues_simple_cases():
     assert best_match_distance(eigenvalues(J4), [1j, 1j, -1j, -1j]) < 1e-8
     M = np.diag([2.0, 2.0, 0.5, 0.5])
     assert best_match_distance(eigenvalues(M), [2, 2, 0.5, 0.5]) < 1e-8
+
+
+def test_eigenvalues_of_a_stack_equal_one_matrix_calls():
+    rng = np.random.default_rng(42)
+    stack = rng.normal(size=(5, 4, 4))
+    center = 0.3 + 0.8j
+    batch = eigenvalues(stack, center=center)
+    assert batch.shape == (5, 4)
+    for M, got in zip(stack, batch):
+        assert got.tobytes() == eigenvalues(M, center=center).tobytes()
 
 
 def test_eigenvalue_quartet_symmetry_for_random_symplectic():
@@ -168,6 +166,20 @@ def test_jordan_pair_gauge_is_deterministic():
     assert np.array_equal(p1.eta2, p2.eta2)
     idx = int(np.argmax(np.abs(p1.eta1)))
     assert p1.eta1[idx] == 1.0 + 0.0j
+
+
+def test_gauge_breaks_modulus_ties_at_the_first_index():
+    # jordan_pi3's eta1 is proportional to (1, -i, 0, 0): two entries of
+    # equal modulus.  Which of them comes out larger depends on the SVD's
+    # last bits, so the gauge takes the first one within a relative 1e-9.
+    scenario = load_scenario(SCENARIOS / "jordan_pi3.json")
+    M = scenario.initial_matrix()
+    eta1 = jordan_pair(M, detect_double_unitary(M)).eta1
+    mod = np.abs(eta1)
+    tied = np.flatnonzero(mod >= (1.0 - 1e-9) * mod.max())
+    assert tied.tolist() == [0, 1]
+    assert eta1[0] == 1.0 + 0.0j
+    assert abs(eta1[1] + 1j) < 1e-12
 
 
 def test_conjugated_pair_is_valid():

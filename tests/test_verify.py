@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from kreinsplit import (
+    charpoly,
     compare,
     detect_double_unitary,
+    eigenvalues,
     expansion_t,
     fit_puiseux,
     jordan_pair,
     make_jordan_symplectic,
     predict_branches,
+    quartic_roots,
     track,
 )
 from kreinsplit.errors import (
@@ -18,12 +21,19 @@ from kreinsplit.errors import (
     InputError,
     TrackingAmbiguityError,
 )
-from kreinsplit.verify import BranchTrack
+from kreinsplit.verify import BranchTrack, _stability_probe, family_endpoints
 
 
 def stacked(fn, grid):
-    """The family ``fn`` at every grid point, stacked as ``track`` takes it."""
+    """The family ``fn`` at every grid point, stacked."""
     return np.stack([fn(float(s)) for s in grid])
+
+
+def spectra(matrices, lam):
+    """The quartics of ``matrices`` recentred at ``lam`` and their roots,
+    as ``track`` takes them."""
+    polys = charpoly(matrices, lam)
+    return polys, [quartic_roots(p) for p in polys]
 
 
 def synthetic_track(lambda0, a, mu, grid, extra=None):
@@ -39,7 +49,7 @@ def synthetic_track(lambda0, a, mu, grid, extra=None):
 def test_track_constant_family():
     M = make_jordan_symplectic(np.pi / 3, np.eye(2))
     lam = detect_double_unitary(M)
-    tr = track(np.repeat(M[None], 6, axis=0), lam, np.geomspace(1e-6, 1e-3, 6))
+    tr = track(*spectra(np.repeat(M[None], 6, axis=0), lam), lam, np.geomspace(1e-6, 1e-3, 6))
     assert np.max(np.abs(tr.branch1 - lam)) < 1e-7
     assert np.max(np.abs(tr.branch2 - lam)) < 1e-7
 
@@ -48,11 +58,11 @@ def test_track_requires_positive_monotone_grid():
     M = make_jordan_symplectic(np.pi / 3, np.eye(2))
     lam = detect_double_unitary(M)
     with pytest.raises(ValueError):
-        track(np.repeat(M[None], 3, axis=0), lam, [1e-3, 1e-6, 1e-4])
+        track(*spectra(np.repeat(M[None], 3, axis=0), lam), lam, [1e-3, 1e-6, 1e-4])
     with pytest.raises(ValueError):
-        track(np.repeat(M[None], 2, axis=0), lam, [-1e-3, 1e-6])
+        track(*spectra(np.repeat(M[None], 2, axis=0), lam), lam, [-1e-3, 1e-6])
     with pytest.raises(ValueError):
-        track(np.repeat(M[None], 2, axis=0), lam, [1e-6, 1e-4, 1e-3])
+        track(*spectra(np.repeat(M[None], 2, axis=0), lam), lam, [1e-6, 1e-4, 1e-3])
 
 
 def test_track_ambiguity_detection():
@@ -64,7 +74,7 @@ def test_track_ambiguity_detection():
 
     grid = np.geomspace(1e-8, 1e-5, 5)
     with pytest.raises(TrackingAmbiguityError):
-        track(stacked(crowded, grid), lam, grid)
+        track(*spectra(stacked(crowded, grid), lam), lam, grid)
 
 
 def test_track_continuity_and_reversal(pi3_scenario, pi3_report):
@@ -89,8 +99,8 @@ def test_track_reversed_grid_matches():
         return out
 
     grid = np.geomspace(1e-7, 1e-4, 8)
-    fwd = track(stacked(family, grid), lam, grid)
-    rev = track(stacked(family, grid[::-1]), lam, grid[::-1])
+    fwd = track(*spectra(stacked(family, grid), lam), lam, grid)
+    rev = track(*spectra(stacked(family, grid[::-1]), lam), lam, grid[::-1])
     same = max(np.max(np.abs(fwd.branch1 - rev.branch1[::-1])),
                np.max(np.abs(fwd.branch2 - rev.branch2[::-1])))
     swapped = max(np.max(np.abs(fwd.branch1 - rev.branch2[::-1])),
@@ -108,14 +118,44 @@ def test_tracked_quartet_mirrors_conjugate_cluster(pi3_scenario):
         return endpoint(integrate(curve, g0, s, 2000, 0.0))
 
     grid = np.geomspace(1e-6, 1e-4, 5)
-    up = track(stacked(family, grid), lam, grid)
-    down = track(stacked(family, grid), np.conj(lam), grid)
+    up = track(*spectra(stacked(family, grid), lam), lam, grid)
+    down = track(*spectra(stacked(family, grid), np.conj(lam)), np.conj(lam), grid)
     for i in range(grid.size):
         got = sorted([down.branch1[i], down.branch2[i]], key=lambda z: z.imag)
         want = sorted([np.conj(up.branch1[i]), np.conj(up.branch2[i])],
                       key=lambda z: z.imag)
         assert abs(got[0] - want[0]) < 1e-9
         assert abs(got[1] - want[1]) < 1e-9
+
+
+def test_shared_quartic_batch_equals_separate_calls(pi3_scenario, pi3_report):
+    # The oracle solves one batch of quartics for the grid, four times its
+    # foot and the two stability probes.  The grid track, the scaling probe
+    # and the probes' multipliers equal separate track and eigenvalues
+    # calls on the same endpoints bit for bit.
+    report, _ = pi3_report
+    part = report.t
+    lam, a = part.lambda0, part.a_predicted
+    probe = pi3_scenario.tolerances.probe
+    grid = pi3_scenario.t_grid.points()
+    n = grid.size
+    ends = family_endpoints(pi3_scenario, "t",
+                            np.concatenate([grid, [4.0 * grid.min(), probe, -probe]]))
+
+    tr = track(*spectra(ends[:n], lam), lam, grid, a_seed=a)
+    for got, want in ((part.track.branch1, tr.branch1), (part.track.branch2, tr.branch2),
+                      (part.track.residuals, tr.residuals)):
+        assert got.tobytes() == want.tobytes()
+
+    foot = int(np.argmin(grid))
+    s0 = float(grid[foot])
+    scaling = track(*spectra(ends[[foot, n]], lam), lam, [s0, 4.0 * s0], a_seed=a)
+    dev = 0.5 * (np.abs(scaling.branch1 - lam) + np.abs(scaling.branch2 - lam))
+    assert part.sqrt_ratio == float(dev[0] / dev[1])
+    assert part.quotient_growth == float((dev[0] / s0) / (dev[1] / (4.0 * s0)))
+
+    evs = [eigenvalues(M, center=lam) for M in ends[n + 1:]]
+    assert report.stability == _stability_probe(evs[0], evs[1], part.kappa_predicted, probe)
 
 
 def test_fit_recovers_exact_model():
