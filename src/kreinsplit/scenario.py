@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import InputError, SchemaError
 from .expr import SymmetricCurve
 from .spectral import make_jordan_symplectic
 
@@ -67,6 +67,13 @@ class Scenario:
     eps_grid: GridSpec = field(default_factory=GridSpec)
     tolerances: Tolerances = field(default_factory=Tolerances)
 
+    def grid(self, mode):
+        """Grid points of the ``mode`` family: "t", or "eps" when the
+        curve mentions eps."""
+        if mode == "eps" and not self.curve.has_eps:
+            raise InputError("scenario curve does not mention eps; eps mode unavailable")
+        return getattr(self, f"{mode}_grid").points()
+
     def initial_matrix(self):
         if self.gamma0 is not None:
             return np.array(self.gamma0, dtype=float)
@@ -108,7 +115,9 @@ def _matrix(value, shape, path):
     return arr
 
 
-def _grid(obj, path):
+def parse_grid(obj, path):
+    """Validate a grid object (keys min, max, count, log) into a GridSpec;
+    complaints are located under ``path``."""
     _require_keys(obj, {"min", "max", "count", "log"}, (), path)
     lo = _number(obj.get("min", 1e-7), f"{path}/min", positive=True)
     hi = _number(obj.get("max", 1e-3), f"{path}/max", positive=True)
@@ -182,8 +191,8 @@ def parse_scenario(obj, default_name="scenario"):
     T = _number(obj.get("T", 1.0), "/T", positive=True)
     grids = obj.get("grids", {})
     _require_keys(grids, {"t", "eps"}, (), "/grids")
-    t_grid = _grid(grids["t"], "/grids/t") if "t" in grids else GridSpec()
-    eps_grid = _grid(grids["eps"], "/grids/eps") if "eps" in grids else GridSpec()
+    t_grid = parse_grid(grids["t"], "/grids/t") if "t" in grids else GridSpec()
+    eps_grid = parse_grid(grids["eps"], "/grids/eps") if "eps" in grids else GridSpec()
     tolerances = _tolerances(obj.get("tolerances", {}), "/tolerances")
 
     return Scenario(name=name, curve=curve, gamma0=gamma0, generator=generator,

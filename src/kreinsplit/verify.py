@@ -15,7 +15,6 @@ import numpy as np
 from .bifurcation import ExpansionCoefficients, expansion_eps, expansion_t
 from .errors import (
     IllConditionedFitError,
-    InputError,
     NoDoubleMultiplierError,
     TrackingAmbiguityError,
 )
@@ -218,49 +217,6 @@ def _relative_error(emp, pred):
     return abs(emp - pred) / max(abs(pred), 1e-12)
 
 
-def _mode_comparison(fam, grid, polys, roots):
-    """Track and fit the family over ``grid`` from its recentred quartics
-    ``polys`` and their ``roots``; one more entry, after the grid's,
-    holds the family at four times the smallest grid value."""
-    lam, coeffs = fam.pair.lambda0, fam.coeffs
-    n = grid.size
-    tr = track(polys[:n], roots[:n], lam, grid, a_seed=coeffs.a)
-    fit = fit_puiseux(tr, lam)
-    kappa_emp = float((fit.a ** 2 / (lam * lam)).real)
-    sumder_emp = 2.0 * fit.mu_sum
-    rel = {
-        "kappa": _relative_error(kappa_emp, coeffs.kappa),
-        "sum_derivative": _relative_error(sumder_emp, coeffs.sum_derivative),
-    }
-
-    # Scaling probes at the foot of the grid: deviations should scale as
-    # sqrt(s), so dev(s)/dev(4s) -> 1/2 and the one-sided difference
-    # quotient grows by 2 when s shrinks by 4.
-    foot = int(np.argmin(tr.grid))
-    s0 = float(tr.grid[foot])
-    probe = track([polys[foot], polys[n]], [roots[foot], roots[n]], lam,
-                  np.array([s0, 4.0 * s0]), a_seed=coeffs.a)
-    dev = 0.5 * (np.abs(probe.branch1 - lam) + np.abs(probe.branch2 - lam))
-    sqrt_ratio = float(dev[0] / dev[1])
-    quotient_growth = float((dev[0] / s0) / (dev[1] / (4.0 * s0)))
-
-    return ModeComparison(
-        mode=fam.mode,
-        lambda0=lam,
-        kappa_predicted=coeffs.kappa,
-        kappa_empirical=kappa_emp,
-        sum_derivative_predicted=coeffs.sum_derivative,
-        sum_derivative_empirical=sumder_emp,
-        a_predicted=coeffs.a,
-        a_empirical=fit.a,
-        relative_errors=rel,
-        sqrt_ratio=sqrt_ratio,
-        quotient_growth=quotient_growth,
-        track=tr,
-        diagnostics=dict(fit.diagnostics),
-    )
-
-
 def _stability_probe(evs_f, evs_b, kappa, probe,
                      off_tol=1e-6, circle_tol=1e-6, sep_tol=1e-3):
     """Judge the dichotomy from the multipliers of the flow's endpoints at
@@ -297,13 +253,8 @@ class OracleReport:
 
     @property
     def max_relative_error(self):
-        errors = []
-        for part in (self.t, self.eps):
-            if part is not None:
-                errors.extend(part.relative_errors.values())
-        if not errors:
-            return float("inf")
-        return max(errors)
+        return max((part.max_relative_error for part in (self.t, self.eps)
+                    if part is not None), default=float("inf"))
 
 
 @dataclass(frozen=True)
@@ -313,9 +264,11 @@ class Family:
     For the time family ("t") the base is the initial matrix and the drive
     is A(0, 0); for the eps family ("eps") the base is the endpoint G(T)
     at eps = 0 and the drive is the effective perturbation generator B.
+    ``grid`` holds the family's grid points (:meth:`Scenario.grid`).
     """
 
     mode: str
+    grid: np.ndarray
     base: np.ndarray
     pair: JordanPair
     drive: np.ndarray
@@ -328,9 +281,8 @@ def family(scenario, mode):
     and the oracle."""
     tol = scenario.tolerances
     curve = scenario.curve
+    grid = scenario.grid(mode)
     if mode == "eps":
-        if not curve.has_eps:
-            raise InputError("scenario curve does not mention eps; eps mode unavailable")
         # The quadrature reads the whole eps = 0 trajectory, so this flow
         # is integrated on its own rather than as an endpoint.
         sol0 = integrate(curve, np.eye(4), scenario.T, tol.steps_eps, 0.0, tol.drift)
@@ -350,7 +302,7 @@ def family(scenario, mode):
     else:
         drive = curve.eval_matrix(0.0, 0.0)
         coeffs = expansion_t(pair, drive)
-    return Family(mode=mode, base=base, pair=pair, drive=drive, coeffs=coeffs)
+    return Family(mode=mode, grid=grid, base=base, pair=pair, drive=drive, coeffs=coeffs)
 
 
 def family_endpoints(scenario, mode, params):
@@ -367,45 +319,76 @@ def family_endpoints(scenario, mode, params):
     return ends
 
 
-def _oracle(scenario, mode, grid, extra=()):
-    """Closed forms and oracle for one family.  One endpoint batch, one
-    batch of quartics recentred at lambda0 and one root solve each cover
-    the grid, the scaling probe at four times its foot and ``extra``
-    parameters, whose roots are returned alongside."""
+def _oracle(scenario, mode):
+    """Closed forms and oracle for one family.
+
+    One endpoint batch, one batch of quartics recentred at lambda0 and one
+    root solve each cover the grid, the scaling probe at four times its
+    foot and, for the t family, the stability probes at +-probe.  Returns
+    the ModeComparison and the StabilityProbe (None for the eps family).
+    """
     fam = family(scenario, mode)
-    grid = np.asarray(grid, dtype=float)
-    params = np.concatenate([grid, [4.0 * np.min(grid)], extra])
-    polys = charpoly(family_endpoints(scenario, mode, params), fam.pair.lambda0)
+    lam, coeffs, grid = fam.pair.lambda0, fam.coeffs, fam.grid
+    probe = scenario.tolerances.probe
+    n = grid.size
+    params = np.concatenate([grid, [4.0 * np.min(grid)], [probe, -probe] if mode == "t" else []])
+    polys = charpoly(family_endpoints(scenario, mode, params), lam)
     roots = [quartic_roots(p) for p in polys]
-    part = _mode_comparison(fam, grid, polys, roots)
-    return fam, part, roots[grid.size + 1:]
+
+    tr = track(polys[:n], roots[:n], lam, grid, a_seed=coeffs.a)
+    fit = fit_puiseux(tr, lam)
+    kappa_emp = float((fit.a ** 2 / (lam * lam)).real)
+    sumder_emp = 2.0 * fit.mu_sum
+    rel = {
+        "kappa": _relative_error(kappa_emp, coeffs.kappa),
+        "sum_derivative": _relative_error(sumder_emp, coeffs.sum_derivative),
+    }
+
+    # Scaling probes at the foot of the grid: deviations should scale as
+    # sqrt(s), so dev(s)/dev(4s) -> 1/2 and the one-sided difference
+    # quotient grows by 2 when s shrinks by 4.
+    foot = int(np.argmin(tr.grid))
+    s0 = float(tr.grid[foot])
+    scaling = track([polys[foot], polys[n]], [roots[foot], roots[n]], lam,
+                    np.array([s0, 4.0 * s0]), a_seed=coeffs.a)
+    dev = 0.5 * (np.abs(scaling.branch1 - lam) + np.abs(scaling.branch2 - lam))
+
+    part = ModeComparison(
+        mode=mode,
+        lambda0=lam,
+        kappa_predicted=coeffs.kappa,
+        kappa_empirical=kappa_emp,
+        sum_derivative_predicted=coeffs.sum_derivative,
+        sum_derivative_empirical=sumder_emp,
+        a_predicted=coeffs.a,
+        a_empirical=fit.a,
+        relative_errors=rel,
+        sqrt_ratio=float(dev[0] / dev[1]),
+        quotient_growth=float((dev[0] / s0) / (dev[1] / (4.0 * s0))),
+        track=tr,
+        diagnostics=dict(fit.diagnostics),
+    )
+    stability = None
+    if mode == "t":
+        stability = _stability_probe(roots[n + 1], roots[n + 2], coeffs.kappa, probe)
+    return part, stability
 
 
-def compare(scenario, mode="both", t_grid=None, eps_grid=None, stability=True):
+def compare(scenario, mode="both"):
     """Run predictions and the tracking oracle on a scenario.
 
     ``mode`` selects the time family ("t"), the endpoint-in-eps family
     ("eps"), or "both", where the eps family runs only when the curve
-    mentions eps.  Returns an OracleReport; tolerance judgments belong to
-    the caller.
+    mentions eps.  The grids are the scenario's (change them with
+    ``dataclasses.replace``), and the t family always runs the stability
+    probes.  Returns an OracleReport; tolerance judgments belong to the
+    caller.
     """
     if mode not in ("t", "eps", "both"):
         raise ValueError(f"unknown mode {mode!r}")
-    tol = scenario.tolerances
-    t_part = None
-    eps_part = None
-    probe_part = None
-
+    t_part = eps_part = stability = None
     if mode in ("t", "both"):
-        grid = t_grid if t_grid is not None else scenario.t_grid.points()
-        probes = [tol.probe, -tol.probe] if stability else []
-        fam, t_part, probe_roots = _oracle(scenario, "t", grid, probes)
-        if stability:
-            probe_part = _stability_probe(probe_roots[0], probe_roots[1], fam.coeffs.kappa,
-                                          tol.probe)
-
+        t_part, stability = _oracle(scenario, "t")
     if mode == "eps" or (mode == "both" and scenario.curve.has_eps):
-        grid = eps_grid if eps_grid is not None else scenario.eps_grid.points()
-        _, eps_part, _ = _oracle(scenario, "eps", grid)
-
-    return OracleReport(name=scenario.name, t=t_part, eps=eps_part, stability=probe_part)
+        eps_part, _ = _oracle(scenario, "eps")
+    return OracleReport(name=scenario.name, t=t_part, eps=eps_part, stability=stability)

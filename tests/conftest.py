@@ -1,10 +1,11 @@
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kreinsplit import compare, load_scenario
+from kreinsplit import GridSpec, compare, load_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -62,8 +63,8 @@ def pi3_neg_report(pi3_neg_scenario):
 def pi3_halved_report(pi3_scenario):
     """Same scenario with the top of the t-grid halved (grid-refinement
     stability checks)."""
-    grid = np.geomspace(1e-7, 5e-4, 16)
-    return _timed_compare(pi3_scenario, mode="t", t_grid=grid, stability=False)
+    halved = replace(pi3_scenario, t_grid=GridSpec(lo=1e-7, hi=5e-4, count=16))
+    return _timed_compare(halved, mode="t")
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from kreinsplit.cli import apply_grid_override, main
+from kreinsplit.cli import _DEFAULT_MODE, apply_grid_override, build_parser, main
 from kreinsplit.errors import SchemaError, SymmetryConflictError
 from kreinsplit.scenario import GridSpec, load_scenario, parse_scenario
 
@@ -114,9 +114,41 @@ def test_schema_error_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bad_flag_exit_one(capsys):
-    assert main(["analyze", "x.json", "--grid", "nonsense"]) == 1
-    capsys.readouterr()
+@pytest.mark.parametrize("argv", [
+    pytest.param(["analyze", "x.json", "--grid", "nonsense"], id="grid-nonsense"),
+    pytest.param(["verify", "FAST", "--grid", "nan,1e-3,8"], id="verify-grid-nan"),
+    pytest.param(["sweep", "FAST", "--grid", "nan,1e-3,8"], id="sweep-grid-nan"),
+    pytest.param(["analyze", "FAST", "--grid", "nan,1e-3,8"], id="analyze-grid-nan"),
+    pytest.param(["verify", "FAST", "--grid", "1e-7,inf,8"], id="verify-grid-inf"),
+    pytest.param(["analyze", "FAST", "--grid", "1e-7,inf,8"], id="analyze-grid-inf"),
+    pytest.param(["verify", "FAST", "--tol", "nan"], id="tol-nan"),
+    pytest.param(["verify", "FAST", "--tol", "inf"], id="tol-inf"),
+    pytest.param(["verify", "FAST", "--tol=-1e-3"], id="tol-negative"),
+])
+def test_bad_flag_exit_one(argv, capsys):
+    # Flags get the checks a scenario file's values get: a non-finite
+    # grid or tolerance is malformed input, not a degenerate flow.
+    argv = [str(DATA / "pi3_fast.json") if a == "FAST" else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "RuntimeWarning" not in err
+
+
+def test_options_may_precede_the_command(capsys):
+    path = str(SCENARIOS / "jordan_pi3_neg.json")
+    assert main(["--mode", "t", "classify", path]) == 0
+    before = capsys.readouterr().out
+    assert main(["classify", path, "--mode", "t"]) == 0
+    assert capsys.readouterr().out == before
+
+
+def test_help_names_every_command_and_exit_code():
+    text = build_parser().format_help()
+    for word in ("analyze", "verify", "sweep", "classify", "Exit codes", "0 success",
+                 "1 malformed input", "2 mathematical degeneracy", "3 verification"):
+        assert word in text, word
 
 
 def test_verify_fast_scenario(tmp_path, capsys):
@@ -134,6 +166,16 @@ def test_verify_fast_scenario(tmp_path, capsys):
     assert rows[0][0] == "s"
     assert len(rows) == 1 + 8
     float(rows[1][1])  # cells are plain numbers
+
+
+def test_verify_json_schema(capsys):
+    assert main(["verify", str(DATA / "pi3_fast.json")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["name", "max_relative_error", "t", "stability"]
+    assert list(doc["t"]) == [
+        "lambda0", "kappa_predicted", "kappa_empirical", "sum_derivative_predicted",
+        "sum_derivative_empirical", "a_predicted", "a_empirical", "relative_errors",
+        "sqrt_ratio", "quotient_growth"]
 
 
 def test_verify_tight_tolerance_exit_three(capsys):
@@ -198,8 +240,9 @@ def test_sweep_eps_without_eps_is_usage_error(capsys):
 def test_grid_override_covers_every_family_run(command, mode, overridden):
     sc = load_scenario(SCENARIOS / "resonant_eps.json")
     grid = GridSpec(lo=1e-6, hi=1e-4, count=8, log=False)
-    assert apply_grid_override(sc, command, mode, None) is sc
-    got = apply_grid_override(sc, command, mode, grid)
+    resolved = mode or _DEFAULT_MODE[command]
+    assert apply_grid_override(sc, resolved, None) is sc
+    got = apply_grid_override(sc, resolved, grid)
     for family in ("t", "eps"):
         want = grid if family in overridden else getattr(sc, f"{family}_grid")
         assert getattr(got, f"{family}_grid") == want, family

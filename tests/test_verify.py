@@ -232,7 +232,7 @@ def test_default_steps_t_agrees_with_sixteen_times_more(pi3_scenario, pi3_report
     # Two-step-count check of the default: 2,048 RK4 steps (16 chunks)
     # move neither fitted coefficient by more than 1e-8 relative.
     tol = replace(pi3_scenario.tolerances, steps_t=2048)
-    fine = compare(replace(pi3_scenario, tolerances=tol), mode="t", stability=False).t
+    fine = compare(replace(pi3_scenario, tolerances=tol), mode="t").t
     base = pi3_report[0].t
     for name in ("kappa_empirical", "sum_derivative_empirical"):
         ref = getattr(base, name)
