@@ -501,6 +501,14 @@ class SymmetricCurve:
         the entry, the point and the offending subexpression."""
         return _fill(self._compiled, ts, eps, "entry")
 
+    def entry_values(self, ts, eps):
+        """Yield ``((i, j), values)`` for each stored entry (i <= j) at the
+        points (``ts``, ``eps``), two float arrays that broadcast against
+        each other; ``values`` broadcasts to their common shape.  A term in
+        t alone is computed once per element of ``ts``.  Checked as in
+        :meth:`eval_matrix_batch`, one entry at a time."""
+        return _checked(self._compiled, ts, eps, "entry")
+
     def d_eps_matrix_batch(self, ts, eps=0.0):
         """dA/deps for every t in ``ts``, paired with ``eps`` as in
         :meth:`eval_matrix_batch`.
@@ -518,18 +526,18 @@ def _compile_entries(entries):
     return tuple(entries), tuple(entries.values()), compile_array(entries.values())
 
 
-def _fill(compiled, ts, eps, what):
-    """Evaluate a :func:`_compile_entries` curve into a stack of symmetric
-    matrices; a non-finite value is located by running the tree walker at
-    the first bad point."""
+def _checked(compiled, ts, eps, what):
+    """Yield ``((i, j), values)`` for each entry of a :func:`_compile_entries`
+    curve at the points (ts, eps), which broadcast against each other; a
+    non-finite value is located by running the tree walker at the first
+    bad point of the broadcast shape."""
     keys, trees, fn = compiled
-    ts = np.asarray(ts, dtype=float)
-    out = np.zeros((ts.size, 4, 4))
     for (i, j), tree, vals in zip(keys, trees, fn(ts, eps)):
         if not np.all(np.isfinite(vals)):
-            bad = int(np.flatnonzero(~np.isfinite(np.broadcast_to(vals, ts.shape)))[0])
-            t_bad = float(ts[bad])
-            eps_bad = float(np.broadcast_to(eps, ts.shape)[bad])
+            shape = np.broadcast_shapes(np.shape(ts), np.shape(eps))
+            bad = int(np.flatnonzero(~np.isfinite(np.broadcast_to(vals, shape)))[0])
+            t_bad = float(np.broadcast_to(ts, shape).flat[bad])
+            eps_bad = float(np.broadcast_to(eps, shape).flat[bad])
             where = f"at (t, eps) = ({t_bad!r}, {eps_bad!r})"
             try:
                 evaluate(tree, t_bad, eps_bad)
@@ -537,6 +545,15 @@ def _fill(compiled, ts, eps, what):
                 raise ExprDomainError(exc.offset,
                                       f"{what} ({i},{j}): {exc.reason} {where}") from None
             raise ExprDomainError(tree.offset, f"{what} ({i},{j}) non-finite {where}")
+        yield (i, j), vals
+
+
+def _fill(compiled, ts, eps, what):
+    """Evaluate a :func:`_compile_entries` curve into a stack of symmetric
+    matrices, checked by :func:`_checked`."""
+    ts = np.asarray(ts, dtype=float)
+    out = np.zeros((ts.size, 4, 4))
+    for (i, j), vals in _checked(compiled, ts, eps, what):
         out[:, i, j] = vals
         out[:, j, i] = vals
     return out

@@ -7,11 +7,17 @@ and runs reproducible; there is no adaptivity and no dense output.
 For a linear system one RK4 step is a matrix R_n = I + D_n that depends
 only on A, so no step loop is needed.  One chunk engine runs K flows from
 one initial condition, each with its own horizon, grid and eps, _CHUNK
-steps at a time: one evaluation of A, one batch of step increments D_n,
-a log2-depth prefix scan that composes them while carrying only the
+steps at a time: h J4 A at the chunk's nodes and midpoints, written entry
+by entry from one evaluation of A; one batch of step increments D_n; a
+log2-depth prefix scan that composes them while carrying only the
 increment of the product (small numbers keep their own rounding instead
-of being rounded against the identity), then the states G + D @ G from
+of being rounded against the identity); then the states G + D @ G from
 the previous chunk's last state, each checked for symplectic drift.
+Every chunk-sized array lives in one workspace allocated per call, and
+each stage writes into it, so the chunk loop allocates nothing of its
+size.  When all K horizons are equal, A is evaluated on a column of times
+against a row of eps values, so a term in t alone is computed once per
+time rather than once per flow.
 ``integrate`` is the K = 1 case and keeps every state, which the
 perturbation quadrature needs; ``endpoints`` keeps only the endpoints.
 Both run the same code, so they agree bit for bit.
@@ -25,9 +31,11 @@ import numpy as np
 from .errors import CorruptedSolutionError, NonConformingFlowError, NonSymplecticError
 from .linalg import J4, is_symplectic, max_abs, symplectic_inverse
 
-# Time steps per chunk.  Longer chunks cut the per-chunk Python work and
-# the roundoff carried between chunks, but grow the working set, which
-# holds K * _CHUNK steps at a time and never K * steps.
+# Time steps per chunk.  The workspace holds h J4 A at a chunk's 2 _CHUNK + 1
+# points and four stacks of _CHUNK steps, each for all K flows; it is sized
+# by the chunk, never by the step count, and every chunk reuses it.  Longer
+# chunks cut the per-chunk Python work and the roundoff carried between
+# chunks, but grow the workspace.
 _CHUNK = 128
 
 
@@ -67,50 +75,70 @@ class FlowSolution:
             raise _nonconforming(self.drift, self.drift_tol, self.T, self.eps)
 
 
-def _j4(X):
-    """J4 @ X for a stack of 4-row matrices: a row swap with a sign flip."""
-    out = np.empty_like(X)
-    out[..., :2, :] = X[..., 2:, :]
-    np.negative(X[..., :2, :], out=out[..., 2:, :])
-    return out
-
-
-def _drift(states):
+def _drift(states, work):
     """Each flow's largest entrywise |G^T J4 G - J4| over a stack of
-    states shaped (n, K, 4, 4); shape (K,)."""
+    states shaped (n, K, 4, 4); shape (K,).  ``work`` is three scratch
+    stacks of the same shape."""
+    Gt, JG, residual = work
     # matmul is several times slower on a transposed view than on a copy.
-    residual = np.ascontiguousarray(np.swapaxes(states, -1, -2)) @ _j4(states)
+    np.copyto(Gt, np.swapaxes(states, -1, -2))
+    # J4 @ G: a row swap with a sign flip.
+    JG[..., :2, :] = states[..., 2:, :]
+    np.negative(states[..., :2, :], out=JG[..., 2:, :])
+    np.matmul(Gt, JG, out=residual)
     residual -= J4
     return np.abs(residual, out=residual).max(axis=0).max(axis=(-2, -1))
 
 
-def _step_increments(hB):
-    """D_n = R_n - I for each RK4 step of a chunk, shape (n, K, 4, 4).
+def _hB_workspace(m, h):
+    """The stack that :func:`_scaled_j4a` fills for a chunk of up to ``m``
+    steps, shape (2m + 1, K, 4, 4), for flows with steps ``h``.  It holds
+    h J4 A of a curve that is zero everywhere, signed zeros included; the
+    entries A leaves zero are never written again."""
+    hB = np.empty((2 * m + 1, h.size, 4, 4))
+    hB[..., :2, :] = (0.0 * h)[:, None, None]
+    hB[..., 2:, :] = (-0.0 * h)[:, None, None]
+    return hB
+
+
+def _scaled_j4a(hB, curve, ts, eps, h):
+    """Write h J4 A(ts, eps) into ``hB``, shape (len(ts), K, 4, 4), entry by
+    entry: J4 moves row i of A to row (i + 2) % 4, negated for i < 2.
+    ``ts`` and ``eps`` broadcast to (len(ts), K); ``h`` is each flow's step.
+    Entries that A leaves zero are not written."""
+    scale = (-h, h)
+    for (i, j), vals in curve.entry_values(ts, eps):
+        np.multiply(vals, scale[i >= 2], out=hB[:, :, (i + 2) % 4, j])
+        if i != j:
+            np.multiply(vals, scale[j >= 2], out=hB[:, :, (j + 2) % 4, i])
+
+
+def _step_increments(hB, D, P, Q):
+    """D_n = R_n - I for each RK4 step of a chunk, written into ``D``,
+    shape (n, K, 4, 4); ``P`` and ``Q`` are scratch of the same shape.
 
     ``hB`` is h J4 A at the chunk's n + 1 nodes, then its n midpoints,
     for all K flows, shape (2n + 1, K, 4, 4), each flow scaled by its own
     step h.  R_n G is the classical RK4 step from G: with B = J4 A,
     P1 = B_n, P2 = B_m (I + h/2 P1), P3 = B_m (I + h/2 P2),
-    P4 = B_n+1 (I + h P3) and D = h/6 (P1 + 2 P2 + 2 P3 + P4).  Below,
-    P holds h P2, then h P3, then h P4.
+    P4 = B_n+1 (I + h P3) and D = h/6 (P1 + 2 P2 + 2 P3 + P4).
     """
     n = hB.shape[0] // 2
     now, mid, nxt = hB[:n], hB[n + 1:], hB[1:n + 1]
-    # In place where possible: the chunk's working set is a few arrays
-    # of this size, and it sets the peak memory of a run.
-    P = mid @ now
+    np.matmul(mid, now, out=P)
     P *= 0.5
     P += mid                      # h P2
-    D = now + 2.0 * P
-    P = mid @ P
-    P *= 0.5
-    P += mid                      # h P3
-    D += 2.0 * P
-    P = nxt @ P
+    np.multiply(P, 2.0, out=D)
+    D += now
+    np.matmul(mid, P, out=Q)
+    Q *= 0.5
+    Q += mid                      # h P3
+    np.multiply(Q, 2.0, out=P)
+    D += P
+    np.matmul(nxt, Q, out=P)
     P += nxt                      # h P4
     D += P
     D /= 6.0
-    return D
 
 
 def _times(Ts, steps, halves):
@@ -140,8 +168,14 @@ def _flows(curve, gamma_init, horizons, steps, eps_values, keep):
     K = Ts.size
 
     h = Ts / steps
+    # Equal horizons share their times: a column against the row of eps.
+    T_col = Ts[:1] if np.all(Ts == Ts[0]) else Ts
+    eps_row = eps[None, :]
     G = np.repeat(np.real(G).astype(float)[None], K, axis=0)
-    drifts = _drift(G[None])
+    m = min(_CHUNK, steps)
+    hB = _hB_workspace(m, h)
+    D, P, Q, S = np.empty((4, m, K, 4, 4))
+    drifts = _drift(G[None], (P[:1], Q[:1], D[:1]))
     trajectory = np.empty((steps + 1, K, 4, 4)) if keep else None
     if keep:
         trajectory[0] = G
@@ -150,27 +184,23 @@ def _flows(curve, gamma_init, horizons, steps, eps_values, keep):
         # The chunk's n + 1 nodes, then its n midpoints, as rows; so hB[i]
         # is the contiguous stack of all K matrices at point i.
         halves = 2 * start + np.arange(2 * n + 1)
-        points = _times(Ts, steps, np.concatenate([halves[::2], halves[1::2]]))
-        hB = _j4(curve.eval_matrix_batch(
-            points.ravel(), np.broadcast_to(eps, points.shape).ravel()
-        ).reshape(2 * n + 1, K, 4, 4))
-        hB *= h[:, None, None]
-        D = _step_increments(hB)
-        del hB  # not needed past this point; keeps the working set small
+        ts = _times(T_col, steps, np.concatenate([halves[::2], halves[1::2]]))
+        _scaled_j4a(hB[:2 * n + 1], curve, ts, eps_row, h)
+        _step_increments(hB[:2 * n + 1], D[:n], P[:n], Q[:n])
         # Inclusive prefix composition: afterwards I + D[i] is the product
         # (I + D_i) ... (I + D_0), built in log2(n) levels from
         # (I + X)(I + Y) = I + (X + Y + X Y), never forming I + D.
         d = 1
         while d < n:
-            D[d:] += D[:-d] + D[d:] @ D[:-d]
+            XY = np.matmul(D[d:n], D[:n - d], out=P[:n - d])
+            XY += D[:n - d]
+            D[d:n] += XY
             d *= 2
-        states = D @ G
-        del D
+        states = trajectory[start + 1:start + n + 1] if keep else S[:n]
+        np.matmul(D[:n], G, out=states)
         states += G
-        drifts = np.maximum(drifts, _drift(states))
-        G = states[-1]
-        if keep:
-            trajectory[start + 1:start + n + 1] = states
+        drifts = np.maximum(drifts, _drift(states, (P[:n], Q[:n], D[:n])))
+        G = states[-1].copy()  # the next chunk overwrites S
     return Ts, eps, (trajectory if keep else G), drifts
 
 
@@ -182,8 +212,8 @@ def integrate(curve, gamma_init, T, steps, eps=0.0, drift_tol=1e-8):
     which case the system is integrated backward.  The initial condition
     must be symplectic to 1e-8.
 
-    Real arithmetic throughout: every stored matrix has exactly zero
-    imaginary part.
+    Real arithmetic throughout: the states are float64 arrays, and a
+    complex ``gamma_init`` contributes only its real part.
     """
     Ts, _, gammas, drifts = _flows(curve, gamma_init, T, steps, eps, keep=True)
     steps = len(gammas) - 1

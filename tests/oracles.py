@@ -5,14 +5,20 @@ cofactor expansion, the matrix exponential by scaling and squaring,
 characteristic coefficients by sampling the determinant and solving a
 Vandermonde system, flow endpoints by the sequential RK4 loop, mixed
 exterior powers by one determinant call per column assignment, and
-eps-derivatives by walking the tree at one point at a time.
+eps-derivatives by walking the tree at one point at a time.  The chunk
+engine that allocates its arrays afresh in every chunk and evaluates A
+once per (time, flow) pair is kept verbatim as ``flows_allocating``, the
+bitwise reference of the workspace engine in ``kreinsplit.flow``.
 """
 
 from itertools import combinations, permutations
 
 import numpy as np
 
+from kreinsplit.errors import NonSymplecticError
 from kreinsplit.expr import Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var, evaluate
+from kreinsplit.flow import _CHUNK
+from kreinsplit.linalg import J4, is_symplectic
 
 
 def det_cofactor(A):
@@ -93,6 +99,115 @@ def rk4_reference(curve, gamma_init, T, steps, eps=0.0):
         k4 = J @ (An1 @ (G + h * k3))
         G = G + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return G
+
+
+# --- the allocating chunk engine ------------------------------------------------
+
+def _j4(X):
+    """J4 @ X for a stack of 4-row matrices: a row swap with a sign flip."""
+    out = np.empty_like(X)
+    out[..., :2, :] = X[..., 2:, :]
+    np.negative(X[..., :2, :], out=out[..., 2:, :])
+    return out
+
+
+def _drift(states):
+    """Each flow's largest entrywise |G^T J4 G - J4| over a stack of
+    states shaped (n, K, 4, 4); shape (K,)."""
+    # matmul is several times slower on a transposed view than on a copy.
+    residual = np.ascontiguousarray(np.swapaxes(states, -1, -2)) @ _j4(states)
+    residual -= J4
+    return np.abs(residual, out=residual).max(axis=0).max(axis=(-2, -1))
+
+
+def _step_increments(hB):
+    """D_n = R_n - I for each RK4 step of a chunk, shape (n, K, 4, 4).
+
+    ``hB`` is h J4 A at the chunk's n + 1 nodes, then its n midpoints,
+    for all K flows, shape (2n + 1, K, 4, 4), each flow scaled by its own
+    step h.  R_n G is the classical RK4 step from G: with B = J4 A,
+    P1 = B_n, P2 = B_m (I + h/2 P1), P3 = B_m (I + h/2 P2),
+    P4 = B_n+1 (I + h P3) and D = h/6 (P1 + 2 P2 + 2 P3 + P4).  Below,
+    P holds h P2, then h P3, then h P4.
+    """
+    n = hB.shape[0] // 2
+    now, mid, nxt = hB[:n], hB[n + 1:], hB[1:n + 1]
+    # In place where possible: the chunk's working set is a few arrays
+    # of this size, and it sets the peak memory of a run.
+    P = mid @ now
+    P *= 0.5
+    P += mid                      # h P2
+    D = now + 2.0 * P
+    P = mid @ P
+    P *= 0.5
+    P += mid                      # h P3
+    D += 2.0 * P
+    P = nxt @ P
+    P += nxt                      # h P4
+    D += P
+    D /= 6.0
+    return D
+
+
+def _times(Ts, steps, halves):
+    """Times at the given half-step indices of each flow's uniform grid of
+    ``steps`` steps over [0, Ts[k]]; shape (len(halves), K)."""
+    return (halves / (2 * steps))[:, None] * Ts
+
+
+# An overflowing flow shows as a NaN drift (NonConformingFlowError), not as warnings.
+@np.errstate(over="ignore", invalid="ignore")
+def flows_allocating(curve, gamma_init, horizons, steps, eps_values, keep):
+    """The chunk engine behind ``endpoints``, with its arguments.  Returns
+    the K horizons and eps values, the states (all of them,
+    (steps + 1, K, 4, 4), when ``keep``, else the endpoints) and drifts."""
+    G = np.asarray(gamma_init)
+    if G.shape != (4, 4):
+        raise ValueError("gamma_init must be 4x4")
+    if not is_symplectic(G.astype(complex), 1e-8):
+        raise NonSymplecticError("initial condition is not symplectic within 1e-8")
+    steps = int(steps)
+    if steps < 2:
+        raise ValueError("steps must be at least 2")
+    Ts, eps = (np.asarray(a, dtype=float).ravel()
+               for a in np.broadcast_arrays(horizons, eps_values))
+    if np.any(Ts == 0):
+        raise ValueError("every horizon T must be nonzero")
+    K = Ts.size
+
+    h = Ts / steps
+    G = np.repeat(np.real(G).astype(float)[None], K, axis=0)
+    drifts = _drift(G[None])
+    trajectory = np.empty((steps + 1, K, 4, 4)) if keep else None
+    if keep:
+        trajectory[0] = G
+    for start in range(0, steps, _CHUNK):
+        n = min(_CHUNK, steps - start)
+        # The chunk's n + 1 nodes, then its n midpoints, as rows; so hB[i]
+        # is the contiguous stack of all K matrices at point i.
+        halves = 2 * start + np.arange(2 * n + 1)
+        points = _times(Ts, steps, np.concatenate([halves[::2], halves[1::2]]))
+        hB = _j4(curve.eval_matrix_batch(
+            points.ravel(), np.broadcast_to(eps, points.shape).ravel()
+        ).reshape(2 * n + 1, K, 4, 4))
+        hB *= h[:, None, None]
+        D = _step_increments(hB)
+        del hB  # not needed past this point; keeps the working set small
+        # Inclusive prefix composition: afterwards I + D[i] is the product
+        # (I + D_i) ... (I + D_0), built in log2(n) levels from
+        # (I + X)(I + Y) = I + (X + Y + X Y), never forming I + D.
+        d = 1
+        while d < n:
+            D[d:] += D[:-d] + D[d:] @ D[:-d]
+            d *= 2
+        states = D @ G
+        del D
+        states += G
+        drifts = np.maximum(drifts, _drift(states))
+        G = states[-1]
+        if keep:
+            trajectory[start + 1:start + n + 1] = states
+    return Ts, eps, (trajectory if keep else G), drifts
 
 
 def exterior_power_loop(k1, k2, A1, A2):

@@ -291,6 +291,29 @@ def test_eps_batch_domain_error_is_located(tmp_path, capsys):
     assert "entry (0,1)" in err and "(t, eps) = " in err
 
 
+@pytest.mark.parametrize("text, reason, where", [
+    # Finite at eps = 0, so the base flow runs; the endpoint batch, which
+    # evaluates A on a column of times against a row of eps, fails.
+    ("0.2*eps*t + sqrt(5e-4 - eps)*0", "sqrt out of domain",
+     "(t, eps) = (0.0, 0.0005411695265464637) (subexpression at offset 12)"),
+    # The base flow at eps = 0 meets the pole at its node t = 0.5.
+    ("1/(t - 0.5 - eps*100)*0", "division by zero",
+     "(t, eps) = (0.5, 0.0) (subexpression at offset 1)"),
+    # A quotient in eps alone, non-finite only at the top of the eps grid.
+    ("0.2*eps*t + (eps - 1e-3)/(eps - 1e-3)*0", "division by zero",
+     "(t, eps) = (0.0, 0.001) (subexpression at offset 24)"),
+], ids=["batch-sqrt", "base-pole", "batch-eps-quotient"])
+def test_eps_family_domain_error_names_entry_and_point(tmp_path, capsys, text, reason, where):
+    def edit(doc):
+        doc["curve"]["entries"]["0,1"] = text
+
+    path = _scenario_copy(tmp_path, SCENARIOS / "resonant_eps.json", edit)
+    assert main(["verify", path, "--mode", "eps"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ExprDomainError: entry (0,1): {reason}")
+    assert err.rstrip().endswith(f" at {where}")
+
+
 def test_eps_derivative_domain_error_is_located_on_the_family(tmp_path, capsys):
     # sqrt(eps) is finite on the family but its eps-derivative is not at
     # eps = 0, where the quadrature evaluates it.

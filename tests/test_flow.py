@@ -16,10 +16,17 @@ from kreinsplit.errors import (
     NonConformingFlowError,
     NonSymplecticError,
 )
-from kreinsplit.flow import _CHUNK, FlowSolution, endpoints
+from kreinsplit.flow import _CHUNK, FlowSolution, _hB_workspace, _scaled_j4a, endpoints
 from kreinsplit.spectral import eigenvalues
 
-from oracles import best_match_distance, expm_taylor, random_symmetric4, rk4_reference
+from oracles import (
+    _j4,
+    best_match_distance,
+    expm_taylor,
+    flows_allocating,
+    random_symmetric4,
+    rk4_reference,
+)
 
 SMOOTH_ENTRIES = {
     "0,0": "1 + 0.4*sin(t)",
@@ -222,6 +229,67 @@ def test_endpoints_bitwise_equal_integrate(case, steps):
         sol = integrate(curve, g0, float(Ts[k]), steps, float(eps[k]))
         assert np.array_equal(ends[k], endpoint(sol)), k
         assert drifts[k] == sol.drift, k
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("steps", [2, 50, _CHUNK, 3 * _CHUNK + 7])
+@pytest.mark.parametrize("case", sorted(ENDPOINT_CASES))
+def test_engine_bitwise_equal_allocating_reference(case, steps):
+    # The workspace engine performs the allocating engine's operations in
+    # the same order, so states (signed zeros included) and drifts are the
+    # same bits, on equal horizons (a column of times against a row of eps)
+    # and mixed ones alike.
+    entries, horizons, eps_values = ENDPOINT_CASES[case]
+    curve = SymmetricCurve.from_strings(entries)
+    g0 = make_jordan_symplectic(np.pi / 3, np.eye(2))
+    ends, drifts = endpoints(curve, g0, horizons, steps, eps_values, drift_tol=np.inf)
+    _, _, want_ends, want_drifts = flows_allocating(curve, g0, horizons, steps, eps_values,
+                                                    keep=False)
+    assert _bits(ends) == _bits(want_ends)
+    assert _bits(drifts) == _bits(want_drifts)
+    Ts, eps = np.broadcast_arrays(horizons, eps_values)
+    for k in range(Ts.size):
+        T, e = float(Ts[k]), float(eps[k])
+        sol = integrate(curve, g0, T, steps, e, drift_tol=np.inf)
+        _, _, want, want_drift = flows_allocating(curve, g0, T, steps, e, keep=True)
+        assert _bits(sol.gammas) == _bits(want[:, 0]), k
+        assert _bits(np.float64(sol.drift)) == _bits(want_drift[0]), k
+
+
+@pytest.mark.parametrize("entries", [SMOOTH_ENTRIES, NONLINEAR_EPS_ENTRIES, {"1,3": "eps"}, {}])
+def test_scaled_j4a_bitwise_equal_filled_matrices(entries):
+    # Written entry by entry into the workspace, h J4 A has the bits of the
+    # filled, J4-multiplied and scaled stack, down to the signs of its zeros.
+    curve = SymmetricCurve.from_strings(entries)
+    h = np.array([0.01, -0.02, 0.003])
+    ts = np.linspace(-1.0, 1.0, 7)[:, None] * np.array([1.0, 0.5, -2.0])
+    eps = np.array([[0.0, -0.1, 0.3]])
+    hB = _hB_workspace(3, h)
+    _scaled_j4a(hB, curve, ts, eps, h)
+    A = curve.eval_matrix_batch(ts.ravel(), np.broadcast_to(eps, ts.shape).ravel())
+    want = _j4(A.reshape(7, 3, 4, 4)) * h[:, None, None]
+    assert _bits(hB) == _bits(want)
+
+
+@pytest.mark.parametrize("horizons", [1.0, [1.0, 0.5, 1.0]], ids=["equal", "mixed"])
+@pytest.mark.parametrize("text", ["eps/eps", "sqrt(0.1 - eps)", "1/(t - 0.5)",
+                                  "1/(t - 0.5 - eps)", "sqrt(t - 0.5*eps)", "sqrt(0.5 + eps - t)"])
+def test_domain_error_located_as_by_the_allocating_reference(text, horizons):
+    # The locator names the first bad (time, flow) pair in the order the
+    # flat evaluation visits them, also when A is evaluated on a column of
+    # times against a row of eps.
+    curve = SymmetricCurve.from_strings({**SMOOTH_ENTRIES, "2,3": text})
+    eps_values = [0.3, 0.0, 0.2]
+    with pytest.raises(ExprDomainError) as got:
+        endpoints(curve, np.eye(4), horizons, 100, eps_values)
+    with pytest.raises(ExprDomainError) as want:
+        flows_allocating(curve, np.eye(4), horizons, 100, eps_values, keep=False)
+    assert str(got.value) == str(want.value)
+    if text == "eps/eps":
+        assert "entry (2,3): " in str(got.value) and "(t, eps) = (0.0, 0.0)" in str(got.value)
 
 
 def test_endpoints_rejects_what_integrate_rejects():

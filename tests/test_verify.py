@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,11 @@ from kreinsplit.errors import (
     InputError,
     TrackingAmbiguityError,
 )
-from kreinsplit.verify import BranchTrack, _stability_probe, family_endpoints
+from kreinsplit.cli import main
+from kreinsplit.scenario import load_scenario
+from kreinsplit.verify import BranchTrack, _stability_probe, family, family_endpoints
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def stacked(fn, grid):
@@ -279,3 +285,21 @@ def test_branch_quotient_diverges(pi3_report):
     report, _ = pi3_report
     # one-sided difference quotient doubles when s shrinks by four
     assert abs(report.t.quotient_growth - 2.0) <= 0.2
+
+
+def test_gauge_rotated_resonant_scenario_keeps_predictions_and_passes(resonant_scenario, capsys):
+    # resonant_eps_gauge is resonant_eps under the time-periodic rotation
+    # R(phi) of the (q1, p1) plane with phi = 0.5 sin(2 pi t):
+    # A' = phi' diag(1, 0, 1, 0) + R A R^T, so G'(t) = R(phi(t)) G(t).  As
+    # phi(0) = phi(T) = 0, G'(T, eps) = G(T, eps) for every eps and the
+    # generator B is unchanged, while A'(t, 0) depends on t.
+    path = SCENARIOS / "resonant_eps_gauge.json"
+    gauge = load_scenario(path)
+    A0 = gauge.curve.eval_matrix_batch(np.linspace(0.0, 1.0, 9), 0.0)
+    assert np.max(np.ptp(A0, axis=0)) > 1.0
+    want = family(resonant_scenario, "eps").coeffs
+    got = family(gauge, "eps").coeffs
+    assert abs(got.kappa - want.kappa) <= 1e-12 * abs(want.kappa)
+    assert abs(got.sum_derivative - want.sum_derivative) <= 1e-12 * abs(want.sum_derivative)
+    assert main(["verify", str(path), "--mode", "eps"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_relative_error"] < 1e-5
