@@ -10,7 +10,7 @@ scalars are double precision; matrices are plain numpy arrays.
 import cmath
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -150,13 +150,6 @@ class QuarticPoly:
             acc = acc * x + c
         return acc
 
-    def derivative(self, lam):
-        x = complex(lam) - self.center
-        acc = 0j
-        for k in range(4, 0, -1):
-            acc = acc * x + k * self.coeffs[k]
-        return acc
-
     def magnitude(self):
         """Coefficient max-norm, used to scale residual tolerances."""
         return max(abs(c) for c in self.coeffs)
@@ -221,29 +214,35 @@ def _cubic_roots(a2, a1, a0):
 
 
 def _polish(poly, x):
-    # Newton iteration; evaluation goes through the centred Horner form,
-    # which is what keeps near-double roots well conditioned.
-    lam = poly.center + x
-    best_lam = lam
-    best_res = abs(poly(lam))
+    # Newton iteration on the centred Horner form, which keeps near-double
+    # roots well conditioned.  Both forms are written out from 0j with the
+    # operations of QuarticPoly.__call__ and of k * c_k, so the roots are
+    # the method-call loop's bit for bit; each new iterate's f is reused.
+    (c0, c1, c2, c3, c4), center = poly.coeffs, poly.center
+    d1, d2, d3, d4 = 1 * c1, 2 * c2, 3 * c3, 4 * c4
+    lam = best_lam = center + x
+    y = lam - center
+    f = ((((0j * y + c4) * y + c3) * y + c2) * y + c1) * y + c0
+    res = best_res = abs(f)
     for _ in range(40):
-        f = poly(lam)
         if f == 0:
             return lam
-        df = poly.derivative(lam)
+        df = (((0j * y + d4) * y + d3) * y + d2) * y + d1
         if df == 0:
             break
         step = f / df
         lam_new = lam - step
-        res_new = abs(poly(lam_new))
-        if not np.isfinite(res_new):
+        y = lam_new - center
+        f = ((((0j * y + c4) * y + c3) * y + c2) * y + c1) * y + c0
+        res_new = abs(f)
+        if not isfinite(res_new):
             break
         if res_new < best_res:
             best_res = res_new
             best_lam = lam_new
-        if res_new >= abs(f) or abs(step) <= 1e-17 * (1.0 + abs(lam_new)):
+        if res_new >= res or abs(step) <= 1e-17 * (1.0 + abs(lam_new)):
             break
-        lam = lam_new
+        lam, res = lam_new, res_new
     return best_lam
 
 

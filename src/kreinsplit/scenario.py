@@ -42,16 +42,16 @@ class Tolerances:
     the time-family tracking integrations and the [0, T] endpoint
     integrations; probe is the |t| used by the stability dichotomy check.
 
-    steps_t = 128 keeps RK4's error over [0, s], about s|B| (h|B|)^4 / 120
-    with B = J4 A and h = s / steps_t, below the unit roundoff for s|B| up
-    to about 0.08, 80x the default grid's top; and 128 steps are one flow
-    chunk (flow._CHUNK), whose state the engine rounds only once.
+    RK4's error over [0, s] is about (s|B|)^5 / (120 steps_t^4) with
+    B = J4 A (Hairer, Norsett & Wanner, Solving ODEs I, II.3); steps_t = 16
+    keeps it below roundoff for s|B| up to 0.015, 15x the default grid's top
+    (raise it for a wider t grid), in one flow chunk (flow._CHUNK).
     """
 
     cluster: float = 1e-6
     circle: float = 1e-6
     drift: float = 1e-8
-    steps_t: int = 128
+    steps_t: int = 16
     steps_eps: int = 3000
     probe: float = 1e-4
 

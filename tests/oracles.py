@@ -8,7 +8,9 @@ exterior powers by one determinant call per column assignment, and
 eps-derivatives by walking the tree at one point at a time.  The chunk
 engine that allocates its arrays afresh in every chunk and evaluates A
 once per (time, flow) pair is kept verbatim as ``flows_allocating``, the
-bitwise reference of the workspace engine in ``kreinsplit.flow``.
+bitwise reference of the workspace engine in ``kreinsplit.flow``; the
+Newton polish that evaluates through method calls is kept verbatim as
+``polish_loop``, the bitwise reference of ``kreinsplit.linalg._polish``.
 """
 
 from itertools import combinations, permutations
@@ -237,6 +239,53 @@ def charpoly_loop(gamma0, gammat, center):
             ck += term if k2 % 2 == 0 else -term
         coeffs.append(ck)
     return tuple(coeffs)
+
+
+# --- the method-call Newton polish ----------------------------------------------
+
+def _poly_value(poly, lam):
+    """``QuarticPoly.__call__``: centred Horner form from 0j."""
+    x = complex(lam) - poly.center
+    acc = 0j
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _poly_derivative(poly, lam):
+    """The derivative's centred Horner form, k * c_k formed per call."""
+    x = complex(lam) - poly.center
+    acc = 0j
+    for k in range(4, 0, -1):
+        acc = acc * x + k * poly.coeffs[k]
+    return acc
+
+
+def polish_loop(poly, x):
+    """Newton polish of the root guess ``center + x``, evaluating the
+    polynomial and its derivative through one call per evaluation."""
+    lam = poly.center + x
+    best_lam = lam
+    best_res = abs(_poly_value(poly, lam))
+    for _ in range(40):
+        f = _poly_value(poly, lam)
+        if f == 0:
+            return lam
+        df = _poly_derivative(poly, lam)
+        if df == 0:
+            break
+        step = f / df
+        lam_new = lam - step
+        res_new = abs(_poly_value(poly, lam_new))
+        if not np.isfinite(res_new):
+            break
+        if res_new < best_res:
+            best_res = res_new
+            best_lam = lam_new
+        if res_new >= abs(f) or abs(step) <= 1e-17 * (1.0 + abs(lam_new)):
+            break
+        lam = lam_new
+    return best_lam
 
 
 def d_eps_exact(e, t, eps):

@@ -12,6 +12,7 @@ from kreinsplit import (
     quartic_roots,
     symplectic_form,
 )
+from kreinsplit import linalg
 from kreinsplit.errors import DegeneratePolynomialError
 
 from oracles import (
@@ -20,6 +21,7 @@ from oracles import (
     charpoly_loop,
     det_cofactor,
     exterior_power_loop,
+    polish_loop,
 )
 
 E = np.eye(4, dtype=complex)
@@ -223,6 +225,30 @@ def test_quartic_roots_polish_criterion():
         p = QuarticPoly((*c, 1.0), center=rng.normal() + 1j * rng.normal())
         bound = 1e-12 * (1 + p.magnitude())
         assert all(abs(p(r)) <= bound for r in quartic_roots(p))
+
+
+def test_quartic_roots_bitwise_equal_method_call_polish(monkeypatch):
+    # The inline Horner forms repeat the method-call loop's operations, so
+    # the roots agree bit for bit: on 1,024 quartics of near-Jordan
+    # matrices (perturbations 1e-12 to 1e-2, recentred at the unperturbed
+    # multiplier), on a quadruple root and on exact closed-form roots (both
+    # return at f == 0), and on an overflowing quartic (NaN guesses, the
+    # non-finite break).
+    rng = np.random.default_rng(22)
+    polys = []
+    for _ in range(256):
+        theta = rng.uniform(0.2, 3.0)
+        C = rng.normal(size=(2, 2))
+        base = make_jordan_symplectic(theta, C + C.T)
+        size = 10.0 ** rng.uniform(-12, -2, size=(4, 1, 1))
+        polys += charpoly(base + size * rng.normal(size=(4, 4, 4)), np.exp(1j * theta))
+    polys += [QuarticPoly((16, -32, 24, -8, 1)), QuarticPoly((-1, 0, 0, 0, 1)),
+              QuarticPoly((1, 0, 0, 1e200, 1))]
+    got = [quartic_roots(p) for p in polys]
+    monkeypatch.setattr(linalg, "_polish", polish_loop)
+    want = [quartic_roots(p) for p in polys]
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    assert np.all(got[-3] == 2) and np.all(np.isnan(got[-1]))
 
 
 def test_quartic_roots_rejects_degenerate():

@@ -24,7 +24,7 @@ from kreinsplit.errors import (
     TrackingAmbiguityError,
 )
 from kreinsplit.cli import main
-from kreinsplit.scenario import load_scenario
+from kreinsplit.scenario import GridSpec, load_scenario
 from kreinsplit.verify import BranchTrack, _stability_probe, family, family_endpoints
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -234,7 +234,7 @@ def test_sum_derivative_oracle_error_below_roundoff_growth(pi3_report, pi3_neg_r
     assert resonant_report[0].eps.relative_errors["sum_derivative"] <= 1e-7
 
 
-def test_default_steps_t_agrees_with_sixteen_times_more(pi3_scenario, pi3_report):
+def test_default_steps_t_agrees_with_128_times_more(pi3_scenario, pi3_report):
     # Two-step-count check of the default: 2,048 RK4 steps (16 chunks)
     # move neither fitted coefficient by more than 1e-8 relative.
     tol = replace(pi3_scenario.tolerances, steps_t=2048)
@@ -243,6 +243,28 @@ def test_default_steps_t_agrees_with_sixteen_times_more(pi3_scenario, pi3_report
     for name in ("kappa_empirical", "sum_derivative_empirical"):
         ref = getattr(base, name)
         assert abs(getattr(fine, name) - ref) <= 1e-8 * abs(ref), name
+
+
+@pytest.mark.parametrize("name, grid", [
+    ("jordan_pi3", None),
+    ("jordan_pi3_neg", None),
+    ("jordan_pi3", GridSpec(lo=1e-7, hi=1e-1, count=16)),
+], ids=["jordan_pi3", "jordan_pi3_neg", "jordan_pi3-grid-to-1e-1"])
+def test_default_steps_t_matches_128_steps_at_roundoff(name, grid):
+    # RK4's truncation error at the default 16 steps is below roundoff on
+    # the default grid, so 128 steps move the fitted coefficients only at
+    # roundoff, even on a grid reaching s = 1e-1, and leave the stability
+    # verdict as it is.
+    scenario = load_scenario(SCENARIOS / f"{name}.json")
+    if grid is not None:
+        scenario = replace(scenario, t_grid=grid)
+    base = compare(scenario, mode="t")
+    tol = replace(scenario.tolerances, steps_t=128)
+    fine = compare(replace(scenario, tolerances=tol), mode="t")
+    for attr, bound in (("kappa_empirical", 1e-14), ("sum_derivative_empirical", 1e-11)):
+        ref = getattr(fine.t, attr)
+        assert abs(getattr(base.t, attr) - ref) <= bound * abs(ref), attr
+    assert base.stability.passed == fine.stability.passed
 
 
 def test_eps_mode_requires_eps(pi3_scenario):
@@ -287,13 +309,20 @@ def test_branch_quotient_diverges(pi3_report):
     assert abs(report.t.quotient_growth - 2.0) <= 0.2
 
 
-def test_gauge_rotated_resonant_scenario_keeps_predictions_and_passes(resonant_scenario, capsys):
+@pytest.mark.parametrize("c", [0.25, 0.5, 1.0])
+def test_gauge_rotated_resonant_scenario_keeps_predictions_and_passes(
+        c, resonant_scenario, tmp_path, capsys):
     # resonant_eps_gauge is resonant_eps under the time-periodic rotation
-    # R(phi) of the (q1, p1) plane with phi = 0.5 sin(2 pi t):
-    # A' = phi' diag(1, 0, 1, 0) + R A R^T, so G'(t) = R(phi(t)) G(t).  As
-    # phi(0) = phi(T) = 0, G'(T, eps) = G(T, eps) for every eps and the
-    # generator B is unchanged, while A'(t, 0) depends on t.
-    path = SCENARIOS / "resonant_eps_gauge.json"
+    # R(phi) of the (q1, p1) plane with phi = c sin(2 pi t), shipped with
+    # c = 0.5: A' = phi' diag(1, 0, 1, 0) + R A R^T, so G'(t) = R(phi(t)) G(t).
+    # As phi(0) = phi(T) = 0, G'(T, eps) = G(T, eps) for every eps and the
+    # generator B is unchanged, while A'(t, 0) depends on t.  At c = 2 the
+    # predictions miss 1e-12 by RK4 truncation at steps_eps = 3,000.
+    text = (SCENARIOS / "resonant_eps_gauge.json").read_text()
+    text = text.replace("0.5*sin(", f"{c!r}*sin(")
+    text = text.replace("3.141592653589793*cos", f"{2 * np.pi * c!r}*cos")
+    path = tmp_path / "gauge.json"
+    path.write_text(text)
     gauge = load_scenario(path)
     A0 = gauge.curve.eval_matrix_batch(np.linspace(0.0, 1.0, 9), 0.0)
     assert np.max(np.ptp(A0, axis=0)) > 1.0
