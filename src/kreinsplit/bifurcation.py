@@ -108,14 +108,19 @@ def ladder_closed_forms(pair, A0):
     A0 = as_mat4(A0)
     lam = pair.lambda0
     d = lam - np.conj(lam)
-    g1 = inner(A0 @ pair.eta1, pair.eta1) / pair.form_21
-    g2 = inner(A0 @ pair.eta1, pair.eta2) / pair.form_12
-    g3 = inner(A0 @ pair.eta2, pair.eta1) / pair.form_21
-    g4 = (inner(A0 @ pair.eta1, pair.eta1) * pair.form_22
-          / (pair.form_21 * pair.form_12))
+    g1, g2, g3, g4 = _g_terms(pair, A0, inner(A0 @ pair.eta1, pair.eta1))
     c31 = lam ** 2 * d ** 2 * g1
     c21 = (2.0 * lam ** 2 * d + lam * d ** 2) * g1 + lam * d ** 2 * (g2 + g3 - g4)
     return c31, c21
+
+
+def _g_terms(pair, A0, num):
+    """G1, G2, G3 and G4 of :func:`ladder_closed_forms`, given
+    num = <A0 eta1, eta1>."""
+    return (num / pair.form_21,
+            inner(A0 @ pair.eta1, pair.eta2) / pair.form_12,
+            inner(A0 @ pair.eta2, pair.eta1) / pair.form_21,
+            num * pair.form_22 / (pair.form_21 * pair.form_12))
 
 
 def expansion_t(pair, A0):
@@ -129,11 +134,8 @@ def expansion_t(pair, A0):
     num = inner(A0 @ pair.eta1, pair.eta1)
     if abs(num) <= 1e-10:
         raise DegenerateCaseError(num)
-    ratio = num / pair.form_21
+    ratio, g2, g3, g4 = _g_terms(pair, A0, num)
     kappa = float(ratio.real)
-    g2 = inner(A0 @ pair.eta1, pair.eta2) / pair.form_12
-    g3 = inner(A0 @ pair.eta2, pair.eta1) / pair.form_21
-    g4 = num * pair.form_22 / (pair.form_21 * pair.form_12)
     bracket = ratio + g2 + g3 - g4
     sum_derivative = lam * bracket
     a = cmath.sqrt(lam * lam * kappa)

@@ -17,6 +17,7 @@ tolerance exceeded.  All floating-point output is full double precision.
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 from dataclasses import asdict, fields, replace
@@ -192,7 +193,9 @@ _COMMANDS = {
 _DEFAULT_MODE = {"analyze": "t", "verify": "both", "sweep": "t", "classify": "t"}
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on the first call and shared after."""
     parser = _Parser(prog="kreinsplit", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command", choices=_COMMANDS, help="subcommand (see above)")

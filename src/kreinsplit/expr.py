@@ -485,10 +485,6 @@ class SymmetricCurve:
     def entries(self):
         return dict(self._entries)
 
-    def entry(self, i, j):
-        key = (i, j) if i <= j else (j, i)
-        return self._entries.get(key, _ZERO)
-
     def eval_matrix(self, t, eps=0.0):
         """The symmetric real matrix A(t, eps)."""
         return self.eval_matrix_batch([t], eps)[0]

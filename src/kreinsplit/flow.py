@@ -39,20 +39,14 @@ from .linalg import J4, is_symplectic, max_abs, symplectic_inverse
 _CHUNK = 128
 
 
-def _nonconforming(drift, drift_tol, T, eps):
-    return NonConformingFlowError(
-        f"symplectic drift {drift:.3e} exceeds {drift_tol:.3e} on the flow "
-        f"to T = {T!r} at eps = {eps!r}")
-
-
 @dataclass(frozen=True)
 class FlowSolution:
     """Flow values on a uniform time grid.
 
     ``gammas[i]`` is the solution at ``ts[i]``; ``gammas[0]`` is the
     supplied initial condition, bit for bit.  ``drift`` is the largest
-    entrywise deviation of G^T J4 G from J4 over the grid; solutions whose
-    drift exceeds ``drift_tol`` or is NaN are kept but flagged non-conforming.
+    entrywise deviation of G^T J4 G from J4 over the grid, at most
+    ``drift_tol`` (``integrate`` raises otherwise).
     """
 
     ts: np.ndarray
@@ -68,11 +62,6 @@ class FlowSolution:
     @property
     def T(self):
         return float(self.ts[-1])
-
-    def require_conforming(self):
-        """Raise NonConformingFlowError when the drift exceeds its tolerance."""
-        if not self.conforming:
-            raise _nonconforming(self.drift, self.drift_tol, self.T, self.eps)
 
 
 def _drift(states, work):
@@ -149,10 +138,12 @@ def _times(Ts, steps, halves):
 
 # An overflowing flow shows as a NaN drift (NonConformingFlowError), not as warnings.
 @np.errstate(over="ignore", invalid="ignore")
-def _flows(curve, gamma_init, horizons, steps, eps_values, keep):
+def _flows(curve, gamma_init, horizons, steps, eps_values, drift_tol, keep):
     """The chunk engine behind ``endpoints``, with its arguments.  Returns
-    the K horizons and eps values, the states (all of them,
-    (steps + 1, K, 4, 4), when ``keep``, else the endpoints) and drifts."""
+    the K horizons, the states (all of them, (steps + 1, K, 4, 4), when
+    ``keep``, else the endpoints) and drifts.  Raises
+    NonConformingFlowError naming the worst flow when any drift exceeds
+    ``drift_tol`` or is NaN."""
     G = np.asarray(gamma_init)
     if G.shape != (4, 4):
         raise ValueError("gamma_init must be 4x4")
@@ -201,7 +192,12 @@ def _flows(curve, gamma_init, horizons, steps, eps_values, keep):
         states += G
         drifts = np.maximum(drifts, _drift(states, (P[:n], Q[:n], D[:n])))
         G = states[-1].copy()  # the next chunk overwrites S
-    return Ts, eps, (trajectory if keep else G), drifts
+    worst = int(np.argmax(drifts))  # argmax picks the first NaN, if any
+    if not drifts[worst] <= drift_tol:
+        raise NonConformingFlowError(
+            f"symplectic drift {drifts[worst]:.3e} exceeds {drift_tol:.3e} on the flow "
+            f"to T = {float(Ts[worst])!r} at eps = {float(eps[worst])!r}")
+    return Ts, (trajectory if keep else G), drifts
 
 
 def integrate(curve, gamma_init, T, steps, eps=0.0, drift_tol=1e-8):
@@ -210,12 +206,13 @@ def integrate(curve, gamma_init, T, steps, eps=0.0, drift_tol=1e-8):
     Classical fourth-order Runge-Kutta with ``steps`` uniform steps;
     global error is O(h^4) for smooth curves.  ``T`` may be negative, in
     which case the system is integrated backward.  The initial condition
-    must be symplectic to 1e-8.
+    must be symplectic to 1e-8.  Raises NonConformingFlowError when the
+    drift exceeds ``drift_tol`` or is NaN.
 
     Real arithmetic throughout: the states are float64 arrays, and a
     complex ``gamma_init`` contributes only its real part.
     """
-    Ts, _, gammas, drifts = _flows(curve, gamma_init, T, steps, eps, keep=True)
+    Ts, gammas, drifts = _flows(curve, gamma_init, T, steps, eps, drift_tol, keep=True)
     steps = len(gammas) - 1
     ts = _times(Ts, steps, np.arange(0, 2 * steps + 1, 2))[:, 0]
     return FlowSolution(ts=ts, gammas=gammas[:, 0], eps=float(eps),
@@ -232,15 +229,11 @@ def endpoints(curve, gamma_init, horizons, steps, eps_values=0.0, drift_tol=1e-8
     Endpoint k and its drift equal those of ``integrate`` with the same
     arguments bit for bit.
 
-    Raises the errors ``integrate`` raises, and NonConformingFlowError
-    naming the worst flow when any drift exceeds ``drift_tol`` or is NaN.
+    Raises the errors ``integrate`` raises; NonConformingFlowError names
+    the worst flow.
     """
-    Ts, eps, ends, drifts = _flows(curve, gamma_init, horizons, steps, eps_values,
-                                   keep=False)
-    worst = int(np.argmax(drifts))  # argmax picks the first NaN, if any
-    if not drifts[worst] <= drift_tol:
-        raise _nonconforming(float(drifts[worst]), drift_tol, float(Ts[worst]),
-                             float(eps[worst]))
+    _, ends, drifts = _flows(curve, gamma_init, horizons, steps, eps_values, drift_tol,
+                             keep=False)
     return ends, drifts
 
 
@@ -249,7 +242,7 @@ def endpoint(sol):
     return sol.gammas[-1].copy()
 
 
-def perturbation_hamiltonian(curve, sol, T=None):
+def perturbation_hamiltonian(curve, sol):
     """Effective symmetric generator of the endpoint's eps-motion.
 
     For the flow started at the identity, the derivative of the endpoint
@@ -265,8 +258,6 @@ def perturbation_hamiltonian(curve, sol, T=None):
     """
     if max_abs(sol.gammas[0] - np.eye(4)) > 1e-12:
         raise ValueError("perturbation generator needs a flow started at the identity")
-    if T is not None and abs(sol.T - T) > 1e-12 * max(1.0, abs(T)):
-        raise ValueError(f"solution covers [0, {sol.T}], not [0, {T}]")
 
     Gend = sol.gammas[-1]
     Ginv = symplectic_inverse(Gend)

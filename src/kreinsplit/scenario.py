@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, SchemaError
+from .errors import InputError, NonSymplecticError, SchemaError
 from .expr import SymmetricCurve
+from .linalg import is_symplectic
 from .spectral import make_jordan_symplectic
 
 
@@ -60,8 +61,7 @@ class Tolerances:
 class Scenario:
     name: str
     curve: SymmetricCurve
-    gamma0: np.ndarray | None = None
-    generator: tuple | None = None  # (theta0, C) for the block generator
+    gamma0: np.ndarray  # float 4x4, symplectic within 1e-8
     T: float = 1.0
     t_grid: GridSpec = field(default_factory=GridSpec)
     eps_grid: GridSpec = field(default_factory=GridSpec)
@@ -73,12 +73,6 @@ class Scenario:
         if mode == "eps" and not self.curve.has_eps:
             raise InputError("scenario curve does not mention eps; eps mode unavailable")
         return getattr(self, f"{mode}_grid").points()
-
-    def initial_matrix(self):
-        if self.gamma0 is not None:
-            return np.array(self.gamma0, dtype=float)
-        theta0, C = self.generator
-        return make_jordan_symplectic(theta0, C)
 
 
 def _require_keys(obj, allowed, required, path):
@@ -129,7 +123,10 @@ def parse_grid(obj, path):
     log = obj.get("log", True)
     if not isinstance(log, bool):
         raise SchemaError(f"{path}/log", "log must be a boolean")
-    return GridSpec(lo=lo, hi=hi, count=count, log=log)
+    grid = GridSpec(lo=lo, hi=hi, count=count, log=log)
+    if not np.all(np.diff(grid.points()) > 0):
+        raise SchemaError(path, "grid points must be strictly increasing; widen [min, max]")
+    return grid
 
 
 def _tolerances(obj, path):
@@ -149,7 +146,11 @@ def _tolerances(obj, path):
 
 
 def parse_scenario(obj, default_name="scenario"):
-    """Validate a decoded JSON object into a Scenario."""
+    """Validate a decoded JSON object into a Scenario.
+
+    The initial matrix is resolved last, after every schema check: a
+    generator becomes :func:`make_jordan_symplectic`, and an explicit
+    matrix that is not symplectic within 1e-8 raises NonSymplecticError."""
     _require_keys(obj, {"name", "gamma0", "curve", "T", "grids", "tolerances"},
                   ("gamma0", "curve"), "")
     name = obj.get("name", default_name)
@@ -160,7 +161,6 @@ def parse_scenario(obj, default_name="scenario"):
     _require_keys(g0, {"matrix", "generator"}, (), "/gamma0")
     if ("matrix" in g0) == ("generator" in g0):
         raise SchemaError("/gamma0", "give exactly one of 'matrix' or 'generator'")
-    gamma0 = None
     generator = None
     if "matrix" in g0:
         gamma0 = _matrix(g0["matrix"], (4, 4), "/gamma0/matrix")
@@ -195,8 +195,12 @@ def parse_scenario(obj, default_name="scenario"):
     eps_grid = parse_grid(grids["eps"], "/grids/eps") if "eps" in grids else GridSpec()
     tolerances = _tolerances(obj.get("tolerances", {}), "/tolerances")
 
-    return Scenario(name=name, curve=curve, gamma0=gamma0, generator=generator,
-                    T=T, t_grid=t_grid, eps_grid=eps_grid, tolerances=tolerances)
+    if generator is not None:
+        gamma0 = make_jordan_symplectic(*generator)
+    elif not is_symplectic(gamma0, 1e-8):
+        raise NonSymplecticError("initial condition is not symplectic within 1e-8")
+    return Scenario(name=name, curve=curve, gamma0=gamma0, T=T, t_grid=t_grid,
+                    eps_grid=eps_grid, tolerances=tolerances)
 
 
 def load_scenario(path):
@@ -206,8 +210,12 @@ def load_scenario(path):
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise SchemaError("", f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError("", f"not UTF-8 text: {exc}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("", f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("", "invalid JSON: nested too deeply") from None
     return parse_scenario(obj, default_name=p.stem)

@@ -130,15 +130,8 @@ class JordanPair:
 
     def conjugated(self):
         """The pair at the conjugate multiplier (valid for real M)."""
-        return JordanPair(
-            lambda0=np.conj(self.lambda0),
-            eta1=np.conj(self.eta1),
-            eta2=np.conj(self.eta2),
-            form_21=complex(symplectic_form(np.conj(self.eta2), np.conj(self.eta1))),
-            form_12=complex(symplectic_form(np.conj(self.eta1), np.conj(self.eta2))),
-            form_22=complex(symplectic_form(np.conj(self.eta2), np.conj(self.eta2))),
-            diagnostics=dict(self.diagnostics),
-        )
+        return pair_from_vectors(np.conj(self.lambda0), np.conj(self.eta1),
+                                 np.conj(self.eta2), dict(self.diagnostics))
 
 
 def pair_from_vectors(lambda0, eta1, eta2, diagnostics=None):
@@ -207,18 +200,16 @@ def jordan_pair(M, lambda0):
         raise InconsistentChainError(
             f"chain equation residual {residual:.3e} exceeds tolerance; "
             "the Jordan structure is not consistent at this multiplier")
-    eta2 = w
-
-    f21 = complex(symplectic_form(eta2, eta1))
-    f12 = complex(symplectic_form(eta1, eta2))
-    f22 = complex(symplectic_form(eta2, eta2))
+    pair = pair_from_vectors(lambda0, eta1, w)
+    eta2, f21, f12, f22 = pair.eta2, pair.form_21, pair.form_12, pair.form_22
     if abs(f21) < 1e-10:
         raise DegeneratePairingError(
             f"|<eta2, J eta1>| = {abs(f21):.3e} is numerically zero")
 
     e1b = np.conj(eta1)
     e2b = np.conj(eta2)
-    diagnostics = {
+    diagnostics = pair.diagnostics
+    diagnostics.update({
         "eigvec_residual": float(np.linalg.norm(M @ eta1 - lambda0 * eta1)),
         "chain_residual": residual,
         "null_sigma": float(s[3]),
@@ -232,17 +223,14 @@ def jordan_pair(M, lambda0):
         "form_21_imag": f21.imag,
         "form_sum": abs(f12 + f21),
         "form_22_real": f22.real,
-    }
+    })
     chain_res = float(np.linalg.norm(M @ eta2 - lambda0 * eta2 - lambda0 * eta1))
     diagnostics["normalization_residual"] = chain_res
     vec_scale = float(np.linalg.norm(eta1) + np.linalg.norm(eta2))
     if diagnostics["eigvec_residual"] > 1e-8 * vec_scale or chain_res > 1e-8 * vec_scale:
         raise InconsistentChainError(
             "extracted pair does not satisfy the normalization to 1e-8")
-
-    return JordanPair(lambda0=lambda0, eta1=eta1, eta2=eta2,
-                      form_21=f21, form_12=f12, form_22=f22,
-                      diagnostics=diagnostics)
+    return pair
 
 
 def krein_pairings_ok(pair, tol=1e-8):

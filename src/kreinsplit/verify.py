@@ -217,19 +217,24 @@ def _relative_error(emp, pred):
     return abs(emp - pred) / max(abs(pred), 1e-12)
 
 
-def _stability_probe(evs_f, evs_b, kappa, probe,
-                     off_tol=1e-6, circle_tol=1e-6, sep_tol=1e-3):
+# The stability probe's judgments of the multipliers at +-probe.
+_OFF_TOL = 1e-6  # off the unit circle: some modulus above 1 + _OFF_TOL
+_CIRCLE_TOL = 1e-6  # on it: every modulus within _CIRCLE_TOL of 1,
+_SEP_TOL = 1e-3  # and every two multipliers more than _SEP_TOL apart
+
+
+def _stability_probe(evs_f, evs_b, kappa, probe):
     """Judge the dichotomy from the multipliers of the flow's endpoints at
     +probe (``evs_f``) and -probe (``evs_b``)."""
     if kappa < 0:
         evs_f, evs_b = evs_b, evs_f
     # "forward" now means the side the dichotomy claims unstable.
     fwd_max = float(np.max(np.abs(evs_f)))
-    off_circle = fwd_max > 1.0 + off_tol
+    off_circle = fwd_max > 1.0 + _OFF_TOL
     bwd_dev = float(np.max(np.abs(np.abs(evs_b) - 1.0)))
     seps = [abs(evs_b[i] - evs_b[j]) for i in range(4) for j in range(i + 1, 4)]
     min_sep = float(min(seps))
-    on_circle_distinct = bwd_dev <= circle_tol and min_sep > sep_tol
+    on_circle_distinct = bwd_dev <= _CIRCLE_TOL and min_sep > _SEP_TOL
     return StabilityProbe(
         kappa=kappa,
         probe=probe,
@@ -261,13 +266,12 @@ class OracleReport:
 class Family:
     """Base point of one parameter family and its closed-form expansion.
 
-    For the time family ("t") the base is the initial matrix and the drive
-    is A(0, 0); for the eps family ("eps") the base is the endpoint G(T)
-    at eps = 0 and the drive is the effective perturbation generator B.
-    ``grid`` holds the family's grid points (:meth:`Scenario.grid`).
+    For the time family the base is the initial matrix and the drive is
+    A(0, 0); for the eps family the base is the endpoint G(T) at eps = 0
+    and the drive is the effective perturbation generator B.  ``grid``
+    holds the family's grid points (:meth:`Scenario.grid`).
     """
 
-    mode: str
     grid: np.ndarray
     base: np.ndarray
     pair: JordanPair
@@ -286,11 +290,10 @@ def family(scenario, mode):
         # The quadrature reads the whole eps = 0 trajectory, so this flow
         # is integrated on its own rather than as an endpoint.
         sol0 = integrate(curve, np.eye(4), scenario.T, tol.steps_eps, 0.0, tol.drift)
-        sol0.require_conforming()
         base = endpoint(sol0)
         where = "endpoint at eps = 0"
     else:
-        base = scenario.initial_matrix()
+        base = scenario.gamma0
         where = "initial matrix"
     lam = detect_double_unitary(base, tol.cluster, tol.circle)
     if lam is None:
@@ -302,7 +305,7 @@ def family(scenario, mode):
     else:
         drive = curve.eval_matrix(0.0, 0.0)
         coeffs = expansion_t(pair, drive)
-    return Family(mode=mode, grid=grid, base=base, pair=pair, drive=drive, coeffs=coeffs)
+    return Family(grid=grid, base=base, pair=pair, drive=drive, coeffs=coeffs)
 
 
 def family_endpoints(scenario, mode, params):
@@ -314,8 +317,8 @@ def family_endpoints(scenario, mode, params):
         ends, _ = endpoints(scenario.curve, np.eye(4), scenario.T, tol.steps_eps,
                             params, tol.drift)
     else:
-        ends, _ = endpoints(scenario.curve, scenario.initial_matrix(), params, tol.steps_t,
-                            0.0, tol.drift)
+        ends, _ = endpoints(scenario.curve, scenario.gamma0, params, tol.steps_t, 0.0,
+                            tol.drift)
     return ends
 
 

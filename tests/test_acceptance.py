@@ -189,7 +189,7 @@ def test_criterion_6_stability_dichotomy(pi3_scenario, pi3_neg_scenario):
     start = time.perf_counter()
     results = {}
     for name, scenario in (("negative", pi3_scenario), ("positive", pi3_neg_scenario)):
-        gamma0 = scenario.initial_matrix()
+        gamma0 = scenario.gamma0
         lam = detect_double_unitary(gamma0)
         pair = jordan_pair(gamma0, lam)
         kappa = expansion_t(pair, scenario.curve.eval_matrix(0.0, 0.0)).kappa
@@ -255,7 +255,7 @@ def test_criterion_9_flow_quality(pi3_scenario, pi3_neg_scenario, resonant_scena
     worst_ratio = (16.0, "")
     ratios = {}
     for scenario in (pi3_scenario, pi3_neg_scenario, resonant_scenario):
-        gamma0 = scenario.initial_matrix()
+        gamma0 = scenario.gamma0
         T = scenario.T
         steps = int(1000 * T)
         sol = integrate(scenario.curve, gamma0, T, steps, 0.0)

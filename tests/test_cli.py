@@ -4,11 +4,13 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kreinsplit.cli import _DEFAULT_MODE, apply_grid_override, build_parser, main
-from kreinsplit.errors import SchemaError, SymmetryConflictError
+from kreinsplit.errors import NonSymplecticError, SchemaError, SymmetryConflictError
 from kreinsplit.scenario import GridSpec, load_scenario, parse_scenario
+from kreinsplit.spectral import make_jordan_symplectic
 
 DATA = Path(__file__).parent / "data"
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -25,7 +27,7 @@ def test_load_minimal_scenario_fills_defaults():
     # 16 RK4 steps, within one flow-engine chunk, is the t-family default:
     # RK4's truncation error stays below roundoff for s|B| up to 0.015.
     assert sc.tolerances.steps_t == 16
-    assert sc.generator is not None
+    assert sc.gamma0.tobytes() == make_jordan_symplectic(np.pi / 3, np.eye(2)).tobytes()
 
 
 def test_scenario_requires_exactly_one_start():
@@ -59,6 +61,31 @@ def test_scenario_rejects_bad_grid():
     doc["grids"] = {"t": {"min": 1e-7, "max": 1e-3, "count": 2}}
     with pytest.raises(SchemaError):
         parse_scenario(doc)
+
+
+@pytest.mark.parametrize("log", [True, False])
+def test_scenario_rejects_collapsed_grid(log):
+    # min and max one ulp apart pass "max must exceed min", but 40 points
+    # between them cannot all be distinct doubles.
+    grid = {"min": 1e-4, "max": 1.0000000000000002e-4, "count": 40, "log": log}
+    doc = {"gamma0": {"generator": {"theta0": 1.0, "C": [[1, 0], [0, 1]]}},
+           "curve": {"entries": {}}, "grids": {"eps": grid}}
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(doc)
+    assert str(err.value).startswith("/grids/eps: ")
+    assert "strictly increasing" in str(err.value)
+
+
+def test_explicit_gamma0_must_be_symplectic():
+    doc = json.loads((DATA / "non_symplectic.json").read_text(encoding="utf-8"))
+    with pytest.raises(NonSymplecticError, match="not symplectic within 1e-8"):
+        parse_scenario(doc)
+    # gamma0 is resolved after every schema check: a malformed file is
+    # malformed input first.
+    with pytest.raises(SchemaError, match="/T"):
+        parse_scenario({**doc, "T": -1.0})
+    symplectic = load_scenario(DATA / "no_double.json").gamma0
+    assert symplectic.dtype == float and symplectic.shape == (4, 4)
 
 
 def test_scenario_rejects_asymmetric_curve_pair():
@@ -108,6 +135,20 @@ def test_malformed_file_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("data", [
+    pytest.param(b'{"name": "caf\xe9"}', id="not-utf8"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deep-json"),
+])
+def test_unreadable_scenario_text_exit_one(tmp_path, capsys, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    with pytest.raises(SchemaError):
+        load_scenario(bad)
+    assert main(["analyze", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_schema_error_exit_one(tmp_path, capsys):
     doc = tmp_path / "bad_schema.json"
     doc.write_text(json.dumps({"curve": {"entries": {}}}), encoding="utf-8")
@@ -125,6 +166,10 @@ def test_schema_error_exit_one(tmp_path, capsys):
     pytest.param(["verify", "FAST", "--tol", "nan"], id="tol-nan"),
     pytest.param(["verify", "FAST", "--tol", "inf"], id="tol-inf"),
     pytest.param(["verify", "FAST", "--tol=-1e-3"], id="tol-negative"),
+    pytest.param(["verify", "FAST", "--grid", "1e-4,1.0000000000000002e-4,40"],
+                 id="verify-grid-collapsed"),
+    pytest.param(["sweep", "FAST", "--grid", "1e-4,1.0000000000000002e-4,40,lin"],
+                 id="sweep-grid-collapsed-lin"),
 ])
 def test_bad_flag_exit_one(argv, capsys):
     # Flags get the checks a scenario file's values get: a non-finite
@@ -143,6 +188,22 @@ def test_options_may_precede_the_command(capsys):
     before = capsys.readouterr().out
     assert main(["classify", path, "--mode", "t"]) == 0
     assert capsys.readouterr().out == before
+
+
+def test_parser_is_built_once(capsys):
+    assert build_parser() is build_parser()
+    path = str(DATA / "pi3_fast.json")
+    runs = [["verify", path, "--grid", "1e-6,1e-4,8,lin", "--tol", "1e-9", "--mode", "t"],
+            ["verify", path], ["classify", path, "--mode", "t"], ["classify", path]]
+    shared = []
+    for argv in runs:
+        shared.append((main(argv), capsys.readouterr()))
+    fresh = []
+    for argv in runs:
+        build_parser.cache_clear()
+        fresh.append((main(argv), capsys.readouterr()))
+    assert shared == fresh
+    assert [rc for rc, _ in shared] == [3, 0, 0, 0]
 
 
 def test_help_names_every_command_and_exit_code():
@@ -264,6 +325,27 @@ def test_nonconforming_flow_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "NonConformingFlowError" in err
     assert "drift" in err and "T = " in err
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--mode", "eps"], ["classify"],
+                                  ["verify"], ["verify", "--mode", "eps"], ["sweep"]],
+                         ids="-".join)
+def test_non_symplectic_gamma0_exit_two(argv, capsys):
+    assert main([argv[0], str(DATA / "non_symplectic.json"), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: NonSymplecticError: initial condition is not "
+                            "symplectic within 1e-8\n")
+
+
+def test_generator_at_multiplier_one_exit_two_at_load(tmp_path, capsys):
+    # The eps family never flows from gamma0, yet gamma0 is made, and so
+    # checked, when the file is loaded.
+    start = {"generator": {"theta0": 0.0, "C": [[1.0, 0.0], [0.0, 1.0]]}}
+    path = _scenario_copy(tmp_path, SCENARIOS / "resonant_eps.json",
+                          lambda doc: doc.update(gamma0=start))
+    assert main(["verify", path, "--mode", "eps"]) == 2
+    assert "DegenerateAngleError" in capsys.readouterr().err
 
 
 def test_overflowing_flow_exit_two_without_numpy_warnings(tmp_path, capsys):

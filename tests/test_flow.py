@@ -315,13 +315,24 @@ def test_endpoints_raise_on_nonconforming_drift():
     assert f"eps = {[0.0, 0.2][worst]!r}" in str(err.value)
 
 
+def test_integrate_raises_on_nonconforming_drift_like_endpoints():
+    curve = SymmetricCurve.from_strings(NONLINEAR_EPS_ENTRIES)
+    g0 = make_jordan_symplectic(np.pi / 3, np.eye(2))
+    with pytest.raises(NonConformingFlowError) as want:
+        endpoints(curve, g0, 1.0, 200, 0.2, drift_tol=1e-30)
+    with pytest.raises(NonConformingFlowError) as got:
+        integrate(curve, g0, 1.0, 200, 0.2, drift_tol=1e-30)
+    assert str(got.value) == str(want.value)
+    assert "T = 1.0 at eps = 0.2" in str(got.value)
+
+
 def test_endpoints_raise_on_nan_drift_like_integrate():
     # Overflow turns the flow and its drift into NaN, which compares false
     # against any tolerance; both entry points must still reject it.
     curve = SymmetricCurve.from_strings({"0,0": "1e200", "2,2": "1e200", "0,2": "1e200"})
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonConformingFlowError, match="nan"):
-            integrate(curve, np.eye(4), 1.0, 50).require_conforming()
+            integrate(curve, np.eye(4), 1.0, 50)
         with pytest.raises(NonConformingFlowError, match="nan"):
             endpoints(curve, np.eye(4), [1.0, 0.5], 50)
 

@@ -173,7 +173,7 @@ def test_gauge_breaks_modulus_ties_at_the_first_index():
     # equal modulus.  Which of them comes out larger depends on the SVD's
     # last bits, so the gauge takes the first one within a relative 1e-9.
     scenario = load_scenario(SCENARIOS / "jordan_pi3.json")
-    M = scenario.initial_matrix()
+    M = scenario.gamma0
     eta1 = jordan_pair(M, detect_double_unitary(M)).eta1
     mod = np.abs(eta1)
     tied = np.flatnonzero(mod >= (1.0 - 1e-9) * mod.max())

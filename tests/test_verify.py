@@ -117,7 +117,7 @@ def test_track_reversed_grid_matches():
 def test_tracked_quartet_mirrors_conjugate_cluster(pi3_scenario):
     from kreinsplit import endpoint, integrate
     curve = pi3_scenario.curve
-    g0 = pi3_scenario.initial_matrix()
+    g0 = pi3_scenario.gamma0
     lam = detect_double_unitary(g0)
 
     def family(s):
@@ -280,7 +280,7 @@ def test_compare_rejects_unknown_mode(pi3_scenario):
 def test_predicted_branches_match_oracle(pi3_scenario, pi3_report):
     report, _ = pi3_report
     part = report.t
-    g0 = pi3_scenario.initial_matrix()
+    g0 = pi3_scenario.gamma0
     pair = jordan_pair(g0, part.lambda0)
     coeffs = expansion_t(pair, pi3_scenario.curve.eval_matrix(0.0, 0.0))
     grid = part.track.grid
