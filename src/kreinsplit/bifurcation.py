@@ -195,20 +195,15 @@ def classify_stability(coeffs, tol=1e-10):
     return StabilityVerdict(UNSTABLE_FORWARD if kappa > 0 else STABLE_FORWARD, kappa)
 
 
-def predict_branches(coeffs, lambda0, s, allow_negative=False):
+def predict_branches(coeffs, lambda0, s):
     """Two-term branch prediction lambda_j(s) = L + (-1)^j a sqrt(s) + mu s.
 
-    Only s >= 0 is covered by the expansions; prediction for s < 0 (the
-    square root rotated by i) is heuristic and must be opted into with
-    ``allow_negative``.  Returns (lambda_1, lambda_2); the branch sum is
-    2 L + 2 mu s exactly, independent of the square-root sheet.
+    For s < 0, sqrt(s) = i sqrt(|s|), the analytic continuation of the
+    series in sqrt(s) (Moro, Burke & Overton, SIMAX 18, 1997), so the
+    prediction covers both sides of the collision.  Returns (lambda_1,
+    lambda_2); the branch sum is 2 L + 2 mu s exactly, on either side.
     """
     lambda0 = complex(lambda0)
-    if s < 0:
-        if not allow_negative:
-            raise ValueError("negative parameter prediction requires allow_negative=True")
-        root = 1j * coeffs.a * np.sqrt(-s)
-    else:
-        root = coeffs.a * np.sqrt(s)
+    root = 1j * coeffs.a * np.sqrt(-s) if s < 0 else coeffs.a * np.sqrt(s)
     mu = coeffs.second_order
     return (lambda0 - root + mu * s, lambda0 + root + mu * s)

@@ -57,6 +57,11 @@ class UnknownIdentifierError(InputError):
         super().__init__(f"unknown identifier {name!r} at offset {offset}")
 
 
+class ExprDepthError(InputError):
+    """Expression text, or the eps-derivative of a curve, nests deeper than
+    ``expr.MAX_DEPTH`` levels."""
+
+
 # --- analysis family --------------------------------------------------------
 
 class ExprDomainError(AnalysisError):

@@ -4,22 +4,25 @@ Entries of the symmetric coefficient matrix A(t, eps) are written as text
 in the two variables ``t`` and ``eps`` with the functions sin, cos, exp,
 sqrt and abs.  Precedence is ``^`` above unary minus above ``*``/``/``
 above ``+``/``-``; ``^`` is right-associative, everything else is left-
-associative.
+associative.  Text may nest at most :data:`MAX_DEPTH` levels deep.
 
-A curve's entries are compiled into one numpy evaluator
-(:func:`compile_array`); dA/deps is the symbolic derivative of each entry
-(:func:`d_eps`), compiled the same way.  :func:`evaluate` is the reference tree walker in double
-precision: it raises on division by zero or a negative square root
-instead of producing NaN, and the curve runs it only to locate a
-non-finite value in the source text.
+One operator table gives each operator its text, double-precision function
+and numpy function, read by :func:`pretty`, by :func:`evaluate` (the
+reference walker, which raises on division by zero or a negative square
+root instead of producing NaN, and locates non-finite values in the source
+text) and by the numpy closures of :func:`compile_array`; no source code is
+generated.  dA/deps is the symbolic derivative of each entry (:func:`d_eps`),
+compiled the same way.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    ExprDepthError,
     ExprDomainError,
     ExprSyntaxError,
     SymmetryConflictError,
@@ -28,6 +31,11 @@ from .errors import (
 
 _FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
 _VARIABLES = ("t", "eps")
+
+# Deepest nesting of text: each parenthesis, call, unary minus, ^ and chain
+# operator (+ - * /) is a level.  The parser recurses up to five times a level
+# (540 of 1,000 frames under pytest); compile_array holds d/deps to it too.
+MAX_DEPTH = 100
 
 
 # --- abstract syntax --------------------------------------------------------
@@ -53,38 +61,31 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Add:
+class _Binary:
     lhs: object
     rhs: object
     offset: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
-class Sub:
-    lhs: object
-    rhs: object
-    offset: int = field(default=0, compare=False)
+# Binary nodes differ only in class, so equality still tells them apart.
+class Add(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Mul:
-    lhs: object
-    rhs: object
-    offset: int = field(default=0, compare=False)
+class Sub(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Div:
-    lhs: object
-    rhs: object
-    offset: int = field(default=0, compare=False)
+class Mul(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Pow:
-    lhs: object
-    rhs: object
-    offset: int = field(default=0, compare=False)
+class Div(_Binary):
+    pass
+
+
+class Pow(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
@@ -164,76 +165,110 @@ class _Parser:
             raise ExprSyntaxError(tok[2], (kind,))
         return self.take()
 
+    def deeper(self, depth, offset):
+        # Each rule takes the levels enclosing it and returns its tree with
+        # the levels down to its deepest leaf; this adds one level.
+        if depth >= MAX_DEPTH:
+            raise ExprDepthError(f"expression nests deeper than {MAX_DEPTH} levels "
+                                 f"at offset {offset}")
+        return depth + 1
+
     def parse(self):
-        node = self.sum()
+        node, _ = self.sum(0)
         tok = self.peek()
         if tok[0] != "end":
             raise ExprSyntaxError(tok[2], ("+", "-", "*", "/", "^", "end"))
         return node
 
-    def sum(self):
-        node = self.term()
+    def sum(self, level):
+        node, depth = self.term(level)
         while self.peek()[0] in ("+", "-"):
             kind, _, off = self.take()
-            rhs = self.term()
+            rhs, rhs_depth = self.term(level)
+            depth = self.deeper(max(depth, rhs_depth), off)
             node = Add(node, rhs, off) if kind == "+" else Sub(node, rhs, off)
-        return node
+        return node, depth
 
-    def term(self):
-        node = self.unary()
+    def term(self, level):
+        node, depth = self.unary(level)
         while self.peek()[0] in ("*", "/"):
             kind, _, off = self.take()
-            rhs = self.unary()
+            rhs, rhs_depth = self.unary(level)
+            depth = self.deeper(max(depth, rhs_depth), off)
             node = Mul(node, rhs, off) if kind == "*" else Div(node, rhs, off)
-        return node
+        return node, depth
 
-    def unary(self):
+    def unary(self, level):
         tok = self.peek()
         if tok[0] == "-":
             self.take()
-            return Neg(self.unary(), tok[2])
-        return self.power()
+            arg, depth = self.unary(self.deeper(level, tok[2]))
+            return Neg(arg, tok[2]), depth
+        return self.power(level)
 
-    def power(self):
-        base = self.atom()
+    def power(self, level):
+        base, depth = self.atom(level)
         tok = self.peek()
         if tok[0] == "^":
             self.take()
             # Right-associative: the exponent may itself carry unary minus.
-            return Pow(base, self.unary(), tok[2])
-        return base
+            expo, expo_depth = self.unary(self.deeper(level, tok[2]))
+            return Pow(base, expo, tok[2]), max(self.deeper(depth, tok[2]), expo_depth)
+        return base, depth
 
-    def atom(self):
+    def atom(self, level):
         tok = self.peek()
         if tok[0] == "num":
             self.take()
-            return Num(tok[1], tok[2])
+            return Num(tok[1], tok[2]), level
         if tok[0] == "ident":
             self.take()
             name, off = tok[1], tok[2]
             if name in _VARIABLES:
-                return Var(name, off)
+                return Var(name, off), level
             if name in _FUNCTIONS:
                 self.expect("(")
-                arg = self.sum()
+                arg, depth = self.sum(self.deeper(level, off))
                 self.expect(")")
-                return Call(name, arg, off)
+                return Call(name, arg, off), depth
             raise UnknownIdentifierError(name, off)
         if tok[0] == "(":
             self.take()
-            node = self.sum()
+            node, depth = self.sum(self.deeper(level, tok[2]))
             self.expect(")")
-            return node
+            return node, depth
         raise ExprSyntaxError(tok[2], ("number", "identifier", "(", "-"))
 
 
 def parse(source):
     """Parse expression text into an AST.
 
-    Raises ExprSyntaxError (with byte offset and expected-token set) or
-    UnknownIdentifierError.
+    Raises ExprSyntaxError (with byte offset and expected-token set),
+    UnknownIdentifierError, or ExprDepthError past MAX_DEPTH levels.
     """
     return _Parser(source).parse()
+
+
+# --- the operator table -----------------------------------------------------
+# Each operator's text, double-precision function and numpy function.  A
+# Call is keyed by its function name; log and sign come only from d_eps.
+
+_OPS = {
+    Neg: ("-", operator.neg, operator.neg),
+    Add: ("+", operator.add, operator.add),
+    Sub: ("-", operator.sub, operator.sub),
+    Mul: ("*", operator.mul, operator.mul),
+    # np.divide, not "/": two Python floats would raise on a zero divisor
+    Div: ("/", operator.truediv, np.divide),
+    Pow: ("^", math.pow, np.power),
+    "sin": ("sin", math.sin, np.sin),
+    "cos": ("cos", math.cos, np.cos),
+    "exp": ("exp", math.exp, np.exp),
+    "sqrt": ("sqrt", math.sqrt, np.sqrt),
+    "abs": ("abs", math.fabs, np.abs),
+    "log": ("log", math.log, np.log),
+    "sign": ("sign", lambda x: math.copysign(1.0, x) if x else 0.0, np.sign),
+}
 
 
 # --- evaluation -------------------------------------------------------------
@@ -241,54 +276,31 @@ def parse(source):
 def evaluate(e, t, eps):
     """Evaluate an AST at (t, eps) in double precision.
 
-    Division by zero, sqrt of a negative number, fractional powers of
-    negatives and overflow raise ExprDomainError carrying the offset of
-    the offending subexpression.
+    Division by zero (checked before the dividend is evaluated), sqrt of a
+    negative number, fractional powers of negatives and overflow raise
+    ExprDomainError carrying the offset of the offending subexpression.
     """
     kind = type(e)
     if kind is Num:
         return e.value
     if kind is Var:
         return float(t) if e.name == "t" else float(eps)
-    if kind is Neg:
-        return -evaluate(e.arg, t, eps)
-    if kind is Add:
-        return evaluate(e.lhs, t, eps) + evaluate(e.rhs, t, eps)
-    if kind is Sub:
-        return evaluate(e.lhs, t, eps) - evaluate(e.rhs, t, eps)
-    if kind is Mul:
-        return evaluate(e.lhs, t, eps) * evaluate(e.rhs, t, eps)
     if kind is Div:
         denom = evaluate(e.rhs, t, eps)
         if denom == 0.0:
             raise ExprDomainError(e.offset, "division by zero")
-        return evaluate(e.lhs, t, eps) / denom
-    if kind is Pow:
-        base = evaluate(e.lhs, t, eps)
-        expo = evaluate(e.rhs, t, eps)
-        try:
-            return math.pow(base, expo)
-        except (ValueError, OverflowError) as exc:
-            raise ExprDomainError(e.offset, f"power out of domain: {exc}") from None
-    if kind is Call:
-        arg = evaluate(e.arg, t, eps)
-        try:
-            if e.fn == "sin":
-                return math.sin(arg)
-            if e.fn == "cos":
-                return math.cos(arg)
-            if e.fn == "exp":
-                return math.exp(arg)
-            if e.fn == "sqrt":
-                return math.sqrt(arg)
-            if e.fn == "log":
-                return math.log(arg)
-            if e.fn == "sign":
-                return math.copysign(1.0, arg) if arg else 0.0
-            return math.fabs(arg)
-        except (ValueError, OverflowError) as exc:
-            raise ExprDomainError(e.offset, f"{e.fn} out of domain: {exc}") from None
-    raise TypeError(f"not an expression node: {e!r}")
+        args = (evaluate(e.lhs, t, eps), denom)
+    elif kind is Neg or kind is Call:
+        args = (evaluate(e.arg, t, eps),)
+    elif kind in _OPS:
+        args = (evaluate(e.lhs, t, eps), evaluate(e.rhs, t, eps))
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    try:
+        return _OPS[e.fn if kind is Call else kind][1](*args)
+    except (ValueError, OverflowError) as exc:
+        what = e.fn if kind is Call else "power"
+        raise ExprDomainError(e.offset, f"{what} out of domain: {exc}") from None
 
 
 def pretty(e):
@@ -298,23 +310,19 @@ def pretty(e):
         return repr(e.value)
     if kind is Var:
         return e.name
-    if kind is Neg:
-        return f"(-{pretty(e.arg)})"
+    text = _OPS[e.fn if kind is Call else kind][0]
     if kind is Call:
-        return f"{e.fn}({pretty(e.arg)})"
-    ops = {Add: "+", Sub: "-", Mul: "*", Div: "/", Pow: "^"}
-    return f"({pretty(e.lhs)} {ops[kind]} {pretty(e.rhs)})"
+        return f"{text}({pretty(e.arg)})"
+    if kind is Neg:
+        return f"({text}{pretty(e.arg)})"
+    return f"({pretty(e.lhs)} {text} {pretty(e.rhs)})"
 
 
 def contains_eps(e):
     kind = type(e)
-    if kind is Var:
-        return e.name == "eps"
-    if kind is Num:
-        return False
-    if kind is Neg:
-        return contains_eps(e.arg)
-    if kind is Call:
+    if kind is Num or kind is Var:
+        return kind is Var and e.name == "eps"
+    if kind is Neg or kind is Call:
         return contains_eps(e.arg)
     return contains_eps(e.lhs) or contains_eps(e.rhs)
 
@@ -350,7 +358,7 @@ def d_eps(e):
     Every new node carries the offset of the source node it comes from,
     so :func:`evaluate` on the derivative locates a domain error in the
     source text.  The result may call ``log`` and ``sign``, which only the
-    code generator and :func:`evaluate` know, not the parser.
+    operator table knows, not the parser.
     """
     kind = type(e)
     if kind is Var and e.name == "eps":
@@ -385,33 +393,23 @@ def d_eps(e):
 
 # --- compilation ------------------------------------------------------------
 
-def _codegen(e):
+def _closure(e, depth=0):
+    """One tree as a function of (t, eps) that applies the table's numpy
+    function at each node to its children's values, left to right."""
+    if depth > MAX_DEPTH:
+        raise ExprDepthError(f"expression (or its eps-derivative) nests deeper than "
+                             f"{MAX_DEPTH} levels at offset {e.offset}")
     kind = type(e)
     if kind is Num:
-        return repr(e.value)
+        return lambda t, eps, value=e.value: value
     if kind is Var:
-        return e.name
-    if kind is Neg:
-        return f"(-{_codegen(e.arg)})"
-    if kind is Add:
-        return f"({_codegen(e.lhs)} + {_codegen(e.rhs)})"
-    if kind is Sub:
-        return f"({_codegen(e.lhs)} - {_codegen(e.rhs)})"
-    if kind is Mul:
-        return f"({_codegen(e.lhs)} * {_codegen(e.rhs)})"
-    if kind is Div:
-        # np.divide, not "/": two Python floats would raise on a zero divisor
-        return f"_div({_codegen(e.lhs)}, {_codegen(e.rhs)})"
-    if kind is Pow:
-        return f"_pow({_codegen(e.lhs)}, {_codegen(e.rhs)})"
-    return f"{e.fn}({_codegen(e.arg)})"
-
-
-_ARRAY_NS = {
-    "sin": np.sin, "cos": np.cos, "exp": np.exp,
-    "sqrt": np.sqrt, "abs": np.abs, "_pow": np.power,
-    "_div": np.divide, "log": np.log, "sign": np.sign,
-}
+        return (lambda t, eps: t) if e.name == "t" else (lambda t, eps: eps)
+    fn = _OPS[e.fn if kind is Call else kind][2]
+    if kind is Neg or kind is Call:
+        arg = _closure(e.arg, depth + 1)
+        return lambda t, eps: fn(arg(t, eps))
+    lhs, rhs = _closure(e.lhs, depth + 1), _closure(e.rhs, depth + 1)
+    return lambda t, eps: fn(lhs(t, eps), rhs(t, eps))
 
 
 def compile_array(trees):
@@ -419,14 +417,13 @@ def compile_array(trees):
     and an eps (a scalar or an array shaped like t) to a tuple with one
     value per tree, broadcastable to the shape of t.  Out-of-domain points
     come back non-finite, without numpy warnings; callers must check."""
-    body = "".join(f"{_codegen(e)}, " for e in trees)
-    fn = eval(compile(f"lambda t, eps: ({body})", "<expr>", "eval"), dict(_ARRAY_NS))
+    fns = [_closure(e) for e in trees]
 
-    def wrapped(ts, eps):
+    def evaluate_all(ts, eps):
         with np.errstate(all="ignore"):
-            return fn(ts, eps)
+            return tuple([fn(ts, eps) for fn in fns])
 
-    return wrapped
+    return evaluate_all
 
 
 # --- the symmetric curve ----------------------------------------------------
@@ -510,7 +507,7 @@ class SymmetricCurve:
         :meth:`eval_matrix_batch`.
 
         Each entry that mentions eps is differentiated symbolically and
-        compiled on the first call; the other entries are zero."""
+        compiled (within MAX_DEPTH) on the first call; the rest are zero."""
         if self._d_eps is None:
             self._d_eps = _compile_entries(
                 {k: d_eps(e) for k, e in self._entries.items() if contains_eps(e)})

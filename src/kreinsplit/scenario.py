@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, NonSymplecticError, SchemaError
+from .errors import ExprDepthError, InputError, NonSymplecticError, SchemaError
 from .expr import SymmetricCurve
 from .linalg import is_symplectic
 from .spectral import make_jordan_symplectic
@@ -156,6 +156,8 @@ def parse_scenario(obj, default_name="scenario"):
     name = obj.get("name", default_name)
     if not isinstance(name, str) or not name:
         raise SchemaError("/name", "name must be a non-empty string")
+    if any(c in name for c in "/\\\0") or name in (".", ".."):
+        raise SchemaError("/name", "name must not contain /, \\ or NUL, nor be . or ..")
 
     g0 = obj["gamma0"]
     _require_keys(g0, {"matrix", "generator"}, (), "/gamma0")
@@ -181,11 +183,11 @@ def parse_scenario(obj, default_name="scenario"):
     for key, text in entries.items():
         if not isinstance(text, str):
             raise SchemaError(f"/curve/entries/{key}", "expression must be a string")
-    # Expression and symmetry errors propagate as-is; they already carry
-    # their own locations and belong to the same input-error family.
+    # Syntax and symmetry errors propagate as-is; they already carry their
+    # own locations and belong to the same input-error family.
     try:
         curve = SymmetricCurve.from_strings(entries)
-    except ValueError as exc:
+    except (ValueError, ExprDepthError) as exc:
         raise SchemaError("/curve/entries", str(exc)) from None
 
     T = _number(obj.get("T", 1.0), "/T", positive=True)

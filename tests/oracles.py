@@ -11,6 +11,9 @@ once per (time, flow) pair is kept verbatim as ``flows_allocating``, the
 bitwise reference of the workspace engine in ``kreinsplit.flow``; the
 Newton polish that evaluates through method calls is kept verbatim as
 ``polish_loop``, the bitwise reference of ``kreinsplit.linalg._polish``.
+The compiler that generated Python source for a list of trees and ran it
+through ``eval`` is kept verbatim as ``compile_generated``, the bitwise
+reference of the closures of ``kreinsplit.expr.compile_array``.
 """
 
 from itertools import combinations, permutations
@@ -311,3 +314,45 @@ def d_eps_exact(e, t, eps):
     if kind in (Pow, Call):
         return 0.0
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _codegen(e):
+    kind = type(e)
+    if kind is Num:
+        return repr(e.value)
+    if kind is Var:
+        return e.name
+    if kind is Neg:
+        return f"(-{_codegen(e.arg)})"
+    if kind is Add:
+        return f"({_codegen(e.lhs)} + {_codegen(e.rhs)})"
+    if kind is Sub:
+        return f"({_codegen(e.lhs)} - {_codegen(e.rhs)})"
+    if kind is Mul:
+        return f"({_codegen(e.lhs)} * {_codegen(e.rhs)})"
+    if kind is Div:
+        # np.divide, not "/": two Python floats would raise on a zero divisor
+        return f"_div({_codegen(e.lhs)}, {_codegen(e.rhs)})"
+    if kind is Pow:
+        return f"_pow({_codegen(e.lhs)}, {_codegen(e.rhs)})"
+    return f"{e.fn}({_codegen(e.arg)})"
+
+
+_ARRAY_NS = {
+    "sin": np.sin, "cos": np.cos, "exp": np.exp,
+    "sqrt": np.sqrt, "abs": np.abs, "_pow": np.power,
+    "_div": np.divide, "log": np.log, "sign": np.sign,
+}
+
+
+def compile_generated(trees):
+    """``compile_array`` as it was: one lambda of generated source for all
+    trees, run under ``np.errstate(all="ignore")``."""
+    body = "".join(f"{_codegen(e)}, " for e in trees)
+    fn = eval(compile(f"lambda t, eps: ({body})", "<expr>", "eval"), dict(_ARRAY_NS))
+
+    def wrapped(ts, eps):
+        with np.errstate(all="ignore"):
+            return fn(ts, eps)
+
+    return wrapped

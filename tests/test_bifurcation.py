@@ -196,11 +196,12 @@ def test_predict_branches_sum_identity():
 
 
 def test_predict_branches_negative_gate():
+    # s < 0 is predicted with sqrt(s) = i sqrt(|s|): the branch sum keeps its
+    # identity, and the branches differ by 2 i a sqrt(|s|).
     _, pair = reference_pair()
     co = expansion_t(pair, np.eye(4))
-    with pytest.raises(ValueError):
-        predict_branches(co, pair.lambda0, -1e-4)
-    b1, b2 = predict_branches(co, pair.lambda0, -1e-4, allow_negative=True)
-    # the rotated square root keeps the sum identity
-    want = 2 * pair.lambda0 - 2 * co.second_order * 1e-4
-    assert abs((b1 + b2) - want) < 1e-15
+    for s in (-1e-8, -1e-5, -1e-3):
+        b1, b2 = predict_branches(co, pair.lambda0, s)
+        want = 2 * pair.lambda0 + 2 * co.second_order * s
+        assert abs((b1 + b2) - want) < 1e-15
+        assert abs((b2 - b1) - 2j * co.a * np.sqrt(-s)) < 1e-15

@@ -9,6 +9,7 @@ import pytest
 
 from kreinsplit.cli import _DEFAULT_MODE, apply_grid_override, build_parser, main
 from kreinsplit.errors import NonSymplecticError, SchemaError, SymmetryConflictError
+from kreinsplit.expr import MAX_DEPTH
 from kreinsplit.scenario import GridSpec, load_scenario, parse_scenario
 from kreinsplit.spectral import make_jordan_symplectic
 
@@ -154,6 +155,90 @@ def test_schema_error_exit_one(tmp_path, capsys):
     doc.write_text(json.dumps({"curve": {"entries": {}}}), encoding="utf-8")
     assert main(["analyze", str(doc)]) == 1
     capsys.readouterr()
+
+
+def _one_error_line(capsys, starts):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {starts}") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def _entry_3_3(text):
+    return lambda doc: doc["curve"]["entries"].update({"3,3": text})
+
+
+# Each of these ended in a RecursionError or SyntaxError traceback when the
+# curve was compiled from generated source.
+_TOO_DEEP = {
+    "199-parentheses": "(" * 199 + "1" + ")" * 199,
+    "199-calls": "abs(" * 199 + "1" + ")" * 199,
+    "201-term-sum": "+".join(["t"] * 201),
+    "200-unary-minus": "-" * 200 + "1",
+    "5000-unary-minus": "-" * 5000 + "1",
+    "5000-term-power": "^".join(["1"] * 5000),
+    "20000-term-sum": "+".join(["t"] * 20000),
+}
+
+
+@pytest.mark.parametrize("text", _TOO_DEEP.values(), ids=_TOO_DEEP)
+def test_too_deep_expression_exit_one(tmp_path, capsys, text):
+    path = _scenario_copy(tmp_path, SCENARIOS / "jordan_pi3.json", _entry_3_3(text))
+    assert main(["analyze", path]) == 1
+    _one_error_line(capsys, f"/curve/entries: expression nests deeper than {MAX_DEPTH} levels")
+
+
+def test_deep_expression_data_file_exit_one(capsys):
+    assert main(["analyze", str(DATA / "deep_expression.json")]) == 1
+    _one_error_line(capsys, "/curve/entries: ")
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH, id="parentheses"),
+    pytest.param("-" * (MAX_DEPTH - 1) + "-1", id="unary-minus"),
+    pytest.param("^".join(["1"] * (MAX_DEPTH + 1)), id="power"),
+    pytest.param("+".join(["0"] * MAX_DEPTH) + "+1", id="sum"),
+])
+def test_expression_at_the_depth_limit_loads(tmp_path, capsys, text):
+    # Each text evaluates to 1, the shipped entry, so the output is the
+    # shipped scenario's.
+    assert main(["analyze", str(SCENARIOS / "jordan_pi3.json")]) == 0
+    want = capsys.readouterr().out
+    path = _scenario_copy(tmp_path, SCENARIOS / "jordan_pi3.json", _entry_3_3(text))
+    assert main(["analyze", path]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_eps_derivative_past_the_depth_limit_exit_one(tmp_path, capsys):
+    # A 61-factor product loads (about 63 levels), and equals the shipped
+    # entry at eps = 0, but its eps-derivative is about 120 levels deep.
+    def edit(doc):
+        doc["curve"]["entries"]["2,2"] += "*(1 + eps)" * 60
+
+    path = _scenario_copy(tmp_path, SCENARIOS / "resonant_eps.json", edit)
+    assert main(["analyze", path]) == 2  # the t family is degenerate
+    capsys.readouterr()
+    assert main(["analyze", path, "--mode", "eps"]) == 1
+    _one_error_line(capsys, f"expression (or its eps-derivative) nests deeper than {MAX_DEPTH}")
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "a\0b", ".", ".."])
+def test_name_with_path_parts_exit_one(tmp_path, capsys, name):
+    path = _scenario_copy(tmp_path, SCENARIOS / "jordan_pi3.json",
+                          lambda doc: doc.update(name=name))
+    with pytest.raises(SchemaError, match="^/name: "):
+        load_scenario(path)
+    out = tmp_path / "o" / "sub"
+    assert main(["sweep", path, "--out", str(out)]) == 1
+    _one_error_line(capsys, "/name: ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [Path(path).name]
+
+
+def test_escaping_name_data_file_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "o" / "sub"
+    assert main(["sweep", str(DATA / "escaping_name.json"), "--out", str(out)]) == 1
+    _one_error_line(capsys, "/name: ")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [

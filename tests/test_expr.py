@@ -8,21 +8,25 @@ import pytest
 import kreinsplit.expr as expr
 from kreinsplit import SymmetricCurve, evaluate, parse, pretty
 from kreinsplit.errors import (
+    ExprDepthError,
     ExprDomainError,
     ExprSyntaxError,
     SymmetryConflictError,
     UnknownIdentifierError,
 )
 from kreinsplit.expr import (
+    MAX_DEPTH,
     Add,
     Call,
+    Div,
     Mul,
+    Neg,
     Num,
     Var,
     compile_array,
     d_eps,
 )
-from oracles import d_eps_exact
+from oracles import compile_generated, d_eps_exact
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -136,6 +140,65 @@ def test_compiled_paths_agree_with_evaluate():
         # numpy's power and exp kernels may differ from libm by an ulp
         assert np.allclose(got, want, rtol=5e-16, atol=0.0), src
         assert np.array_equal(np.broadcast_to(together(ts, ep)[k], ts.shape), got), src
+
+
+def _bitwise_equal(got, want):
+    """Two tuples of compiled values hold the same types and the same bytes."""
+    return len(got) == len(want) and all(
+        type(g) is type(w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        for g, w in zip(got, want))
+
+
+def test_closures_bitwise_equal_generated_source():
+    trees = [parse(src) for src in CORPUS]
+    for path in sorted(SCENARIOS.glob("*.json")):
+        trees += [parse(text) for text in json.loads(path.read_text())["curve"]["entries"].values()]
+    trees += [d_eps(tree) for tree in trees]
+    trees += [Div(Num(1.0), Num(0.0)), Neg(Num(0.0))]  # Python-float operands
+    ts = np.linspace(-0.5, 2.0, 11)
+    for t, eps in ((ts, 0.3), (ts, 0.0), (ts, np.linspace(-0.2, 0.2, 11)),
+                   (ts[:, None], np.linspace(0.0, 1e-3, 3))):
+        assert _bitwise_equal(compile_array(trees)(t, eps), compile_generated(trees)(t, eps))
+
+
+_NESTINGS = {
+    "parentheses": lambda n: "(" * n + "t" + ")" * n,
+    "calls": lambda n: "sin(" * n + "t" + ")" * n,
+    "unary-minus": lambda n: "-" * n + "t",
+    "power": lambda n: "^".join(["t"] * (n + 1)),
+    "sum": lambda n: "+".join(["t"] * (n + 1)),
+    "quotient": lambda n: "/".join(["t"] * (n + 1)),
+    # a chain's operators all sit above its first operand
+    "chain-over-parentheses": lambda n: "(" * 50 + "t" + ")" * 50 + "-t" * (n - 50),
+    "negated-groups": lambda n: "-(" * 25 + "*".join(["t"] * (n - 49)) + ")" * 25,
+}
+
+
+@pytest.mark.parametrize("nest", _NESTINGS.values(), ids=_NESTINGS)
+def test_depth_limit_is_exact(nest):
+    tree = parse(nest(MAX_DEPTH))
+    value = evaluate(tree, 0.5, 0.0)
+    assert compile_array([tree])(np.array([0.5]), 0.0)[0] == pytest.approx(value, rel=1e-15)
+    with pytest.raises(ExprDepthError, match=f"deeper than {MAX_DEPTH} levels at offset"):
+        parse(nest(MAX_DEPTH + 1))
+
+
+def test_compiler_rejects_a_deep_tree_without_recursion_error():
+    tree = Var("t")
+    for _ in range(5000):
+        tree = Neg(tree)
+    with pytest.raises(ExprDepthError):
+        compile_array([tree])
+
+
+def test_d_eps_held_to_the_depth_limit():
+    # about 63 levels of text, but the product rule doubles the depth
+    curve = SymmetricCurve.from_strings({"0,0": "eps" + "*(1 + eps)" * 60, "1,1": "t"})
+    assert curve.eval_matrix(0.5, 0.0)[1, 1] == 0.5
+    with pytest.raises(ExprDepthError, match="eps-derivative"):
+        curve.d_eps_matrix_batch([0.5])
+    shallow = SymmetricCurve.from_strings({"0,0": "eps" + "*(1 + eps)" * 40})
+    assert shallow.d_eps_matrix_batch([0.5], 0.0)[0, 0, 0] == 1.0
 
 
 def test_codegen_helpers_stay_out_of_the_parser():

@@ -1,5 +1,7 @@
-"""Property test: the compiled symbolic eps-derivative of random trees
-agrees with a fourth-order central difference of the compiled tree."""
+"""Property tests on random trees: the compiled symbolic eps-derivative
+agrees with a fourth-order central difference of the compiled tree, and
+the compiled closures are bitwise equal to the generated-source compiler
+they replaced."""
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from kreinsplit.expr import (  # noqa: E402
     compile_array,
     d_eps,
 )
+from oracles import compile_generated  # noqa: E402
 
 LEAVES = st.one_of(
     st.sampled_from([Var("t"), Var("eps")]),
@@ -81,3 +84,14 @@ def test_compiled_d_eps_matches_fourth_order_difference(tree, t, eps):
     resolved = 1e-6 * (1.0 + abs(fine) + np.max(np.abs(f_coarse)))
     assume(abs(coarse - fine) <= resolved)
     assert abs(exact - fine) <= resolved
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TREES, st.floats(-2.0, 2.0), st.floats(-0.5, 0.5))
+def test_closures_bitwise_equal_generated_source(tree, t, eps):
+    ts = np.array([t, t + 0.25, t + 1.0])
+    for trees in ([tree], [d_eps(tree)], [tree, d_eps(tree)]):
+        for e in (eps, ts * eps):
+            got, want = compile_array(trees)(ts, e), compile_generated(trees)(ts, e)
+            assert [type(g) for g in got] == [type(w) for w in want]
+            assert [np.asarray(g).tobytes() for g in got] == [np.asarray(w).tobytes() for w in want]

@@ -295,6 +295,22 @@ def test_predicted_branches_match_oracle(pi3_scenario, pi3_report):
     assert max(errors) < 10 * np.median(errors) + 1e-6
 
 
+@pytest.mark.parametrize("name", ["jordan_pi3", "jordan_pi3_neg"])
+def test_predicted_branches_match_oracle_on_the_negative_side(name):
+    # The expansion continued to s < 0 (sqrt(s) = i sqrt(|s|)) against the
+    # two roots nearest lambda0 of the flow's endpoints at t = -grid: the
+    # error stays below |s|^{3/2} (measured 0.36-0.40 |s|^{3/2}).
+    scenario = load_scenario(SCENARIOS / f"{name}.json")
+    fam = family(scenario, "t")
+    lam = fam.pair.lambda0
+    grid = -scenario.grid("t")
+    for s, roots in zip(grid, eigenvalues(family_endpoints(scenario, "t", grid), lam)):
+        x, y = sorted(roots, key=lambda z: abs(z - lam))[:2]
+        p1, p2 = predict_branches(fam.coeffs, lam, float(s))
+        err = min(max(abs(p1 - x), abs(p2 - y)), max(abs(p1 - y), abs(p2 - x)))
+        assert err <= abs(s) ** 1.5, s
+
+
 def test_sum_slope_stable_under_grid_halving(pi3_report, pi3_halved_report):
     full, _ = pi3_report
     halved, _ = pi3_halved_report
