@@ -15,7 +15,6 @@ tolerance exceeded.  All floating-point output is full double precision.
 """
 
 import argparse
-import contextlib
 import csv
 import functools
 import json
@@ -133,12 +132,18 @@ def _track_rows(track):
 
 def _write_csv(out, name, header, rows):
     """Write a CSV table to the file ``name`` in the directory ``out``,
-    made when missing, or to stdout when ``out`` is not given."""
-    if out:
+    made when missing, or to stdout when ``out`` is not given.  A path
+    that cannot be written is an InputError."""
+    if not out:
+        csv.writer(sys.stdout).writerows([header, *rows])
+        return
+    try:
         Path(out).mkdir(parents=True, exist_ok=True)
-    with (open(Path(out) / name, "w", newline="", encoding="utf-8") if out
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        csv.writer(fh).writerows([header, *rows])
+        with open(Path(out) / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *rows])
+    except OSError as exc:
+        raise InputError(f"cannot write {exc.filename or Path(out) / name}: "
+                         f"{exc.strerror or exc}") from None
 
 
 # The JSON block of each family: ModeComparison's compared fields, in order.

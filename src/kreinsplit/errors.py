@@ -132,7 +132,8 @@ class TrackingAmbiguityError(AnalysisError):
 
 
 class IllConditionedFitError(AnalysisError):
-    """The Puiseux fit is rank deficient (grid too narrow or too short)."""
+    """The Puiseux fit is ill-posed: fewer than four grid points, or a
+    rank-deficient line through the three smallest parameters."""
 
 
 class CorruptedSolutionError(AnalysisError):

@@ -434,19 +434,13 @@ class SymmetricCurve:
 
     Only the upper triangle is stored; entry (i, j) and (j, i) are the
     same expression object, so evaluated matrices are symmetric bitwise.
-    Missing entries are zero.
+    Missing entries are zero.  The constructor takes the canonical map
+    that :meth:`from_strings` checks and builds, {(i, j): tree} with
+    0 <= i <= j <= 3, and checks nothing again.
     """
 
     def __init__(self, entries):
-        self._entries = {}
-        for (i, j), node in entries.items():
-            if not (0 <= i <= 3 and 0 <= j <= 3):
-                raise ValueError(f"entry index out of range: ({i}, {j})")
-            key = (i, j) if i <= j else (j, i)
-            if key in self._entries and self._entries[key] != node:
-                raise SymmetryConflictError(
-                    f"conflicting expressions for symmetric entries {key} and {key[::-1]}")
-            self._entries[key] = node
+        self._entries = dict(entries)
         self.has_eps = any(contains_eps(e) for e in self._entries.values())
         self._compiled = _compile_entries(self._entries)
         self._d_eps = None  # compiled on the first d_eps_matrix_batch call

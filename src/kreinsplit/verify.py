@@ -102,12 +102,13 @@ def track(polys, roots, lambda0, grid, a_seed=None):
 class PuiseuxFit:
     """Result of fitting branch data to +-a sqrt(s) + mu s.
 
-    ``a`` and ``mu`` come from the joint weighted least squares over both
-    branches; ``mu_sum`` re-estimates mu from the branch sum alone,
-    extrapolated to s = 0 over the three smallest parameters.  The odd
-    powers of sqrt(s) cancel in the sum, so its quotient is mu + O(s) and
-    the extrapolation is done against s, not sqrt(s); this is the sharper
-    and more grid-stable second-order estimate.
+    ``a`` comes from the odd part (branch2 - branch1)/2 alone and ``mu``
+    from the even part alone, each a weighted least-squares projection;
+    ``mu_sum`` re-estimates mu from the even part, extrapolated to s = 0
+    over the three smallest parameters.  The odd powers of sqrt(s) cancel
+    in the sum, so its quotient is mu + O(s) and the extrapolation is done
+    against s, not sqrt(s); this is the sharper and more grid-stable
+    second-order estimate.
     """
 
     a: complex
@@ -117,7 +118,7 @@ class PuiseuxFit:
 
 
 def fit_puiseux(tr, lambda0):
-    """Fit both branches jointly to lambda0 +- a sqrt(s) + mu s.
+    """Fit both branches to lambda0 +- a sqrt(s) + mu s, split by parity.
 
     Rows are weighted by 1/s so every grid point contributes at its
     relative accuracy; this keeps the o(s^{3/2}) contamination of the
@@ -132,26 +133,18 @@ def fit_puiseux(tr, lambda0):
     y1 = tr.branch1[order] - lambda0
     y2 = tr.branch2[order] - lambda0
 
-    roots = np.sqrt(s)
-    w = 1.0 / s
-    design = np.zeros((2 * s.size, 2), dtype=complex)
-    rhs = np.empty(2 * s.size, dtype=complex)
-    design[: s.size, 0] = roots * w
-    design[: s.size, 1] = s * w
-    rhs[: s.size] = y2 * w
-    design[s.size:, 0] = -roots * w
-    design[s.size:, 1] = s * w
-    rhs[s.size:] = y1 * w
-    coef, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
-    if rank < 2:
-        raise IllConditionedFitError("design matrix is rank deficient; widen the grid")
-    a_fit, mu_fit = complex(coef[0]), complex(coef[1])
-
-    # Sum-based slope: q(s) = (b1 + b2 - 2 L) / (2 s) = mu + O(s) since the
-    # odd sqrt(s) powers cancel pointwise.  Intercept of the least-squares
-    # line through the three smallest points; the two-point Richardson
-    # values are kept as convergence diagnostics.
+    # q(s) = (b1 + b2 - 2 L) / (2 s) = mu + O(s) since the odd sqrt(s)
+    # powers cancel pointwise.  With the 1/s row weights the joint fit's
+    # two columns, [sqrt(s)/s; -sqrt(s)/s] and [1; 1], are orthogonal, so
+    # its solution is one projection per column: a from the odd part, mu
+    # the mean of q.
     q = (y1 + y2) / (2.0 * s)
+    a_fit = complex(np.sum((y2 - y1) / 2.0 * s ** -1.5) / np.sum(1.0 / s))
+    mu_fit = complex(np.mean(q))
+
+    # Intercept of the least-squares line through q's three smallest
+    # points; the two-point Richardson values are kept as convergence
+    # diagnostics.
     design3 = np.stack([np.ones(3), s[:3]], axis=1)
     line, _, rank3, _ = np.linalg.lstsq(design3, q[:3], rcond=None)
     if rank3 < 2:
@@ -160,7 +153,6 @@ def fit_puiseux(tr, lambda0):
     rich12 = (q[0] * s[1] - q[1] * s[0]) / (s[1] - s[0])
     rich23 = (q[1] * s[2] - q[2] * s[1]) / (s[2] - s[1])
     diagnostics = {
-        "mu_fit": mu_fit,
         "richardson_12": complex(rich12),
         "richardson_23": complex(rich23),
         "richardson_spread": float(abs(rich12 - rich23)),

@@ -13,17 +13,21 @@ Newton polish that evaluates through method calls is kept verbatim as
 ``polish_loop``, the bitwise reference of ``kreinsplit.linalg._polish``.
 The compiler that generated Python source for a list of trees and ran it
 through ``eval`` is kept verbatim as ``compile_generated``, the bitwise
-reference of the closures of ``kreinsplit.expr.compile_array``.
+reference of the closures of ``kreinsplit.expr.compile_array``.  The
+Puiseux fit that solved both branches as one weighted least-squares
+system is kept verbatim as ``fit_joint``, the reference of the
+parity-split ``kreinsplit.verify.fit_puiseux``.
 """
 
 from itertools import combinations, permutations
 
 import numpy as np
 
-from kreinsplit.errors import NonSymplecticError
+from kreinsplit.errors import IllConditionedFitError, NonSymplecticError
 from kreinsplit.expr import Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var, evaluate
 from kreinsplit.flow import _CHUNK
 from kreinsplit.linalg import J4, is_symplectic
+from kreinsplit.verify import PuiseuxFit
 
 
 def det_cofactor(A):
@@ -356,3 +360,57 @@ def compile_generated(trees):
             return fn(ts, eps)
 
     return wrapped
+
+
+def fit_joint(tr, lambda0):
+    """``fit_puiseux`` as it was: fit both branches jointly to
+    lambda0 +- a sqrt(s) + mu s.
+
+    Rows are weighted by 1/s so every grid point contributes at its
+    relative accuracy; this keeps the o(s^{3/2}) contamination of the
+    largest parameters from biasing ``a``.  ``a`` is reported with the
+    sign matching branch 2 on the +a sheet.
+    """
+    if tr.grid.size < 4:
+        raise IllConditionedFitError("need at least four grid points")
+    lambda0 = complex(lambda0)
+    order = np.argsort(tr.grid)
+    s = tr.grid[order]
+    y1 = tr.branch1[order] - lambda0
+    y2 = tr.branch2[order] - lambda0
+
+    roots = np.sqrt(s)
+    w = 1.0 / s
+    design = np.zeros((2 * s.size, 2), dtype=complex)
+    rhs = np.empty(2 * s.size, dtype=complex)
+    design[: s.size, 0] = roots * w
+    design[: s.size, 1] = s * w
+    rhs[: s.size] = y2 * w
+    design[s.size:, 0] = -roots * w
+    design[s.size:, 1] = s * w
+    rhs[s.size:] = y1 * w
+    coef, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
+    if rank < 2:
+        raise IllConditionedFitError("design matrix is rank deficient; widen the grid")
+    a_fit, mu_fit = complex(coef[0]), complex(coef[1])
+
+    # Sum-based slope: q(s) = (b1 + b2 - 2 L) / (2 s) = mu + O(s) since the
+    # odd sqrt(s) powers cancel pointwise.  Intercept of the least-squares
+    # line through the three smallest points; the two-point Richardson
+    # values are kept as convergence diagnostics.
+    q = (y1 + y2) / (2.0 * s)
+    design3 = np.stack([np.ones(3), s[:3]], axis=1)
+    line, _, rank3, _ = np.linalg.lstsq(design3, q[:3], rcond=None)
+    if rank3 < 2:
+        raise IllConditionedFitError("sum-slope extrapolation is rank deficient")
+    mu_sum = complex(line[0])
+    rich12 = (q[0] * s[1] - q[1] * s[0]) / (s[1] - s[0])
+    rich23 = (q[1] * s[2] - q[2] * s[1]) / (s[2] - s[1])
+    diagnostics = {
+        "mu_fit": mu_fit,
+        "richardson_12": complex(rich12),
+        "richardson_23": complex(rich23),
+        "richardson_spread": float(abs(rich12 - rich23)),
+        "raw_quotient_smallest": complex(q[0]),
+    }
+    return PuiseuxFit(a=a_fit, mu=mu_fit, mu_sum=mu_sum, diagnostics=diagnostics)

@@ -241,6 +241,26 @@ def test_escaping_name_data_file_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_name_too_long_for_a_file_exit_one(tmp_path, capsys):
+    path = _scenario_copy(tmp_path, SCENARIOS / "jordan_pi3.json",
+                          lambda doc: doc.update(name="n" * 300))
+    out = tmp_path / "o"
+    assert main(["sweep", path, "--out", str(out)]) == 1
+    _one_error_line(capsys, f"cannot write {out / ('n' * 300)}_sweep_t.csv: ")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["sweep"], ["verify", "--mode", "t"]],
+                         ids=["sweep", "verify"])
+def test_out_naming_a_file_exit_one(tmp_path, capsys, argv):
+    out = tmp_path / "taken"
+    out.write_text("kept", encoding="utf-8")
+    argv = [*argv, str(SCENARIOS / "jordan_pi3.json"), "--out", str(out)]
+    assert main(argv) == 1
+    _one_error_line(capsys, f"cannot write {out}: ")
+    assert out.read_text(encoding="utf-8") == "kept"
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["analyze", "x.json", "--grid", "nonsense"], id="grid-nonsense"),
     pytest.param(["verify", "FAST", "--grid", "nan,1e-3,8"], id="verify-grid-nan"),

@@ -26,6 +26,7 @@ from kreinsplit.errors import (
 from kreinsplit.cli import main
 from kreinsplit.scenario import GridSpec, load_scenario
 from kreinsplit.verify import BranchTrack, _stability_probe, family, family_endpoints
+from oracles import fit_joint
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -183,6 +184,29 @@ def test_fit_bias_under_three_halves_contamination():
     fit = fit_puiseux(tr, lam)
     assert abs(fit.mu - 0.5j) <= c * np.sqrt(grid.max())
     assert abs(fit.a - 1.0) <= c * grid.max()
+
+
+def test_parity_split_fit_matches_joint_solve(pi3_report, pi3_neg_report, resonant_report):
+    # The 1/s-weighted joint fit's two columns are orthogonal, so the two
+    # projections give its a and mu up to roundoff, and mu_sum and the
+    # Richardson diagnostics, which read only q, are untouched.
+    lam = np.exp(0.9j)
+    grid = np.geomspace(1e-7, 1e-3, 12)
+    gauge = compare(load_scenario(SCENARIOS / "resonant_eps_gauge.json"), mode="eps").eps
+    parts = (pi3_report[0].t, pi3_neg_report[0].t, resonant_report[0].eps, gauge)
+    cases = [(part.track, part.lambda0) for part in parts]
+    cases += [(synthetic_track(lam, 1.0 + 0.0j, 0.5j, grid), lam),
+              (synthetic_track(lam, 1.0 + 0.0j, 0.5j, grid, extra=lambda s: 0.8 * s ** 1.5), lam)]
+    for tr, lam0 in cases:
+        got, want = fit_puiseux(tr, lam0), fit_joint(tr, lam0)
+        assert abs(got.a - want.a) <= 1e-15 * abs(want.a)
+        assert abs(got.mu - want.mu) <= 1e-12 * abs(want.mu)
+        assert set(got.diagnostics) == {"richardson_12", "richardson_23",
+                                        "richardson_spread", "raw_quotient_smallest"}
+        pairs = [(got.mu_sum, want.mu_sum)]
+        pairs += [(value, want.diagnostics[key]) for key, value in got.diagnostics.items()]
+        for value, ref in pairs:
+            assert type(value) is type(ref) and repr(value) == repr(ref)
 
 
 def test_fit_needs_four_points():
