@@ -1,23 +1,31 @@
 """Integration of the linear Hamiltonian system dG/dt = J4 A(t, eps) G.
 
-Fixed-step classical Runge-Kutta on the 4x4 matrix unknown.  Uniform
-grids keep the quadrature of the effective perturbation generator simple
-and runs reproducible; there is no adaptivity and no dense output.
+Fixed-step sixth-order Magnus integration on the 4x4 matrix unknown
+(Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999; Blanes, Casas &
+Ros, BIT 40, 2000).  Each step is exp(Omega_n), where Omega_n is built
+from h J4 A at the step's three Gauss-Legendre nodes and two nested
+commutators.  Omega_n is Hamiltonian, so the step is symplectic up to
+roundoff, and it is exact when A is constant over the step.  Otherwise
+the global error falls like h^6 with A's variation.  Uniform grids keep
+the quadrature of the effective perturbation generator simple and runs
+reproducible; there is no adaptivity and no dense output.
 
-For a linear system one RK4 step is a matrix R_n = I + D_n that depends
-only on A, so no step loop is needed.  One chunk engine runs K flows from
-one initial condition, each with its own horizon, grid and eps, _CHUNK
-steps at a time: h J4 A at the chunk's nodes and midpoints, written entry
-by entry from one evaluation of A; one batch of step increments D_n; a
-log2-depth prefix scan that composes them while carrying only the
-increment of the product (small numbers keep their own rounding instead
-of being rounded against the identity); then the states G + D @ G from
-the previous chunk's last state, each checked for symplectic drift.
-Every chunk-sized array lives in one workspace allocated per call, and
-each stage writes into it, so the chunk loop allocates nothing of its
-size.  When all K horizons are equal, A is evaluated on a column of times
-against a row of eps values, so a term in t alone is computed once per
-time rather than once per flow.
+A step is a matrix I + D_n that depends only on A, so no step loop is
+needed.  One chunk engine runs K flows from one initial condition, each
+with its own horizon, grid and eps, _CHUNK steps at a time: h J4 A at the
+chunk's 3 _CHUNK Gauss nodes, written entry by entry from one evaluation
+of A; one batch of step increments D_n = exp(Omega_n) - I, from a Taylor
+series that never forms I; a log2-depth prefix scan that composes them
+while carrying only the increment of the product (small numbers keep
+their own rounding instead of being rounded against the identity); then
+the states G + D @ G from the previous chunk's last state, each checked
+for symplectic drift.  Every chunk-sized array lives in one workspace
+allocated per call, and each stage writes into it, so the chunk loop
+allocates nothing of its size.  When all K horizons are equal, A is
+evaluated on a column of times against a row of eps values, so a term in
+t alone is computed once per time rather than once per flow.  A is never
+evaluated at a grid node, so a singularity that falls between Gauss
+nodes goes unseen.
 ``integrate`` is the K = 1 case and keeps every state, which the
 perturbation quadrature needs; ``endpoints`` keeps only the endpoints.
 Both run the same code, so they agree bit for bit.
@@ -31,12 +39,15 @@ import numpy as np
 from .errors import CorruptedSolutionError, NonConformingFlowError, NonSymplecticError
 from .linalg import J4, is_symplectic, max_abs, symplectic_inverse
 
-# Time steps per chunk.  The workspace holds h J4 A at a chunk's 2 _CHUNK + 1
-# points and four stacks of _CHUNK steps, each for all K flows; it is sized
+# Time steps per chunk.  The workspace holds h J4 A at a chunk's 3 _CHUNK
+# points and five stacks of _CHUNK steps, each for all K flows; it is sized
 # by the chunk, never by the step count, and every chunk reuses it.  Longer
 # chunks cut the per-chunk Python work and the roundoff carried between
 # chunks, but grow the workspace.
 _CHUNK = 128
+
+# Offset of the outer Gauss-Legendre nodes from a step's midpoint, in steps.
+_GAUSS = np.sqrt(15.0) / 10.0
 
 
 @dataclass(frozen=True)
@@ -81,10 +92,10 @@ def _drift(states, work):
 
 def _hB_workspace(m, h):
     """The stack that :func:`_scaled_j4a` fills for a chunk of up to ``m``
-    steps, shape (2m + 1, K, 4, 4), for flows with steps ``h``.  It holds
+    steps, shape (3m, K, 4, 4), for flows with steps ``h``.  It holds
     h J4 A of a curve that is zero everywhere, signed zeros included; the
     entries A leaves zero are never written again."""
-    hB = np.empty((2 * m + 1, h.size, 4, 4))
+    hB = np.empty((3 * m, h.size, 4, 4))
     hB[..., :2, :] = (0.0 * h)[:, None, None]
     hB[..., 2:, :] = (-0.0 * h)[:, None, None]
     return hB
@@ -102,38 +113,81 @@ def _scaled_j4a(hB, curve, ts, eps, h):
             np.multiply(vals, scale[j >= 2], out=hB[:, :, (j + 2) % 4, i])
 
 
-def _step_increments(hB, D, P, Q):
-    """D_n = R_n - I for each RK4 step of a chunk, written into ``D``,
-    shape (n, K, 4, 4); ``P`` and ``Q`` are scratch of the same shape.
+def _expm1(W, D, X):
+    """D = exp(W) - I for a stack of matrices W, shape (n, K, 4, 4), from the
+    degree-10 Taylor series in Horner form, D <- W (I + D) / k, which never
+    forms I.  Where the max row sum of |W| exceeds 0.1, W is first halved s
+    times, exactly, and D squared back s times as 2 D + D^2, the increment of
+    (I + D)^2.  At 0.1 the truncated terms are below 3e-19.  ``W`` is
+    overwritten; ``X`` is scratch of the same shape."""
+    norm = np.abs(W, out=X).sum(axis=-1).max(axis=-1)
+    halvings = np.maximum(np.frexp(norm * 10.0)[1], 0)
+    squarings = int(halvings.max())
+    if squarings:
+        np.ldexp(W, -halvings[..., None, None], out=W)
+    np.divide(W, 10.0, out=D)
+    for k in range(9, 0, -1):
+        np.matmul(W, D, out=X)
+        X += W
+        np.divide(X, k, out=D)
+    for j in range(squarings):
+        np.matmul(D, D, out=X)
+        X += D
+        X += D
+        np.copyto(D, X, where=(halvings > j)[..., None, None])
 
-    ``hB`` is h J4 A at the chunk's n + 1 nodes, then its n midpoints,
-    for all K flows, shape (2n + 1, K, 4, 4), each flow scaled by its own
-    step h.  R_n G is the classical RK4 step from G: with B = J4 A,
-    P1 = B_n, P2 = B_m (I + h/2 P1), P3 = B_m (I + h/2 P2),
-    P4 = B_n+1 (I + h P3) and D = h/6 (P1 + 2 P2 + 2 P3 + P4).
+
+def _step_increments(hB, D, P, Q, S, X):
+    """D_n = exp(Omega_n) - I for each Magnus step of a chunk, written into
+    ``D``, shape (n, K, 4, 4); ``P``, ``Q``, ``S`` and ``X`` are scratch of
+    the same shape.
+
+    ``hB`` holds B = h J4 A at the chunk's first Gauss nodes, then its
+    midpoints, then its last Gauss nodes: three stacks B1, B2, B3 of n
+    steps.  The sixth-order Magnus generator (Blanes, Casas & Ros, BIT 40,
+    2000) is, with a1 = B2, a2 = (sqrt(15)/3)(B3 - B1),
+    a3 = (10/3)(B3 - 2 B2 + B1), C1 = [a1, a2] and
+    C2 = -[a1, 2 a3 + C1]/60,
+    Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240.
+    Below, -20 a1 - a3 + C1 is formed as (2 a3 + C1) - 3 a3 - 20 a1.
     """
-    n = hB.shape[0] // 2
-    now, mid, nxt = hB[:n], hB[n + 1:], hB[1:n + 1]
-    np.matmul(mid, now, out=P)
-    P *= 0.5
-    P += mid                      # h P2
-    np.multiply(P, 2.0, out=D)
-    D += now
-    np.matmul(mid, P, out=Q)
-    Q *= 0.5
-    Q += mid                      # h P3
-    np.multiply(Q, 2.0, out=P)
-    D += P
-    np.matmul(nxt, Q, out=P)
-    P += nxt                      # h P4
-    D += P
-    D /= 6.0
+    n = hB.shape[0] // 3
+    B1, B2, B3 = hB[:n], hB[n:2 * n], hB[2 * n:]
+    np.subtract(B3, B1, out=P)
+    P *= np.sqrt(15.0) / 3.0      # a2
+    np.add(B3, B1, out=Q)
+    np.multiply(B2, 2.0, out=X)
+    Q -= X
+    Q *= 10.0 / 3.0               # a3
+    np.matmul(B2, P, out=S)
+    np.matmul(P, B2, out=X)
+    S -= X                        # C1
+    np.multiply(Q, 2.0, out=X)
+    S += X                        # 2 a3 + C1
+    np.matmul(S, B2, out=D)
+    np.matmul(B2, S, out=X)
+    D -= X
+    D /= 60.0                     # C2
+    P += D                        # a2 + C2
+    np.multiply(Q, 3.0, out=X)
+    S -= X
+    np.multiply(B2, 20.0, out=X)
+    S -= X                        # -20 a1 - a3 + C1
+    np.matmul(S, P, out=D)
+    np.matmul(P, S, out=X)
+    D -= X
+    D /= 240.0
+    Q /= 12.0
+    Q += B2
+    Q += D                        # Omega
+    _expm1(Q, D, X)
 
 
-def _times(Ts, steps, halves):
-    """Times at the given half-step indices of each flow's uniform grid of
-    ``steps`` steps over [0, Ts[k]]; shape (len(halves), K)."""
-    return (halves / (2 * steps))[:, None] * Ts
+def _times(Ts, steps, positions):
+    """Times at the given positions, counted in steps, on each flow's
+    uniform grid of ``steps`` steps over [0, Ts[k]]; shape
+    (len(positions), K)."""
+    return (positions / steps)[:, None] * Ts
 
 
 # An overflowing flow shows as a NaN drift (NonConformingFlowError), not as warnings.
@@ -165,19 +219,20 @@ def _flows(curve, gamma_init, horizons, steps, eps_values, drift_tol, keep):
     G = np.repeat(np.real(G).astype(float)[None], K, axis=0)
     m = min(_CHUNK, steps)
     hB = _hB_workspace(m, h)
-    D, P, Q, S = np.empty((4, m, K, 4, 4))
+    D, P, Q, S, X = np.empty((5, m, K, 4, 4))
     drifts = _drift(G[None], (P[:1], Q[:1], D[:1]))
     trajectory = np.empty((steps + 1, K, 4, 4)) if keep else None
     if keep:
         trajectory[0] = G
     for start in range(0, steps, _CHUNK):
         n = min(_CHUNK, steps - start)
-        # The chunk's n + 1 nodes, then its n midpoints, as rows; so hB[i]
-        # is the contiguous stack of all K matrices at point i.
-        halves = 2 * start + np.arange(2 * n + 1)
-        ts = _times(T_col, steps, np.concatenate([halves[::2], halves[1::2]]))
-        _scaled_j4a(hB[:2 * n + 1], curve, ts, eps_row, h)
-        _step_increments(hB[:2 * n + 1], D[:n], P[:n], Q[:n])
+        # The chunk's n first Gauss nodes, n midpoints and n last Gauss
+        # nodes, as rows; so hB[i] is the contiguous stack of all K
+        # matrices at point i.
+        mids = start + np.arange(n) + 0.5
+        ts = _times(T_col, steps, np.concatenate([mids - _GAUSS, mids, mids + _GAUSS]))
+        _scaled_j4a(hB[:3 * n], curve, ts, eps_row, h)
+        _step_increments(hB[:3 * n], D[:n], P[:n], Q[:n], S[:n], X[:n])
         # Inclusive prefix composition: afterwards I + D[i] is the product
         # (I + D_i) ... (I + D_0), built in log2(n) levels from
         # (I + X)(I + Y) = I + (X + Y + X Y), never forming I + D.
@@ -203,8 +258,10 @@ def _flows(curve, gamma_init, horizons, steps, eps_values, drift_tol, keep):
 def integrate(curve, gamma_init, T, steps, eps=0.0, drift_tol=1e-8):
     """Solve dG/dt = J4 A(t, eps) G over [0, T] from G(0) = gamma_init.
 
-    Classical fourth-order Runge-Kutta with ``steps`` uniform steps;
-    global error is O(h^4) for smooth curves.  ``T`` may be negative, in
+    Sixth-order Magnus steps, ``steps`` of them on a uniform grid, with A
+    evaluated at each step's three Gauss-Legendre nodes.  A step is exact
+    where A is constant; for smooth A the global error is O(h^6), so
+    halving h divides it by about 64.  ``T`` may be negative, in
     which case the system is integrated backward.  The initial condition
     must be symplectic to 1e-8.  Raises NonConformingFlowError when the
     drift exceeds ``drift_tol`` or is NaN.
@@ -214,7 +271,7 @@ def integrate(curve, gamma_init, T, steps, eps=0.0, drift_tol=1e-8):
     """
     Ts, gammas, drifts = _flows(curve, gamma_init, T, steps, eps, drift_tol, keep=True)
     steps = len(gammas) - 1
-    ts = _times(Ts, steps, np.arange(0, 2 * steps + 1, 2))[:, 0]
+    ts = _times(Ts, steps, np.arange(steps + 1))[:, 0]
     return FlowSolution(ts=ts, gammas=gammas[:, 0], eps=float(eps),
                         drift=float(drifts[0]), drift_tol=float(drift_tol))
 

@@ -8,6 +8,7 @@ keys are rejected, and every complaint carries a JSON-pointer-style path.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,21 +40,27 @@ class Tolerances:
     """Documented defaults, overridable per scenario.
 
     cluster / circle feed multiplier detection; drift flags flow
-    solutions; steps_t and steps_eps are the Runge-Kutta step counts for
-    the time-family tracking integrations and the [0, T] endpoint
-    integrations; probe is the |t| used by the stability dichotomy check.
+    solutions; steps_t and steps_eps are the step counts of the sixth-order
+    Magnus flows (flow.integrate) of the time-family tracking and of the
+    [0, T] endpoints; probe is the |t| used by the stability dichotomy
+    check.
 
-    RK4's error over [0, s] is about (s|B|)^5 / (120 steps_t^4) with
-    B = J4 A (Hairer, Norsett & Wanner, Solving ODEs I, II.3); steps_t = 16
-    keeps it below roundoff for s|B| up to 0.015, 15x the default grid's top
-    (raise it for a wider t grid), in one flow chunk (flow._CHUNK).
+    A Magnus step is exact where A is constant, and its error over [0, s]
+    falls like steps^-6 with the variation of B = J4 A over the step
+    (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999).  The t family's
+    flows are short (s <= 1e-3 on the default grid), so steps_t = 4 keeps
+    that error below roundoff: 128 steps move the fitted coefficients of
+    the shipped t scenarios only at roundoff, also on a grid reaching
+    s = 1e-1.
+    steps_eps = None, the default, sizes the eps family's flows from the
+    curve (:meth:`Scenario.steps`); a number is used as given.
     """
 
     cluster: float = 1e-6
     circle: float = 1e-6
     drift: float = 1e-8
-    steps_t: int = 16
-    steps_eps: int = 3000
+    steps_t: int = 4
+    steps_eps: int | None = None
     probe: float = 1e-4
 
 
@@ -73,6 +80,28 @@ class Scenario:
         if mode == "eps" and not self.curve.has_eps:
             raise InputError("scenario curve does not mention eps; eps mode unavailable")
         return getattr(self, f"{mode}_grid").points()
+
+    def steps(self, mode):
+        """Step count of the ``mode`` family's flows: ``steps_t`` for "t";
+        for "eps", ``steps_eps`` when the scenario gives it, else
+        max(192, ceil(T beta / 0.03)) with beta the largest row sum of
+        |A(t, 0)| over 17 equally spaced t in [0, T].
+
+        The eps = 0 endpoint's double multiplier is resolved only to about
+        the square root of the endpoint's error (Lidskii), so the base needs
+        more steps than the endpoint's own accuracy would.  At 192 steps
+        the base pair of resonant_eps lies 1.8e-8 apart, the floor that
+        roundoff sets, and that of resonant_eps_gauge 1.1e-7 apart, both
+        well inside the default cluster = 1e-6; a curve whose A varies
+        faster gets steps in proportion to T beta."""
+        tol = self.tolerances
+        if mode == "t":
+            return tol.steps_t
+        if tol.steps_eps is not None:
+            return tol.steps_eps
+        A = self.curve.eval_matrix_batch(np.linspace(0.0, self.T, 17), 0.0)
+        beta = float(np.abs(A).sum(axis=-1).max())
+        return max(192, math.ceil(self.T * beta / 0.03))
 
 
 def _require_keys(obj, allowed, required, path):

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .flow import endpoint, endpoints, integrate, perturbation_hamiltonian
 from .linalg import charpoly, quartic_roots
-from .spectral import JordanPair, detect_double_unitary, jordan_pair
+from .spectral import JordanPair, detect_double_unitary, eigenvalues, jordan_pair
 
 
 @dataclass(frozen=True)
@@ -271,17 +271,30 @@ class Family:
     coeffs: ExpansionCoefficients
 
 
+def _nearest_spread(M):
+    """Distance between the two closest eigenvalues of M."""
+    evs = eigenvalues(M)
+    return min(abs(evs[i] - evs[j]) for i in range(4) for j in range(i + 1, 4))
+
+
 def family(scenario, mode):
     """Detect the double multiplier of the ``mode`` family, extract its
     chain and expand the splitting: the setup shared by the predictions
-    and the oracle."""
+    and the oracle.
+
+    When the eps = 0 endpoint shows no double multiplier but its nearest
+    eigenvalue pair closes by 4x or more at twice the steps, the step
+    count, not the curve, is at fault: under a sixth-order step an
+    unresolved double multiplier's spread goes as steps^-3.  The error
+    then says to raise steps_eps."""
     tol = scenario.tolerances
     curve = scenario.curve
     grid = scenario.grid(mode)
     if mode == "eps":
         # The quadrature reads the whole eps = 0 trajectory, so this flow
         # is integrated on its own rather than as an endpoint.
-        sol0 = integrate(curve, np.eye(4), scenario.T, tol.steps_eps, 0.0, tol.drift)
+        steps = scenario.steps(mode)
+        sol0 = integrate(curve, np.eye(4), scenario.T, steps, 0.0, tol.drift)
         base = endpoint(sol0)
         where = "endpoint at eps = 0"
     else:
@@ -289,6 +302,11 @@ def family(scenario, mode):
         where = "initial matrix"
     lam = detect_double_unitary(base, tol.cluster, tol.circle)
     if lam is None:
+        if mode == "eps":
+            finer, _ = endpoints(curve, np.eye(4), scenario.T, 2 * steps, 0.0, tol.drift)
+            if _nearest_spread(base) >= 4.0 * _nearest_spread(finer[0]):
+                raise NoDoubleMultiplierError(
+                    f"{where} is not resolved at steps_eps = {steps}; raise steps_eps")
         raise NoDoubleMultiplierError(f"{where} has no double unit-circle multiplier pair")
     pair = jordan_pair(base, lam)
     if mode == "eps":
@@ -303,14 +321,14 @@ def family(scenario, mode):
 def family_endpoints(scenario, mode, params):
     """The family's matrix at every parameter in ``params``, in one batch:
     the flow from the initial matrix to time s ("t"), or the flow from the
-    identity over [0, T] at eps = s ("eps").  Shape (len(params), 4, 4)."""
+    identity over [0, T] at eps = s ("eps"), each of
+    ``scenario.steps(mode)`` steps.  Shape (len(params), 4, 4)."""
     tol = scenario.tolerances
+    steps = scenario.steps(mode)
     if mode == "eps":
-        ends, _ = endpoints(scenario.curve, np.eye(4), scenario.T, tol.steps_eps,
-                            params, tol.drift)
+        ends, _ = endpoints(scenario.curve, np.eye(4), scenario.T, steps, params, tol.drift)
     else:
-        ends, _ = endpoints(scenario.curve, scenario.gamma0, params, tol.steps_t, 0.0,
-                            tol.drift)
+        ends, _ = endpoints(scenario.curve, scenario.gamma0, params, steps, 0.0, tol.drift)
     return ends
 
 

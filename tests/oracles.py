@@ -3,12 +3,14 @@
 These deliberately avoid the package's own code paths: determinants by
 cofactor expansion, the matrix exponential by scaling and squaring,
 characteristic coefficients by sampling the determinant and solving a
-Vandermonde system, flow endpoints by the sequential RK4 loop, mixed
-exterior powers by one determinant call per column assignment, and
-eps-derivatives by walking the tree at one point at a time.  The chunk
-engine that allocates its arrays afresh in every chunk and evaluates A
-once per (time, flow) pair is kept verbatim as ``flows_allocating``, the
-bitwise reference of the workspace engine in ``kreinsplit.flow``; the
+Vandermonde system, flow endpoints by the sequential Magnus loop
+(``magnus_reference``, the reference of the chunk engine in
+``kreinsplit.flow``), mixed exterior powers by one determinant call per
+column assignment, and eps-derivatives by walking the tree at one point
+at a time.  Two RK4 integrators, which share no step formula with the
+Magnus engine, cross-check it: the sequential loop ``rk4_reference``, and
+the RK4 chunk engine that allocates its arrays afresh in every chunk and
+evaluates A once per (time, flow) pair, kept as ``flows_allocating``; the
 Newton polish that evaluates through method calls is kept verbatim as
 ``polish_loop``, the bitwise reference of ``kreinsplit.linalg._polish``.
 The compiler that generated Python source for a list of trees and ran it
@@ -44,14 +46,15 @@ def det_cofactor(A):
 
 
 def expm_taylor(X, order=30):
-    """Matrix exponential by scaling and squaring with a Taylor core."""
+    """Matrix exponential by scaling and squaring with a Taylor core; a
+    stack of matrices is scaled as one, by its largest entry."""
     Y = np.asarray(X, dtype=float)
     squarings = 0
     while np.max(np.abs(Y)) > 0.25:
         Y = Y / 2.0
         squarings += 1
-    E = np.eye(Y.shape[0])
-    term = np.eye(Y.shape[0])
+    E = np.eye(Y.shape[-1])
+    term = np.eye(Y.shape[-1])
     for k in range(1, order):
         term = term @ Y / k
         E = E + term
@@ -110,7 +113,37 @@ def rk4_reference(curve, gamma_init, T, steps, eps=0.0):
     return G
 
 
-# --- the allocating chunk engine ------------------------------------------------
+def magnus_reference(curve, gamma_init, T, steps, eps=0.0):
+    """Endpoint of dG/dt = J4 A(t, eps) G over [0, T] by the sequential
+    sixth-order Magnus loop, one step at a time: B_i = h J4 A at the step's
+    three Gauss-Legendre nodes, the generator Omega of Blanes, Casas & Ros
+    (BIT 40, 2000), then G <- expm_taylor(Omega) G, which rounds every step
+    against the identity."""
+    h = float(T) / steps
+    c = np.sqrt(15.0) / 10.0
+    mids = np.arange(steps) + 0.5
+    nodes = np.stack([mids - c, mids, mids + c], axis=1) / steps * float(T)
+    A = curve.eval_matrix_batch(nodes.ravel(), eps).reshape(steps, 3, 4, 4)
+
+    B = h * _j4(A)
+    B1, B2, B3 = B[:, 0], B[:, 1], B[:, 2]
+
+    def comm(X, Y):
+        return X @ Y - Y @ X
+
+    a1 = B2
+    a2 = np.sqrt(15.0) / 3.0 * (B3 - B1)
+    a3 = 10.0 / 3.0 * (B3 - 2.0 * B2 + B1)
+    C1 = comm(a1, a2)
+    C2 = -comm(a1, 2.0 * a3 + C1) / 60.0
+    omegas = a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + C1, a2 + C2) / 240.0
+    G = np.array(gamma_init, dtype=float)
+    for step in expm_taylor(omegas):
+        G = step @ G
+    return G
+
+
+# --- the allocating RK4 chunk engine ---------------------------------------------
 
 def _j4(X):
     """J4 @ X for a stack of 4-row matrices: a row swap with a sign flip."""
@@ -167,8 +200,8 @@ def _times(Ts, steps, halves):
 # An overflowing flow shows as a NaN drift (NonConformingFlowError), not as warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def flows_allocating(curve, gamma_init, horizons, steps, eps_values, keep):
-    """The chunk engine behind ``endpoints``, with its arguments.  Returns
-    the K horizons and eps values, the states (all of them,
+    """The RK4 chunk engine that preceded the Magnus step, with the
+    arguments of ``endpoints``.  Returns the K horizons and eps values, the states (all of them,
     (steps + 1, K, 4, 4), when ``keep``, else the endpoints) and drifts."""
     G = np.asarray(gamma_init)
     if G.shape != (4, 4):

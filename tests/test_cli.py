@@ -25,9 +25,10 @@ def test_load_minimal_scenario_fills_defaults():
     assert sc.name == "degenerate_a0"
     assert sc.T == 1.0
     assert sc.t_grid.count == 16
-    # 16 RK4 steps, within one flow-engine chunk, is the t-family default:
-    # RK4's truncation error stays below roundoff for s|B| up to 0.015.
-    assert sc.tolerances.steps_t == 16
+    # 4 Magnus steps is the t-family default: on the short t flows the
+    # sixth-order step's error stays below roundoff (2 to 128 steps give the
+    # same oracle errors on the shipped t scenarios).
+    assert sc.tolerances.steps_t == 4
     assert sc.gamma0.tobytes() == make_jordan_symplectic(np.pi / 3, np.eye(2)).tobytes()
 
 
@@ -479,21 +480,30 @@ def test_eps_batch_domain_error_is_located(tmp_path, capsys):
     assert "entry (0,1)" in err and "(t, eps) = " in err
 
 
-@pytest.mark.parametrize("text, reason, where", [
+@pytest.mark.parametrize("text, steps_eps, reason, where", [
     # Finite at eps = 0, so the base flow runs; the endpoint batch, which
-    # evaluates A on a column of times against a row of eps, fails.
-    ("0.2*eps*t + sqrt(5e-4 - eps)*0", "sqrt out of domain",
-     "(t, eps) = (0.0, 0.0005411695265464637) (subexpression at offset 12)"),
-    # The base flow at eps = 0 meets the pole at its node t = 0.5.
-    ("1/(t - 0.5 - eps*100)*0", "division by zero",
+    # evaluates A on a column of times against a row of eps, fails at its
+    # first Gauss node, t = (1/2 - sqrt(15)/10) / 192.
+    ("0.2*eps*t + sqrt(5e-4 - eps)*0", None, "sqrt out of domain",
+     "(t, eps) = (0.0005869878405169703, 0.0005411695265464637) (subexpression at offset 12)"),
+    # No Gauss node of the base flow meets the pole at t = 0.5, but the
+    # sizing of steps_eps samples A(t, 0) at t = 0, 1/16, ..., 1 first.
+    ("1/(t - 0.5 - eps*100)*0", None, "division by zero",
      "(t, eps) = (0.5, 0.0) (subexpression at offset 1)"),
+    # With steps_eps given nothing is sampled, and the base flow at eps = 0
+    # meets the domain error at the first Gauss node past t = 0.5.
+    ("sqrt(0.5 - t)*0", 192, "sqrt out of domain",
+     "(t, eps) = (0.500586987840517, 0.0) (subexpression at offset 0)"),
     # A quotient in eps alone, non-finite only at the top of the eps grid.
-    ("0.2*eps*t + (eps - 1e-3)/(eps - 1e-3)*0", "division by zero",
-     "(t, eps) = (0.0, 0.001) (subexpression at offset 24)"),
-], ids=["batch-sqrt", "base-pole", "batch-eps-quotient"])
-def test_eps_family_domain_error_names_entry_and_point(tmp_path, capsys, text, reason, where):
+    ("0.2*eps*t + (eps - 1e-3)/(eps - 1e-3)*0", None, "division by zero",
+     "(t, eps) = (0.0005869878405169703, 0.001) (subexpression at offset 24)"),
+], ids=["batch-sqrt", "base-pole", "base-sqrt", "batch-eps-quotient"])
+def test_eps_family_domain_error_names_entry_and_point(tmp_path, capsys, text, steps_eps,
+                                                       reason, where):
     def edit(doc):
         doc["curve"]["entries"]["0,1"] = text
+        if steps_eps is not None:
+            doc["tolerances"] = {"steps_eps": steps_eps}
 
     path = _scenario_copy(tmp_path, SCENARIOS / "resonant_eps.json", edit)
     assert main(["verify", path, "--mode", "eps"]) == 2

@@ -259,9 +259,9 @@ def test_sum_derivative_oracle_error_below_roundoff_growth(pi3_report, pi3_neg_r
 
 
 def test_default_steps_t_agrees_with_128_times_more(pi3_scenario, pi3_report):
-    # Two-step-count check of the default: 2,048 RK4 steps (16 chunks)
+    # Two-step-count check of the default: 512 Magnus steps (4 chunks)
     # move neither fitted coefficient by more than 1e-8 relative.
-    tol = replace(pi3_scenario.tolerances, steps_t=2048)
+    tol = replace(pi3_scenario.tolerances, steps_t=128 * pi3_scenario.tolerances.steps_t)
     fine = compare(replace(pi3_scenario, tolerances=tol), mode="t").t
     base = pi3_report[0].t
     for name in ("kappa_empirical", "sum_derivative_empirical"):
@@ -275,8 +275,8 @@ def test_default_steps_t_agrees_with_128_times_more(pi3_scenario, pi3_report):
     ("jordan_pi3", GridSpec(lo=1e-7, hi=1e-1, count=16)),
 ], ids=["jordan_pi3", "jordan_pi3_neg", "jordan_pi3-grid-to-1e-1"])
 def test_default_steps_t_matches_128_steps_at_roundoff(name, grid):
-    # RK4's truncation error at the default 16 steps is below roundoff on
-    # the default grid, so 128 steps move the fitted coefficients only at
+    # The Magnus error at the default 4 steps is below roundoff on the
+    # default grid, so 128 steps move the fitted coefficients only at
     # roundoff, even on a grid reaching s = 1e-1, and leave the stability
     # verdict as it is.
     scenario = load_scenario(SCENARIOS / f"{name}.json")
@@ -349,7 +349,21 @@ def test_branch_quotient_diverges(pi3_report):
     assert abs(report.t.quotient_growth - 2.0) <= 0.2
 
 
-@pytest.mark.parametrize("c", [0.25, 0.5, 1.0])
+def _gauge_scenario(tmp_path, c, steps_eps=None):
+    """resonant_eps_gauge.json with the rotation amplitude c in place of
+    0.5, written under ``tmp_path``; ``steps_eps`` is set when given."""
+    text = (SCENARIOS / "resonant_eps_gauge.json").read_text()
+    text = text.replace("0.5*sin(", f"{c!r}*sin(")
+    text = text.replace("3.141592653589793*cos", f"{2 * np.pi * c!r}*cos")
+    doc = json.loads(text)
+    if steps_eps is not None:
+        doc["tolerances"] = {"steps_eps": steps_eps}
+    path = tmp_path / f"gauge_{c!r}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("c", [0.25, 0.5, 1.0, 2.0])
 def test_gauge_rotated_resonant_scenario_keeps_predictions_and_passes(
         c, resonant_scenario, tmp_path, capsys):
     # resonant_eps_gauge is resonant_eps under the time-periodic rotation
@@ -357,12 +371,8 @@ def test_gauge_rotated_resonant_scenario_keeps_predictions_and_passes(
     # c = 0.5: A' = phi' diag(1, 0, 1, 0) + R A R^T, so G'(t) = R(phi(t)) G(t).
     # As phi(0) = phi(T) = 0, G'(T, eps) = G(T, eps) for every eps and the
     # generator B is unchanged, while A'(t, 0) depends on t.  At c = 2 the
-    # predictions miss 1e-12 by RK4 truncation at steps_eps = 3,000.
-    text = (SCENARIOS / "resonant_eps_gauge.json").read_text()
-    text = text.replace("0.5*sin(", f"{c!r}*sin(")
-    text = text.replace("3.141592653589793*cos", f"{2 * np.pi * c!r}*cos")
-    path = tmp_path / "gauge.json"
-    path.write_text(text)
+    # predictions hold 1e-12 at the step count sized from A (468 steps).
+    path = _gauge_scenario(tmp_path, c)
     gauge = load_scenario(path)
     A0 = gauge.curve.eval_matrix_batch(np.linspace(0.0, 1.0, 9), 0.0)
     assert np.max(np.ptp(A0, axis=0)) > 1.0
@@ -372,3 +382,37 @@ def test_gauge_rotated_resonant_scenario_keeps_predictions_and_passes(
     assert abs(got.sum_derivative - want.sum_derivative) <= 1e-12 * abs(want.sum_derivative)
     assert main(["verify", str(path), "--mode", "eps"]) == 0
     assert json.loads(capsys.readouterr().out)["max_relative_error"] < 1e-5
+
+
+def test_fast_gauge_passes_at_the_sized_step_count(tmp_path, capsys):
+    # At c = 4 the base needs about 768 steps to resolve its double
+    # multiplier within the default cluster tolerance; the count sized
+    # from A(t, 0) is 886.
+    path = _gauge_scenario(tmp_path, 4.0)
+    assert load_scenario(path).steps("eps") == 886
+    assert main(["verify", str(path), "--mode", "eps"]) == 0
+    capsys.readouterr()
+
+
+def test_unresolved_base_asks_for_more_steps(tmp_path, capsys):
+    # At c = 2 and 128 steps the base pair is 1.2e-5 apart, above the
+    # cluster tolerance, and closes 8x at 256 steps: the step count, not
+    # the curve, is at fault.
+    path = _gauge_scenario(tmp_path, 2.0, steps_eps=128)
+    assert main(["verify", str(path), "--mode", "eps"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NoDoubleMultiplierError: endpoint at eps = 0 is not "
+                          "resolved at steps_eps = 128; raise steps_eps")
+
+
+def test_base_without_double_multiplier_is_reported_as_such(tmp_path, capsys):
+    # A p1^2 term in the base detunes its two rotations: the nearest
+    # multipliers stay 0.49 apart however many steps are taken.
+    doc = json.loads((SCENARIOS / "resonant_eps.json").read_text())
+    doc["curve"]["entries"]["2,2"] = "0.3 + eps*(1 + 0.3*sin(t))"
+    path = tmp_path / "detuned.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--mode", "eps"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NoDoubleMultiplierError: endpoint at eps = 0 has no "
+                          "double unit-circle multiplier pair")
