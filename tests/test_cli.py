@@ -355,7 +355,7 @@ def test_verify_tight_tolerance_exit_three(capsys):
 def test_verify_hypothesis_failure_exit_two(capsys):
     rc = main(["verify", str(DATA / "no_double.json")])
     assert rc == 2
-    capsys.readouterr()
+    assert "has no double unit-circle multiplier pair" in capsys.readouterr().err
 
 
 def test_verify_eps_mode(capsys):
