@@ -14,18 +14,19 @@ A step is a matrix I + D_n that depends only on A, so no step loop is
 needed.  One chunk engine runs K flows from one initial condition, each
 with its own horizon, grid and eps, _CHUNK steps at a time: h J4 A at the
 chunk's 3 _CHUNK Gauss nodes, written entry by entry from one evaluation
-of A; one batch of step increments D_n = exp(Omega_n) - I, from a Taylor
-series that never forms I; a log2-depth prefix scan that composes them
-while carrying only the increment of the product (small numbers keep
-their own rounding instead of being rounded against the identity); then
-the states G + D @ G from the previous chunk's last state, each checked
-for symplectic drift.  Every chunk-sized array lives in one workspace
-allocated per call, and each stage writes into it, so the chunk loop
-allocates nothing of its size.  When all K horizons are equal, A is
-evaluated on a column of times against a row of eps values, so a term in
-t alone is computed once per time rather than once per flow.  A is never
-evaluated at a grid node, so a singularity that falls between Gauss
-nodes goes unseen.
+of A; one batch of step increments D_n = exp(Omega_n) - I, from a
+degree-9 Taylor polynomial in four matrix products (Paterson-Stockmeyer)
+that never forms I, halving only the Omega_n whose max row sum reaches
+1/16; a log2-depth prefix scan that composes them while carrying only the
+increment of the product (small numbers keep their own rounding instead
+of being rounded against the identity); then the states G + D @ G from
+the previous chunk's last state, each checked for symplectic drift.
+Every chunk-sized array lives in one workspace allocated per call, and
+each stage writes into it, so the chunk loop allocates nothing of its
+size.  When all K horizons are equal, A is evaluated on a column of times
+against a row of eps values, so a term in t alone is computed once per
+time rather than once per flow.  A is never evaluated at a grid node, so
+a singularity that falls between Gauss nodes goes unseen.
 ``integrate`` is the K = 1 case and keeps every state, which the
 perturbation quadrature needs; ``endpoints`` keeps only the endpoints.
 Both run the same code, so they agree bit for bit.
@@ -43,7 +44,10 @@ from .linalg import J4, is_symplectic, max_abs, symplectic_inverse
 # points and five stacks of _CHUNK steps, each for all K flows; it is sized
 # by the chunk, never by the step count, and every chunk reuses it.  Longer
 # chunks cut the per-chunk Python work and the roundoff carried between
-# chunks, but grow the workspace.
+# chunks, but grow the workspace and the prefix scan, whose log2(_CHUNK)
+# levels take about _CHUNK log2(_CHUNK) products (769 at 128).  Per chunk,
+# exp(Omega) - I takes 4 products per step, plus one per halving where the
+# max row sum of |Omega| reaches 1/16.
 _CHUNK = 128
 
 # Offset of the outer Gauss-Legendre nodes from a step's midpoint, in steps.
@@ -113,23 +117,59 @@ def _scaled_j4a(hB, curve, ts, eps, h):
             np.multiply(vals, scale[j >= 2], out=hB[:, :, (j + 2) % 4, i])
 
 
-def _expm1(W, D, X):
+def _halvings(W, X):
+    """How many times :func:`_expm1` halves each matrix of the stack ``W``,
+    shape (n, K, 4, 4): 0 where the max row sum of |W| is below 1/16, else
+    the fewest halvings that bring it below.  Returns 0 when no matrix is
+    halved, else an array of shape (n, K).  ``X`` is scratch of W's shape.
+
+    No matrix has a row sum above the row sums of the entrywise max of |W|
+    over the stack, so one such max settles the common case; the row sums
+    of every matrix are taken only when it fails.
+    """
+    bound = np.abs(W, out=X).max(axis=0).max(axis=0).sum(axis=-1).max()
+    if 16.0 * bound < 1.0:
+        return 0
+    return np.maximum(np.frexp(X.sum(axis=-1).max(axis=-1) * 16.0)[1], 0)
+
+
+def _expm1(W, D, W2, W3, X):
     """D = exp(W) - I for a stack of matrices W, shape (n, K, 4, 4), from the
-    degree-10 Taylor series in Horner form, D <- W (I + D) / k, which never
-    forms I.  Where the max row sum of |W| exceeds 0.1, W is first halved s
-    times, exactly, and D squared back s times as 2 D + D^2, the increment of
-    (I + D)^2.  At 0.1 the truncated terms are below 3e-19.  ``W`` is
-    overwritten; ``X`` is scratch of the same shape."""
-    norm = np.abs(W, out=X).sum(axis=-1).max(axis=-1)
-    halvings = np.maximum(np.frexp(norm * 10.0)[1], 0)
-    squarings = int(halvings.max())
+    degree-9 Taylor series by Paterson & Stockmeyer (SIAM J. Comput. 2,
+    1973) in 4 matrix products, never forming I: with W2 = W W, W3 = W2 W,
+    B0 = W + W2/2! + W3/3!, B1 = W/4! + W2/5! + W3/6! and
+    B2 = W/7! + W2/8! + W3/9!, D = B0 + W3 (B1 + W3 B2).  Where the max row
+    sum of |W| is 1/16 or more, W is first halved s times, exactly
+    (:func:`_halvings`), and D squared back s times as 2 D + D^2, the
+    increment of (I + D)^2.  Below 1/16 the truncated terms are below
+    2.6e-19.  ``W`` is overwritten; ``W2``, ``W3`` and ``X`` are scratch of
+    its shape."""
+    halvings = _halvings(W, X)
+    squarings = int(np.max(halvings))
     if squarings:
         np.ldexp(W, -halvings[..., None, None], out=W)
-    np.divide(W, 10.0, out=D)
-    for k in range(9, 0, -1):
-        np.matmul(W, D, out=X)
-        X += W
-        np.divide(X, k, out=D)
+    np.matmul(W, W, out=W2)
+    np.matmul(W2, W, out=W3)
+    # Smallest terms first, so that only the last addition, of W, rounds
+    # at the scale of D.
+    np.multiply(W3, 1 / 362880, out=D)
+    np.multiply(W2, 1 / 40320, out=X)
+    D += X
+    np.multiply(W, 1 / 5040, out=X)
+    D += X                        # B2
+    np.matmul(W3, D, out=X)
+    np.multiply(W3, 1 / 720, out=D)
+    X += D
+    np.multiply(W2, 1 / 120, out=D)
+    X += D
+    np.multiply(W, 1 / 24, out=D)
+    X += D                        # B1 + W3 B2
+    np.matmul(W3, X, out=D)
+    W3 *= 1 / 6
+    D += W3
+    W2 *= 0.5
+    D += W2
+    D += W                        # B0 + W3 (B1 + W3 B2)
     for j in range(squarings):
         np.matmul(D, D, out=X)
         X += D
@@ -180,7 +220,7 @@ def _step_increments(hB, D, P, Q, S, X):
     Q /= 12.0
     Q += B2
     Q += D                        # Omega
-    _expm1(Q, D, X)
+    _expm1(Q, D, P, S, X)
 
 
 def _times(Ts, steps, positions):

@@ -261,10 +261,12 @@ class Family:
     For the time family the base is the initial matrix and the drive is
     A(0, 0); for the eps family the base is the endpoint G(T) at eps = 0
     and the drive is the effective perturbation generator B.  ``grid``
-    holds the family's grid points (:meth:`Scenario.grid`).
+    holds the family's grid points (:meth:`Scenario.grid`) and ``steps``
+    the step count of its flows (:meth:`Scenario.steps`).
     """
 
     grid: np.ndarray
+    steps: int
     base: np.ndarray
     pair: JordanPair
     drive: np.ndarray
@@ -290,10 +292,10 @@ def family(scenario, mode):
     tol = scenario.tolerances
     curve = scenario.curve
     grid = scenario.grid(mode)
+    steps = scenario.steps(mode)
     if mode == "eps":
         # The quadrature reads the whole eps = 0 trajectory, so this flow
         # is integrated on its own rather than as an endpoint.
-        steps = scenario.steps(mode)
         sol0 = integrate(curve, np.eye(4), scenario.T, steps, 0.0, tol.drift)
         base = endpoint(sol0)
         where = "endpoint at eps = 0"
@@ -315,16 +317,19 @@ def family(scenario, mode):
     else:
         drive = curve.eval_matrix(0.0, 0.0)
         coeffs = expansion_t(pair, drive)
-    return Family(grid=grid, base=base, pair=pair, drive=drive, coeffs=coeffs)
+    return Family(grid=grid, steps=steps, base=base, pair=pair, drive=drive,
+                  coeffs=coeffs)
 
 
-def family_endpoints(scenario, mode, params):
+def family_endpoints(scenario, mode, params, steps=None):
     """The family's matrix at every parameter in ``params``, in one batch:
     the flow from the initial matrix to time s ("t"), or the flow from the
-    identity over [0, T] at eps = s ("eps"), each of
-    ``scenario.steps(mode)`` steps.  Shape (len(params), 4, 4)."""
+    identity over [0, T] at eps = s ("eps"), each of ``steps`` steps
+    (``Family.steps``; by default ``scenario.steps(mode)``).  Shape
+    (len(params), 4, 4)."""
     tol = scenario.tolerances
-    steps = scenario.steps(mode)
+    if steps is None:
+        steps = scenario.steps(mode)
     if mode == "eps":
         ends, _ = endpoints(scenario.curve, np.eye(4), scenario.T, steps, params, tol.drift)
     else:
@@ -345,7 +350,7 @@ def _oracle(scenario, mode):
     probe = scenario.tolerances.probe
     n = grid.size
     params = np.concatenate([grid, [4.0 * np.min(grid)], [probe, -probe] if mode == "t" else []])
-    polys = charpoly(family_endpoints(scenario, mode, params), lam)
+    polys = charpoly(family_endpoints(scenario, mode, params, fam.steps), lam)
     roots = [quartic_roots(p) for p in polys]
 
     tr = track(polys[:n], roots[:n], lam, grid, a_seed=coeffs.a)

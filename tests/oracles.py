@@ -18,9 +18,14 @@ through ``eval`` is kept verbatim as ``compile_generated``, the bitwise
 reference of the closures of ``kreinsplit.expr.compile_array``.  The
 Puiseux fit that solved both branches as one weighted least-squares
 system is kept verbatim as ``fit_joint``, the reference of the
-parity-split ``kreinsplit.verify.fit_puiseux``.
+parity-split ``kreinsplit.verify.fit_puiseux``.  The degree-10 Horner
+series for exp(W) - I with its per-matrix scaling is kept verbatim as
+``expm1_horner``, the reference of the Paterson-Stockmeyer
+``kreinsplit.flow._expm1``, and ``expm1_decimal`` sums the Taylor series
+of one matrix in 50-digit decimal arithmetic.
 """
 
+from decimal import Decimal, localcontext
 from itertools import combinations, permutations
 
 import numpy as np
@@ -61,6 +66,48 @@ def expm_taylor(X, order=30):
     for _ in range(squarings):
         E = E @ E
     return E
+
+
+def expm1_horner(W, D, X):
+    """D = exp(W) - I for a stack of matrices W, shape (n, K, 4, 4), from the
+    degree-10 Taylor series in Horner form, D <- W (I + D) / k, which never
+    forms I.  Where the max row sum of |W| exceeds 0.1, W is first halved s
+    times, exactly, and D squared back s times as 2 D + D^2, the increment of
+    (I + D)^2.  At 0.1 the truncated terms are below 3e-19.  ``W`` is
+    overwritten; ``X`` is scratch of the same shape."""
+    norm = np.abs(W, out=X).sum(axis=-1).max(axis=-1)
+    halvings = np.maximum(np.frexp(norm * 10.0)[1], 0)
+    squarings = int(halvings.max())
+    if squarings:
+        np.ldexp(W, -halvings[..., None, None], out=W)
+    np.divide(W, 10.0, out=D)
+    for k in range(9, 0, -1):
+        np.matmul(W, D, out=X)
+        X += W
+        np.divide(X, k, out=D)
+    for j in range(squarings):
+        np.matmul(D, D, out=X)
+        X += D
+        X += D
+        np.copyto(D, X, where=(halvings > j)[..., None, None])
+
+
+def expm1_decimal(W, terms=120):
+    """exp(W) - I for one real square matrix W, the first ``terms`` terms
+    of its Taylor series summed in 50-digit decimal arithmetic from the
+    exact values of W's entries, rounded to float at the end.  At a max
+    row sum of 8 the omitted terms are below 1e-90."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        M = [[Decimal(float(x)) for x in row] for row in W]
+        n = len(M)
+        term = [row[:] for row in M]
+        total = [row[:] for row in M]
+        for k in range(2, terms + 1):
+            term = [[sum(term[i][m] * M[m][j] for m in range(n)) / k for j in range(n)]
+                    for i in range(n)]
+            total = [[total[i][j] + term[i][j] for j in range(n)] for i in range(n)]
+    return np.array([[float(x) for x in row] for row in total])
 
 
 def charpoly_by_sampling(M, center):

@@ -16,12 +16,23 @@ from kreinsplit.errors import (
     NonConformingFlowError,
     NonSymplecticError,
 )
-from kreinsplit.flow import _CHUNK, _GAUSS, FlowSolution, _hB_workspace, _scaled_j4a, endpoints
+from kreinsplit.flow import (
+    _CHUNK,
+    _GAUSS,
+    FlowSolution,
+    _expm1,
+    _halvings,
+    _hB_workspace,
+    _scaled_j4a,
+    endpoints,
+)
 from kreinsplit.spectral import eigenvalues
 
 from oracles import (
     _j4,
     best_match_distance,
+    expm1_decimal,
+    expm1_horner,
     expm_taylor,
     flows_allocating,
     magnus_reference,
@@ -293,6 +304,66 @@ def test_scaled_j4a_bitwise_equal_filled_matrices(entries):
     A = curve.eval_matrix_batch(ts.ravel(), np.broadcast_to(eps, ts.shape).ravel())
     want = _j4(A.reshape(9, 3, 4, 4)) * h[:, None, None]
     assert _bits(hB) == _bits(want)
+
+
+def _hamiltonian_stack(rng, row_sums, K):
+    """Matrices J4 S, S random symmetric, scaled to the given max row sums
+    of their absolute values; shape (len(row_sums) // K, K, 4, 4)."""
+    W = np.array([J4 @ random_symmetric4(rng) for _ in row_sums])
+    W *= (np.asarray(row_sums) / np.abs(W).sum(axis=-1).max(axis=-1))[:, None, None]
+    return W.reshape(-1, K, 4, 4)
+
+
+def _per_matrix_halvings(W):
+    """The halvings that bring every matrix's max row sum of |W| below
+    1/16, matrix by matrix."""
+    return np.maximum(np.frexp(np.abs(W).sum(axis=-1).max(axis=-1) * 16.0)[1], 0)
+
+
+def test_expm1_matches_horner_and_decimal_references():
+    # One stack whose max row sums span 1e-8 to 8 and straddle 1/16, so
+    # that halved and unhalved matrices share a call.  Per matrix, against
+    # the degree-10 Horner series and the 50-digit Taylor sum, relative to
+    # the largest entry of exp(W) - I (measured at most 4.5e-16 and
+    # 7.6e-16).  The last two matrices have equal entries, so their powers
+    # grow as fast as their row sums allow, and the series' last terms count
+    # most just below and just above 1/16.
+    rng = np.random.default_rng(41)
+    row_sums = np.concatenate([np.geomspace(1e-8, 8.0, 20), [0.0624, 0.0626, 0.09, 0.11]])
+    equal = np.ones((1, 2, 4, 4)) * np.array([0.0624, 0.0626])[None, :, None, None] / 4.0
+    W = np.concatenate([_hamiltonian_stack(rng, row_sums, K=2), equal])
+    assert 0 < np.count_nonzero(_per_matrix_halvings(W)) < W.shape[0] * W.shape[1]
+    D = np.empty_like(W)
+    _expm1(W.copy(), D, *np.empty((3,) + W.shape))
+    horner = np.empty_like(W)
+    expm1_horner(W.copy(), horner, np.empty_like(W))
+    for idx in np.ndindex(W.shape[:2]):
+        ref = expm1_decimal(W[idx])
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(D[idx] - ref)) <= 1e-15 * scale, idx
+        assert np.max(np.abs(D[idx] - horner[idx])) <= 1e-15 * scale, idx
+
+
+@pytest.mark.parametrize("row_sums", [
+    np.geomspace(1e-8, 1e-3, 8),        # far below the stack-wide bound
+    np.full(8, 0.0624),                 # bound fails, yet no matrix is halved
+    np.full(8, 1 / 16),                 # on the threshold: halved once or not at all
+    np.geomspace(1e-8, 8.0, 8),         # halved and unhalved in one stack
+    np.append(np.full(7, 1e-8), 0.1),   # one flow's last step alone is halved
+])
+def test_halvings_match_the_per_matrix_rule(row_sums):
+    # The stack-wide bound, the row sums of the entrywise max of |W|, gives
+    # the per-matrix rule's halvings.  A matrix whose first row alone is
+    # filled has its max row sum in that row and every column sum at a
+    # quarter of it, so a bound on the wrong axis lets it through.
+    rng = np.random.default_rng(42)
+    W = _hamiltonian_stack(rng, row_sums, K=2)
+    one_row = np.zeros((4, 4))
+    one_row[0] = row_sums[0] / 4.0
+    for W_case in (W, np.broadcast_to(one_row, W.shape).copy()):
+        got = _halvings(W_case, np.empty_like(W_case))
+        assert np.array_equal(np.broadcast_to(got, W_case.shape[:2]),
+                              _per_matrix_halvings(W_case))
 
 
 def _chunk_points(horizons, steps, eps_values):

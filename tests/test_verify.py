@@ -24,7 +24,7 @@ from kreinsplit.errors import (
     TrackingAmbiguityError,
 )
 from kreinsplit.cli import main
-from kreinsplit.scenario import GridSpec, load_scenario
+from kreinsplit.scenario import GridSpec, Scenario, load_scenario
 from kreinsplit.verify import BranchTrack, _stability_probe, family, family_endpoints
 from oracles import fit_joint
 
@@ -256,6 +256,17 @@ def test_sum_derivative_oracle_error_below_roundoff_growth(pi3_report, pi3_neg_r
     assert pi3_report[0].t.relative_errors["sum_derivative"] <= 1e-8
     assert pi3_neg_report[0].t.relative_errors["sum_derivative"] <= 1e-8
     assert resonant_report[0].eps.relative_errors["sum_derivative"] <= 1e-7
+
+
+def test_eps_family_sizes_its_steps_once(resonant_scenario, monkeypatch):
+    # Sizing steps_eps evaluates A at 17 points; the family's endpoint
+    # batch reuses the count that family() sized.
+    modes = []
+    sized = Scenario.steps
+    monkeypatch.setattr(Scenario, "steps",
+                        lambda self, mode: modes.append(mode) or sized(self, mode))
+    compare(resonant_scenario, mode="eps")
+    assert modes == ["eps"]
 
 
 def test_default_steps_t_agrees_with_128_times_more(pi3_scenario, pi3_report):
