@@ -18,7 +18,6 @@ from .bifurcation import (
     expansion_eps,
     expansion_t,
     ladder,
-    ladder_closed_forms,
     predict_branches,
 )
 from .errors import (
@@ -26,7 +25,7 @@ from .errors import (
     InputError,
     KreinsplitError,
 )
-from .expr import SymmetricCurve, evaluate, parse, pretty
+from .expr import SymmetricCurve, evaluate, parse
 from .flow import FlowSolution, endpoint, endpoints, integrate, perturbation_hamiltonian
 from .linalg import (
     J4,
@@ -65,7 +64,6 @@ __all__ = [
     "SymmetricCurve",
     "parse",
     "evaluate",
-    "pretty",
     "FlowSolution",
     "integrate",
     "endpoint",
@@ -81,7 +79,6 @@ __all__ = [
     "ExpansionCoefficients",
     "StabilityVerdict",
     "ladder",
-    "ladder_closed_forms",
     "expansion_t",
     "expansion_eps",
     "classify_stability",

@@ -92,37 +92,6 @@ def ladder(gamma0, gammadot0, lambda0):
                              a_squared=c31 / c[2], lambda0=lambda0)
 
 
-def ladder_closed_forms(pair, A0):
-    """Inner-product closed forms for the two mixed coefficients.
-
-    Independent of the exterior-power route: with d = L - conj(L),
-    G1 = <A eta1, eta1>/<eta2, J eta1>, G2 = <A eta1, eta2>/<eta1, J eta2>,
-    G3 = <A eta2, eta1>/<eta2, J eta1> and
-    G4 = <A eta1, eta1><eta2, J eta2>/(<eta2, J eta1><eta1, J eta2>),
-
-        c31 = L^2 d^2 G1,
-        c21 = (2 L^2 d + L d^2) G1 + L d^2 (G2 + G3 - G4).
-
-    Returns (c31, c21).
-    """
-    A0 = as_mat4(A0)
-    lam = pair.lambda0
-    d = lam - np.conj(lam)
-    g1, g2, g3, g4 = _g_terms(pair, A0, inner(A0 @ pair.eta1, pair.eta1))
-    c31 = lam ** 2 * d ** 2 * g1
-    c21 = (2.0 * lam ** 2 * d + lam * d ** 2) * g1 + lam * d ** 2 * (g2 + g3 - g4)
-    return c31, c21
-
-
-def _g_terms(pair, A0, num):
-    """G1, G2, G3 and G4 of :func:`ladder_closed_forms`, given
-    num = <A0 eta1, eta1>."""
-    return (num / pair.form_21,
-            inner(A0 @ pair.eta1, pair.eta2) / pair.form_12,
-            inner(A0 @ pair.eta2, pair.eta1) / pair.form_21,
-            num * pair.form_22 / (pair.form_21 * pair.form_12))
-
-
 def expansion_t(pair, A0):
     """Splitting asymptotics for the time family driven by A0 = A(0).
 
@@ -134,7 +103,10 @@ def expansion_t(pair, A0):
     num = inner(A0 @ pair.eta1, pair.eta1)
     if abs(num) <= 1e-10:
         raise DegenerateCaseError(num)
-    ratio, g2, g3, g4 = _g_terms(pair, A0, num)
+    ratio = num / pair.form_21
+    g2 = inner(A0 @ pair.eta1, pair.eta2) / pair.form_12
+    g3 = inner(A0 @ pair.eta2, pair.eta1) / pair.form_21
+    g4 = num * pair.form_22 / (pair.form_21 * pair.form_12)
     kappa = float(ratio.real)
     bracket = ratio + g2 + g3 - g4
     sum_derivative = lam * bracket
@@ -174,10 +146,6 @@ class StabilityVerdict:
 
     verdict: str
     kappa: float
-
-    @property
-    def forward_unstable(self):
-        return self.verdict == UNSTABLE_FORWARD
 
 
 def classify_stability(coeffs, tol=1e-10):

@@ -6,13 +6,13 @@ sqrt and abs.  Precedence is ``^`` above unary minus above ``*``/``/``
 above ``+``/``-``; ``^`` is right-associative, everything else is left-
 associative.  Text may nest at most :data:`MAX_DEPTH` levels deep.
 
-One operator table gives each operator its text, double-precision function
-and numpy function, read by :func:`pretty`, by :func:`evaluate` (the
-reference walker, which raises on division by zero or a negative square
-root instead of producing NaN, and locates non-finite values in the source
-text) and by the numpy closures of :func:`compile_array`; no source code is
-generated.  dA/deps is the symbolic derivative of each entry (:func:`d_eps`),
-compiled the same way.
+One operator table gives each operator its double-precision function and
+its numpy function, read by :func:`evaluate` (the reference walker, which
+raises on division by zero or a negative square root instead of producing
+NaN, and locates non-finite values in the source text) and by the numpy
+closures of :func:`compile_array`; no source code is generated.  dA/deps
+is the symbolic derivative of each entry (:func:`d_eps`), compiled the
+same way.
 """
 
 import math
@@ -250,24 +250,24 @@ def parse(source):
 
 
 # --- the operator table -----------------------------------------------------
-# Each operator's text, double-precision function and numpy function.  A
-# Call is keyed by its function name; log and sign come only from d_eps.
+# Each operator's double-precision function and numpy function.  A Call is
+# keyed by its function name; log and sign come only from d_eps.
 
 _OPS = {
-    Neg: ("-", operator.neg, operator.neg),
-    Add: ("+", operator.add, operator.add),
-    Sub: ("-", operator.sub, operator.sub),
-    Mul: ("*", operator.mul, operator.mul),
+    Neg: (operator.neg, operator.neg),
+    Add: (operator.add, operator.add),
+    Sub: (operator.sub, operator.sub),
+    Mul: (operator.mul, operator.mul),
     # np.divide, not "/": two Python floats would raise on a zero divisor
-    Div: ("/", operator.truediv, np.divide),
-    Pow: ("^", math.pow, np.power),
-    "sin": ("sin", math.sin, np.sin),
-    "cos": ("cos", math.cos, np.cos),
-    "exp": ("exp", math.exp, np.exp),
-    "sqrt": ("sqrt", math.sqrt, np.sqrt),
-    "abs": ("abs", math.fabs, np.abs),
-    "log": ("log", math.log, np.log),
-    "sign": ("sign", lambda x: math.copysign(1.0, x) if x else 0.0, np.sign),
+    Div: (operator.truediv, np.divide),
+    Pow: (math.pow, np.power),
+    "sin": (math.sin, np.sin),
+    "cos": (math.cos, np.cos),
+    "exp": (math.exp, np.exp),
+    "sqrt": (math.sqrt, np.sqrt),
+    "abs": (math.fabs, np.abs),
+    "log": (math.log, np.log),
+    "sign": (lambda x: math.copysign(1.0, x) if x else 0.0, np.sign),
 }
 
 
@@ -297,25 +297,10 @@ def evaluate(e, t, eps):
     else:
         raise TypeError(f"not an expression node: {e!r}")
     try:
-        return _OPS[e.fn if kind is Call else kind][1](*args)
+        return _OPS[e.fn if kind is Call else kind][0](*args)
     except (ValueError, OverflowError) as exc:
         what = e.fn if kind is Call else "power"
         raise ExprDomainError(e.offset, f"{what} out of domain: {exc}") from None
-
-
-def pretty(e):
-    """Render an AST back to text that reparses to an equal tree."""
-    kind = type(e)
-    if kind is Num:
-        return repr(e.value)
-    if kind is Var:
-        return e.name
-    text = _OPS[e.fn if kind is Call else kind][0]
-    if kind is Call:
-        return f"{text}({pretty(e.arg)})"
-    if kind is Neg:
-        return f"({text}{pretty(e.arg)})"
-    return f"({pretty(e.lhs)} {text} {pretty(e.rhs)})"
 
 
 def contains_eps(e):
@@ -404,7 +389,7 @@ def _closure(e, depth=0):
         return lambda t, eps, value=e.value: value
     if kind is Var:
         return (lambda t, eps: t) if e.name == "t" else (lambda t, eps: eps)
-    fn = _OPS[e.fn if kind is Call else kind][2]
+    fn = _OPS[e.fn if kind is Call else kind][1]
     if kind is Neg or kind is Call:
         arg = _closure(e.arg, depth + 1)
         return lambda t, eps: fn(arg(t, eps))

@@ -74,10 +74,6 @@ class FlowSolution:
     def conforming(self):
         return self.drift <= self.drift_tol
 
-    @property
-    def T(self):
-        return float(self.ts[-1])
-
 
 def _drift(states, work):
     """Each flow's largest entrywise |G^T J4 G - J4| over a stack of

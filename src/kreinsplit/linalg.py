@@ -10,7 +10,7 @@ scalars are double precision; matrices are plain numpy arrays.
 import cmath
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, isfinite
+from math import isfinite
 
 import numpy as np
 
@@ -149,18 +149,6 @@ class QuarticPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def magnitude(self):
-        """Coefficient max-norm, used to scale residual tolerances."""
-        return max(abs(c) for c in self.coeffs)
-
-    def to_absolute(self):
-        """Coefficients of the same polynomial expanded about 0."""
-        out = [0j] * 5
-        for k, ck in enumerate(self.coeffs):
-            for j in range(k + 1):
-                out[j] += ck * comb(k, j) * (-self.center) ** (k - j)
-        return tuple(out)
 
 
 def charpoly(M, lambda0):

@@ -19,6 +19,11 @@ from .expr import SymmetricCurve
 from .linalg import is_symplectic
 from .spectral import make_jordan_symplectic
 
+# Caps on a grid's points and a flow's steps.  A grid point is one flow of the
+# endpoint batch (128 KiB of chunk workspace); integrate keeps 128 B a step.
+MAX_GRID_COUNT = 1024
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -41,9 +46,9 @@ class Tolerances:
 
     cluster / circle feed multiplier detection; drift flags flow
     solutions; steps_t and steps_eps are the step counts of the sixth-order
-    Magnus flows (flow.integrate) of the time-family tracking and of the
-    [0, T] endpoints; probe is the |t| used by the stability dichotomy
-    check.
+    Magnus flows of the time family (flow.endpoints) and of the eps family
+    (flow.integrate's eps = 0 base, flow.endpoints over [0, T]), at most
+    MAX_STEPS; probe is the |t| used by the stability dichotomy check.
 
     A Magnus step is exact where A is constant, and its error over [0, s]
     falls like steps^-6 with the variation of B = J4 A over the step
@@ -93,7 +98,7 @@ class Scenario:
         the base pair of resonant_eps lies 1.8e-8 apart, the floor that
         roundoff sets, and that of resonant_eps_gauge 1.1e-7 apart, both
         well inside the default cluster = 1e-6; a curve whose A varies
-        faster gets steps in proportion to T beta."""
+        faster gets steps in proportion to T beta; past MAX_STEPS, InputError."""
         tol = self.tolerances
         if mode == "t":
             return tol.steps_t
@@ -101,7 +106,11 @@ class Scenario:
             return tol.steps_eps
         A = self.curve.eval_matrix_batch(np.linspace(0.0, self.T, 17), 0.0)
         beta = float(np.abs(A).sum(axis=-1).max())
-        return max(192, math.ceil(self.T * beta / 0.03))
+        steps = max(192, math.ceil(self.T * beta / 0.03))
+        if steps > MAX_STEPS:
+            raise InputError(f"T = {self.T!r} sizes steps_eps at {steps} steps, "
+                             f"above the cap of {MAX_STEPS}")
+        return steps
 
 
 def _require_keys(obj, allowed, required, path):
@@ -149,6 +158,8 @@ def parse_grid(obj, path):
     count = obj.get("count", 16)
     if isinstance(count, bool) or not isinstance(count, int) or count < 4:
         raise SchemaError(f"{path}/count", "count must be an integer >= 4")
+    if count > MAX_GRID_COUNT:
+        raise SchemaError(f"{path}/count", f"count must be at most {MAX_GRID_COUNT}")
     log = obj.get("log", True)
     if not isinstance(log, bool):
         raise SchemaError(f"{path}/log", "log must be a boolean")
@@ -170,6 +181,8 @@ def _tolerances(obj, path):
             v = obj[key]
             if isinstance(v, bool) or not isinstance(v, int) or v < 2:
                 raise SchemaError(f"{path}/{key}", "must be an integer >= 2")
+            if v > MAX_STEPS:
+                raise SchemaError(f"{path}/{key}", f"must be at most {MAX_STEPS}")
             kwargs[key] = v
     return Tolerances(**kwargs)
 
@@ -245,7 +258,7 @@ def load_scenario(path):
         raise SchemaError("", f"not UTF-8 text: {exc}") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's 4,300 digits
         raise SchemaError("", f"invalid JSON: {exc}") from None
     except RecursionError:
         raise SchemaError("", "invalid JSON: nested too deeply") from None

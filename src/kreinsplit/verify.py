@@ -38,10 +38,6 @@ class BranchTrack:
     branch2: np.ndarray
     residuals: np.ndarray
 
-    def separations(self):
-        """Pointwise distance between the two branches."""
-        return np.abs(self.branch2 - self.branch1)
-
 
 def track(polys, roots, lambda0, grid, a_seed=None):
     """Track the two near eigenvalues of a matrix family over a grid.

@@ -23,17 +23,27 @@ series for exp(W) - I with its per-matrix scaling is kept verbatim as
 ``expm1_horner``, the reference of the Paterson-Stockmeyer
 ``kreinsplit.flow._expm1``, and ``expm1_decimal`` sums the Taylor series
 of one matrix in 50-digit decimal arithmetic.
+
+The rest are helpers that only tests read: the inner-product closed forms
+of the ladder's mixed coefficients (``ladder_closed_forms``, which computes
+its own pairings, so criterion 3 shares no arithmetic with ``expansion_t``),
+the six Krein pairings of a chain (``krein_pairings``), and small views of
+package values (``pretty``, ``magnitude``, ``to_absolute``, ``separations``,
+``forward_unstable``, ``conjugated``).
 """
 
 from decimal import Decimal, localcontext
 from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 
+from kreinsplit.bifurcation import UNSTABLE_FORWARD
 from kreinsplit.errors import IllConditionedFitError, NonSymplecticError
 from kreinsplit.expr import Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var, evaluate
 from kreinsplit.flow import _CHUNK
-from kreinsplit.linalg import J4, is_symplectic
+from kreinsplit.linalg import J4, is_symplectic, symplectic_form
+from kreinsplit.spectral import pair_from_vectors
 from kreinsplit.verify import PuiseuxFit
 
 
@@ -494,3 +504,109 @@ def fit_joint(tr, lambda0):
         "raw_quotient_smallest": complex(q[0]),
     }
     return PuiseuxFit(a=a_fit, mu=mu_fit, mu_sum=mu_sum, diagnostics=diagnostics)
+
+
+def ladder_closed_forms(pair, A0):
+    """Inner-product closed forms for the two mixed coefficients of
+    ``kreinsplit.bifurcation.ladder``.
+
+    Independent of the exterior-power route: with d = L - conj(L),
+    G1 = <A eta1, eta1>/<eta2, J eta1>, G2 = <A eta1, eta2>/<eta1, J eta2>,
+    G3 = <A eta2, eta1>/<eta2, J eta1> and
+    G4 = <A eta1, eta1><eta2, J eta2>/(<eta2, J eta1><eta1, J eta2>),
+
+        c31 = L^2 d^2 G1,
+        c21 = (2 L^2 d + L d^2) G1 + L d^2 (G2 + G3 - G4).
+
+    Every pairing is computed here from the chain vectors, with numpy's
+    vdot (<x, y> = vdot(y, x)), not read from the pair.  Returns (c31, c21).
+    """
+    A0 = np.asarray(A0, dtype=complex)
+    e1, e2 = pair.eta1, pair.eta2
+    f21 = complex(np.vdot(J4 @ e1, e2))
+    f12 = complex(np.vdot(J4 @ e2, e1))
+    f22 = complex(np.vdot(J4 @ e2, e2))
+    num = complex(np.vdot(e1, A0 @ e1))
+    g1 = num / f21
+    g2 = complex(np.vdot(e2, A0 @ e1)) / f12
+    g3 = complex(np.vdot(e1, A0 @ e2)) / f21
+    g4 = num * f22 / (f21 * f12)
+    lam = pair.lambda0
+    d = lam - np.conj(lam)
+    c31 = lam ** 2 * d ** 2 * g1
+    c21 = (2.0 * lam ** 2 * d + lam * d ** 2) * g1 + lam * d ** 2 * (g2 + g3 - g4)
+    return c31, c21
+
+
+def krein_pairings(pair):
+    """The six pairings <x, J y> that vanish at a genuine chain: eta1 with
+    itself and with both conjugates, eta2 with both conjugates, and conj
+    eta1 with itself."""
+    e1, e2 = pair.eta1, pair.eta2
+    e1b, e2b = np.conj(e1), np.conj(e2)
+    return {
+        "pair_11": complex(symplectic_form(e1, e1)),
+        "pair_1c1": complex(symplectic_form(e1, e1b)),
+        "pair_1c2": complex(symplectic_form(e1, e2b)),
+        "pair_2c1": complex(symplectic_form(e2, e1b)),
+        "pair_2c2": complex(symplectic_form(e2, e2b)),
+        "pair_c1c1": complex(symplectic_form(e1b, e1b)),
+    }
+
+
+def krein_pairings_ok(pair, tol=1e-8):
+    """True when the six pairings of ``krein_pairings`` vanish and the
+    forms have their reality structure (form_21 real, form_12 = -form_21,
+    form_22 imaginary), all within tol."""
+    if any(abs(v) > tol for v in krein_pairings(pair).values()):
+        return False
+    if abs(pair.form_21.imag) > tol or abs(pair.form_12 + pair.form_21) > tol:
+        return False
+    return abs(pair.form_22.real) <= tol
+
+
+def conjugated(pair):
+    """The pair at the conjugate multiplier (valid for real M)."""
+    return pair_from_vectors(np.conj(pair.lambda0), np.conj(pair.eta1),
+                             np.conj(pair.eta2), dict(pair.diagnostics))
+
+
+def magnitude(poly):
+    """Coefficient max-norm of a ``QuarticPoly``."""
+    return max(abs(c) for c in poly.coeffs)
+
+
+def to_absolute(poly):
+    """Coefficients of a ``QuarticPoly`` expanded about 0."""
+    out = [0j] * 5
+    for k, ck in enumerate(poly.coeffs):
+        for j in range(k + 1):
+            out[j] += ck * comb(k, j) * (-poly.center) ** (k - j)
+    return tuple(out)
+
+
+def separations(track):
+    """Pointwise distance between the two branches of a ``BranchTrack``."""
+    return np.abs(track.branch2 - track.branch1)
+
+
+def forward_unstable(verdict):
+    """True when a ``StabilityVerdict`` is unstable for positive parameter."""
+    return verdict.verdict == UNSTABLE_FORWARD
+
+
+_TEXT = {Add: "+", Sub: "-", Mul: "*", Div: "/", Pow: "^"}
+
+
+def pretty(e):
+    """Render an AST back to text that reparses to an equal tree."""
+    kind = type(e)
+    if kind is Num:
+        return repr(e.value)
+    if kind is Var:
+        return e.name
+    if kind is Call:
+        return f"{e.fn}({pretty(e.arg)})"
+    if kind is Neg:
+        return f"(-{pretty(e.arg)})"
+    return f"({pretty(e.lhs)} {_TEXT[kind]} {pretty(e.rhs)})"

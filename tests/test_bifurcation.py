@@ -13,7 +13,6 @@ from kreinsplit import (
     exterior_power,
     jordan_pair,
     ladder,
-    ladder_closed_forms,
     make_jordan_symplectic,
     pair_from_vectors,
     predict_branches,
@@ -21,7 +20,13 @@ from kreinsplit import (
 from kreinsplit.bifurcation import ExpansionCoefficients
 from kreinsplit.errors import DegenerateCaseError, ExcludedCaseError, InconclusiveError
 
-from oracles import random_symmetric2, random_symmetric4
+from oracles import (
+    conjugated,
+    forward_unstable,
+    ladder_closed_forms,
+    random_symmetric2,
+    random_symmetric4,
+)
 
 
 def reference_pair():
@@ -96,6 +101,19 @@ def test_ladder_matches_closed_forms_on_random_scenarios():
         assert abs(lad.c21 - c21) <= 1e-9 * abs(c21)
 
 
+def test_closed_forms_miss_the_ladder_of_another_drive():
+    # The reference must see the drive: closed forms of an independent drive
+    # miss the exterior-power ladder of A0 by far more than criterion 3's
+    # 1e-9 (by at least 0.22 relative over these 20 draws).
+    rng = np.random.default_rng(55)
+    for _ in range(20):
+        M, pair, A0 = random_jordan_scenario(rng)
+        lad = ladder(M, J4 @ A0 @ M, pair.lambda0)
+        c31, c21 = ladder_closed_forms(pair, random_symmetric4(rng))
+        assert abs(lad.c31 - c31) > 1e-2 * abs(lad.c31)
+        assert abs(lad.c21 - c21) > 1e-2 * abs(lad.c21)
+
+
 def test_expansion_consistent_with_ladder():
     rng = np.random.default_rng(51)
     for _ in range(10):
@@ -150,7 +168,7 @@ def test_expansion_conjugate_symmetry():
     rng = np.random.default_rng(54)
     _, pair, A0 = random_jordan_scenario(rng)
     co = expansion_t(pair, A0)
-    co_conj = expansion_t(pair.conjugated(), A0)
+    co_conj = expansion_t(conjugated(pair), A0)
     assert abs(co_conj.kappa - co.kappa) < 1e-9
     assert abs(co_conj.sum_derivative - np.conj(co.sum_derivative)) < 1e-9
     assert abs(co_conj.a ** 2 - np.conj(co.a ** 2)) < 1e-9
@@ -173,7 +191,7 @@ def test_classify_stability():
 
     assert classify_stability(with_kappa(0.7)).verdict == UNSTABLE_FORWARD
     assert classify_stability(with_kappa(-0.7)).verdict == STABLE_FORWARD
-    assert classify_stability(with_kappa(0.7)).forward_unstable
+    assert forward_unstable(classify_stability(with_kappa(0.7)))
     with pytest.raises(InconclusiveError):
         classify_stability(with_kappa(0.0))
 

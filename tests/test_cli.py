@@ -7,10 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kreinsplit import flow
 from kreinsplit.cli import _DEFAULT_MODE, apply_grid_override, build_parser, main
-from kreinsplit.errors import NonSymplecticError, SchemaError, SymmetryConflictError
+from kreinsplit.errors import InputError, NonSymplecticError, SchemaError, SymmetryConflictError
 from kreinsplit.expr import MAX_DEPTH
-from kreinsplit.scenario import GridSpec, load_scenario, parse_scenario
+from kreinsplit.scenario import (
+    MAX_GRID_COUNT,
+    MAX_STEPS,
+    GridSpec,
+    load_scenario,
+    parse_scenario,
+)
 from kreinsplit.spectral import make_jordan_symplectic
 
 DATA = Path(__file__).parent / "data"
@@ -140,6 +147,7 @@ def test_malformed_file_exit_one(tmp_path, capsys):
 @pytest.mark.parametrize("data", [
     pytest.param(b'{"name": "caf\xe9"}', id="not-utf8"),
     pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deep-json"),
+    pytest.param(b'{"T": 1' + b"0" * 5000 + b"}", id="int-past-digit-limit"),
 ])
 def test_unreadable_scenario_text_exit_one(tmp_path, capsys, data):
     bad = tmp_path / "bad.json"
@@ -274,6 +282,9 @@ def test_out_naming_a_file_exit_one(tmp_path, capsys, argv):
     pytest.param(["verify", "FAST", "--tol=-1e-3"], id="tol-negative"),
     pytest.param(["verify", "FAST", "--grid", "1e-4,1.0000000000000002e-4,40"],
                  id="verify-grid-collapsed"),
+    # past the grid cap: a MemoryError and an OverflowError traceback without it
+    pytest.param(["analyze", "FAST", "--grid", "1e-7,1e-3,10000000000000"], id="grid-count-huge"),
+    pytest.param(["analyze", "FAST", "--grid", "1e-7,1e-3,1" + "0" * 400], id="grid-count-10e400"),
     pytest.param(["sweep", "FAST", "--grid", "1e-4,1.0000000000000002e-4,40,lin"],
                  id="sweep-grid-collapsed-lin"),
 ])
@@ -286,6 +297,7 @@ def test_bad_flag_exit_one(argv, capsys):
         assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "RuntimeWarning" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_options_may_precede_the_command(capsys):
@@ -422,6 +434,45 @@ def _scenario_copy(tmp_path, source, edit):
     path = tmp_path / source.name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def test_grid_count_is_capped(tmp_path, capsys):
+    doc = {"gamma0": {"generator": {"theta0": 1.0, "C": [[1, 0], [0, 1]]}},
+           "curve": {"entries": {}}, "grids": {"t": {"count": MAX_GRID_COUNT}}}
+    assert parse_scenario(doc).t_grid.count == MAX_GRID_COUNT
+    doc["grids"]["t"]["count"] = MAX_GRID_COUNT + 1
+    with pytest.raises(SchemaError, match="^/grids/t/count: "):
+        parse_scenario(doc)
+    path = _scenario_copy(tmp_path, SCENARIOS / "jordan_pi3.json",
+                          lambda doc: doc["grids"]["t"].update(count=10000000000000))
+    assert main(["analyze", path]) == 1
+    _one_error_line(capsys, f"/grids/t/count: count must be at most {MAX_GRID_COUNT}")
+
+
+@pytest.mark.parametrize("key", ["steps_t", "steps_eps"])
+def test_step_counts_are_capped(key):
+    doc = {"gamma0": {"generator": {"theta0": 1.0, "C": [[1, 0], [0, 1]]}},
+           "curve": {"entries": {}}, "tolerances": {key: MAX_STEPS}}
+    assert getattr(parse_scenario(doc).tolerances, key) == MAX_STEPS
+    doc["tolerances"][key] = MAX_STEPS + 1
+    with pytest.raises(SchemaError, match=f"^/tolerances/{key}: must be at most {MAX_STEPS}"):
+        parse_scenario(doc)
+
+
+def test_sized_steps_past_the_cap_stop_before_any_flow(tmp_path, capsys, monkeypatch):
+    # resonant_eps at T = 1e6 sizes steps_eps at 48,239,919 steps, a 6.2 GB
+    # trajectory; no flow may start.
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(flow, "_flows", no_flow)
+    path = _scenario_copy(tmp_path, SCENARIOS / "resonant_eps.json",
+                          lambda doc: doc.update(T=1e6))
+    with pytest.raises(InputError, match="48239919 steps"):
+        load_scenario(path).steps("eps")
+    assert main(["analyze", path, "--mode", "eps"]) == 1
+    _one_error_line(capsys, f"T = 1000000.0 sizes steps_eps at 48239919 steps, "
+                            f"above the cap of {MAX_STEPS}")
 
 
 def test_nonconforming_flow_exit_two(tmp_path, capsys):

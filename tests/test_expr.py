@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import kreinsplit.expr as expr
-from kreinsplit import SymmetricCurve, evaluate, parse, pretty
+from kreinsplit import SymmetricCurve, evaluate, parse
 from kreinsplit.errors import (
     ExprDepthError,
     ExprDomainError,
@@ -26,7 +26,7 @@ from kreinsplit.expr import (
     compile_array,
     d_eps,
 )
-from oracles import compile_generated, d_eps_exact
+from oracles import compile_generated, d_eps_exact, pretty
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 

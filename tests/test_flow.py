@@ -130,7 +130,7 @@ def test_expression_domain_error_surfaces():
 def test_backward_integration():
     g0 = make_jordan_symplectic(np.pi / 3, np.eye(2))
     sol = integrate(smooth_curve(), g0, -1e-2, 100)
-    assert sol.T == -1e-2
+    assert sol.ts[-1] == -1e-2
     assert is_symplectic(endpoint(sol), 1e-10)
 
 

@@ -17,10 +17,15 @@ from kreinsplit.errors import (
     ExcludedCaseError,
     NotAJordanBlockError,
 )
-from kreinsplit.spectral import krein_pairings_ok
 
 from conftest import COUPLINGS, SCENARIOS, SEMISIMPLE_COUPLINGS, THETAS
-from oracles import best_match_distance, expm_taylor, random_symmetric4
+from oracles import (
+    best_match_distance,
+    conjugated,
+    expm_taylor,
+    krein_pairings_ok,
+    random_symmetric4,
+)
 
 
 def test_eigenvalues_simple_cases():
@@ -144,6 +149,14 @@ def test_jordan_pair_normalization_and_pairings_across_corpus():
             assert abs(pair.form_21) > 1e-10
 
 
+def test_krein_pairings_reject_random_vectors():
+    # Vectors that are no chain fail the pairing relations.
+    rng = np.random.default_rng(60)
+    for _ in range(5):
+        eta1, eta2 = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+        assert not krein_pairings_ok(pair_from_vectors(np.exp(1j * np.pi / 3), eta1, eta2))
+
+
 def test_jordan_pair_k_action_table():
     M = make_jordan_symplectic(2 * np.pi / 3, np.diag([2.0, 1.0]))
     lam = detect_double_unitary(M)
@@ -185,7 +198,7 @@ def test_gauge_breaks_modulus_ties_at_the_first_index():
 def test_conjugated_pair_is_valid():
     M = make_jordan_symplectic(np.pi / 3, np.eye(2))
     pair = jordan_pair(M, detect_double_unitary(M))
-    conj = pair.conjugated()
+    conj = conjugated(pair)
     lam = conj.lambda0
     scale = np.linalg.norm(conj.eta1) + np.linalg.norm(conj.eta2)
     assert np.linalg.norm(M @ conj.eta1 - lam * conj.eta1) < 1e-8 * scale

@@ -26,7 +26,7 @@ from kreinsplit.errors import (
 from kreinsplit.cli import main
 from kreinsplit.scenario import GridSpec, Scenario, load_scenario
 from kreinsplit.verify import BranchTrack, _stability_probe, family, family_endpoints
-from oracles import fit_joint
+from oracles import fit_joint, separations
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -87,7 +87,7 @@ def test_track_ambiguity_detection():
 def test_track_continuity_and_reversal(pi3_scenario, pi3_report):
     report, _ = pi3_report
     tr = report.t.track
-    seps = tr.separations()
+    seps = separations(tr)
     steps1 = np.abs(np.diff(tr.branch1))
     steps2 = np.abs(np.diff(tr.branch2))
     # matching is continuous: consecutive moves stay below the branch gap
