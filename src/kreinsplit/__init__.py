@@ -25,7 +25,7 @@ from .errors import (
     InputError,
     KreinsplitError,
 )
-from .expr import SymmetricCurve, evaluate, parse
+from .expr import SymmetricCurve, parse
 from .flow import FlowSolution, endpoint, endpoints, integrate, perturbation_hamiltonian
 from .linalg import (
     J4,
@@ -63,7 +63,6 @@ __all__ = [
     "symplectic_inverse",
     "SymmetricCurve",
     "parse",
-    "evaluate",
     "FlowSolution",
     "integrate",
     "endpoint",

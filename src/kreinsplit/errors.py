@@ -26,11 +26,12 @@ class AnalysisError(KreinsplitError):
 
 class SchemaError(InputError):
     """Scenario file violates the schema.  ``path`` is a JSON-pointer-style
-    location of the offending value."""
+    location of the offending value, or "" when the file as a whole cannot
+    be read, and then the message stands alone."""
 
     def __init__(self, path, message):
         self.path = path
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
 
 
 class SymmetryConflictError(InputError):

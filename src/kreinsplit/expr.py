@@ -6,16 +6,13 @@ sqrt and abs.  Precedence is ``^`` above unary minus above ``*``/``/``
 above ``+``/``-``; ``^`` is right-associative, everything else is left-
 associative.  Text may nest at most :data:`MAX_DEPTH` levels deep.
 
-One operator table gives each operator its double-precision function and
-its numpy function, read by :func:`evaluate` (the reference walker, which
-raises on division by zero or a negative square root instead of producing
-NaN, and locates non-finite values in the source text) and by the numpy
-closures of :func:`compile_array`; no source code is generated.  dA/deps
-is the symbolic derivative of each entry (:func:`d_eps`), compiled the
-same way.
+One operator table gives each operator its numpy function, read by the
+closures of :func:`compile_array` (no source code is generated) and by
+the locator that names the first node of a tree whose value is not
+finite.  dA/deps is the symbolic derivative of each entry (:func:`d_eps`),
+compiled the same way.
 """
 
-import math
 import operator
 from dataclasses import dataclass, field
 
@@ -125,7 +122,7 @@ def _tokenize(source):
                 value = float(text)
             except ValueError:
                 raise ExprSyntaxError(i, ("number",), f"bad number literal {text!r} at offset {i}")
-            if not math.isfinite(value):
+            if not np.isfinite(value):
                 raise ExprSyntaxError(i, ("number",), f"non-finite literal {text!r} at offset {i}")
             tokens.append(("num", value, i))
             i = j
@@ -250,57 +247,25 @@ def parse(source):
 
 
 # --- the operator table -----------------------------------------------------
-# Each operator's double-precision function and numpy function.  A Call is
-# keyed by its function name; log and sign come only from d_eps.
+# Each operator's numpy function.  A Call is keyed by its function name; log
+# and sign come only from d_eps.
 
 _OPS = {
-    Neg: (operator.neg, operator.neg),
-    Add: (operator.add, operator.add),
-    Sub: (operator.sub, operator.sub),
-    Mul: (operator.mul, operator.mul),
+    Neg: operator.neg,
+    Add: operator.add,
+    Sub: operator.sub,
+    Mul: operator.mul,
     # np.divide, not "/": two Python floats would raise on a zero divisor
-    Div: (operator.truediv, np.divide),
-    Pow: (math.pow, np.power),
-    "sin": (math.sin, np.sin),
-    "cos": (math.cos, np.cos),
-    "exp": (math.exp, np.exp),
-    "sqrt": (math.sqrt, np.sqrt),
-    "abs": (math.fabs, np.abs),
-    "log": (math.log, np.log),
-    "sign": (lambda x: math.copysign(1.0, x) if x else 0.0, np.sign),
+    Div: np.divide,
+    Pow: np.power,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "log": np.log,
+    "sign": np.sign,
 }
-
-
-# --- evaluation -------------------------------------------------------------
-
-def evaluate(e, t, eps):
-    """Evaluate an AST at (t, eps) in double precision.
-
-    Division by zero (checked before the dividend is evaluated), sqrt of a
-    negative number, fractional powers of negatives and overflow raise
-    ExprDomainError carrying the offset of the offending subexpression.
-    """
-    kind = type(e)
-    if kind is Num:
-        return e.value
-    if kind is Var:
-        return float(t) if e.name == "t" else float(eps)
-    if kind is Div:
-        denom = evaluate(e.rhs, t, eps)
-        if denom == 0.0:
-            raise ExprDomainError(e.offset, "division by zero")
-        args = (evaluate(e.lhs, t, eps), denom)
-    elif kind is Neg or kind is Call:
-        args = (evaluate(e.arg, t, eps),)
-    elif kind in _OPS:
-        args = (evaluate(e.lhs, t, eps), evaluate(e.rhs, t, eps))
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    try:
-        return _OPS[e.fn if kind is Call else kind][0](*args)
-    except (ValueError, OverflowError) as exc:
-        what = e.fn if kind is Call else "power"
-        raise ExprDomainError(e.offset, f"{what} out of domain: {exc}") from None
 
 
 def contains_eps(e):
@@ -341,9 +306,9 @@ def d_eps(e):
     folded away, so a coupling linear in eps differentiates to its
     coefficient: ``0.4 + eps*(1 + 0.3*sin(t))`` gives ``1 + 0.3*sin(t)``.
     Every new node carries the offset of the source node it comes from,
-    so :func:`evaluate` on the derivative locates a domain error in the
-    source text.  The result may call ``log`` and ``sign``, which only the
-    operator table knows, not the parser.
+    so a domain error in the derivative is located in the source text.
+    The result may call ``log`` and ``sign``, which only the operator
+    table knows, not the parser.
     """
     kind = type(e)
     if kind is Var and e.name == "eps":
@@ -389,7 +354,7 @@ def _closure(e, depth=0):
         return lambda t, eps, value=e.value: value
     if kind is Var:
         return (lambda t, eps: t) if e.name == "t" else (lambda t, eps: eps)
-    fn = _OPS[e.fn if kind is Call else kind][1]
+    fn = _OPS[e.fn if kind is Call else kind]
     if kind is Neg or kind is Call:
         arg = _closure(e.arg, depth + 1)
         return lambda t, eps: fn(arg(t, eps))
@@ -409,6 +374,27 @@ def compile_array(trees):
             return tuple([fn(ts, eps) for fn in fns])
 
     return evaluate_all
+
+
+def _locate(e, t, eps):
+    """The value of a tree at the point (t, eps) by the same operator
+    table, visiting each node once, children before parents and left
+    before right; raises ExprDomainError at the first node whose value is
+    not finite.  Run under ``np.errstate(all="ignore")``."""
+    kind = type(e)
+    if kind is Num:
+        return e.value
+    if kind is Var:
+        return t if e.name == "t" else eps
+    children = (e.arg,) if kind is Neg or kind is Call else (e.lhs, e.rhs)
+    args = [_locate(c, t, eps) for c in children]
+    value = _OPS[e.fn if kind is Call else kind](*args)
+    if not np.isfinite(value):
+        reason = ("division by zero" if kind is Div and args[1] == 0
+                  else f"{e.fn} out of domain" if kind is Call
+                  else "power out of domain" if kind is Pow else "overflow")
+        raise ExprDomainError(e.offset, reason)
+    return value
 
 
 # --- the symmetric curve ----------------------------------------------------
@@ -501,8 +487,8 @@ def _compile_entries(entries):
 def _checked(compiled, ts, eps, what):
     """Yield ``((i, j), values)`` for each entry of a :func:`_compile_entries`
     curve at the points (ts, eps), which broadcast against each other; a
-    non-finite value is located by running the tree walker at the first
-    bad point of the broadcast shape."""
+    non-finite value is located by :func:`_locate` at the first bad point
+    of the broadcast shape."""
     keys, trees, fn = compiled
     for (i, j), tree, vals in zip(keys, trees, fn(ts, eps)):
         if not np.all(np.isfinite(vals)):
@@ -512,7 +498,8 @@ def _checked(compiled, ts, eps, what):
             eps_bad = float(np.broadcast_to(eps, shape).flat[bad])
             where = f"at (t, eps) = ({t_bad!r}, {eps_bad!r})"
             try:
-                evaluate(tree, t_bad, eps_bad)
+                with np.errstate(all="ignore"):
+                    _locate(tree, t_bad, eps_bad)
             except ExprDomainError as exc:
                 raise ExprDomainError(exc.offset,
                                       f"{what} ({i},{j}): {exc.reason} {where}") from None

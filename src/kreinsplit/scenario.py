@@ -255,11 +255,11 @@ def load_scenario(path):
     except OSError as exc:
         raise SchemaError("", f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise SchemaError("", f"not UTF-8 text: {exc}") from None
+        raise SchemaError("", f"cannot decode {path} as UTF-8: {exc}") from None
     try:
         obj = json.loads(text)
     except ValueError as exc:  # also an integer past Python's 4,300 digits
-        raise SchemaError("", f"invalid JSON: {exc}") from None
+        raise SchemaError("", f"invalid JSON in {path}: {exc}") from None
     except RecursionError:
-        raise SchemaError("", "invalid JSON: nested too deeply") from None
+        raise SchemaError("", f"invalid JSON in {path}: nested too deeply") from None
     return parse_scenario(obj, default_name=p.stem)

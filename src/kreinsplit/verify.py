@@ -175,7 +175,6 @@ class ModeComparison:
     sqrt_ratio: float
     quotient_growth: float
     track: BranchTrack = field(compare=False)
-    diagnostics: dict = field(default_factory=dict, compare=False)
 
     @property
     def max_relative_error(self):
@@ -380,7 +379,6 @@ def _oracle(scenario, mode):
         sqrt_ratio=float(dev[0] / dev[1]),
         quotient_growth=float((dev[0] / s0) / (dev[1] / (4.0 * s0))),
         track=tr,
-        diagnostics=dict(fit.diagnostics),
     )
     stability = None
     if mode == "t":

@@ -6,8 +6,10 @@ characteristic coefficients by sampling the determinant and solving a
 Vandermonde system, flow endpoints by the sequential Magnus loop
 (``magnus_reference``, the reference of the chunk engine in
 ``kreinsplit.flow``), mixed exterior powers by one determinant call per
-column assignment, and eps-derivatives by walking the tree at one point
-at a time.  Two RK4 integrators, which share no step formula with the
+column assignment, and expression values and eps-derivatives by walking
+the tree at one point at a time with Python's ``math`` functions
+(``evaluate`` and ``d_eps_exact``; the package evaluates only through
+numpy).  Two RK4 integrators, which share no step formula with the
 Magnus engine, cross-check it: the sequential loop ``rk4_reference``, and
 the RK4 chunk engine that allocates its arrays afresh in every chunk and
 evaluates A once per (time, flow) pair, kept as ``flows_allocating``; the
@@ -32,6 +34,8 @@ package values (``pretty``, ``magnitude``, ``to_absolute``, ``separations``,
 ``forward_unstable``, ``conjugated``).
 """
 
+import math
+import operator
 from decimal import Decimal, localcontext
 from itertools import combinations, permutations
 from math import comb
@@ -39,8 +43,8 @@ from math import comb
 import numpy as np
 
 from kreinsplit.bifurcation import UNSTABLE_FORWARD
-from kreinsplit.errors import IllConditionedFitError, NonSymplecticError
-from kreinsplit.expr import Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var, evaluate
+from kreinsplit.errors import ExprDomainError, IllConditionedFitError, NonSymplecticError
+from kreinsplit.expr import Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var
 from kreinsplit.flow import _CHUNK
 from kreinsplit.linalg import J4, is_symplectic, symplectic_form
 from kreinsplit.spectral import pair_from_vectors
@@ -383,6 +387,55 @@ def polish_loop(poly, x):
             break
         lam = lam_new
     return best_lam
+
+
+# Each operator's double-precision function, shared with nothing in the
+# package: the closures of ``kreinsplit.expr`` read numpy's.
+_MATH = {
+    Neg: operator.neg,
+    Add: operator.add,
+    Sub: operator.sub,
+    Mul: operator.mul,
+    Div: operator.truediv,
+    Pow: math.pow,
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": math.exp,
+    "sqrt": math.sqrt,
+    "abs": math.fabs,
+    "log": math.log,
+    "sign": lambda x: math.copysign(1.0, x) if x else 0.0,
+}
+
+
+def evaluate(e, t, eps):
+    """Evaluate an AST at (t, eps) in double precision.
+
+    Division by zero (checked before the dividend is evaluated), sqrt of a
+    negative number, fractional powers of negatives and overflow raise
+    ExprDomainError carrying the offset of the offending subexpression.
+    """
+    kind = type(e)
+    if kind is Num:
+        return e.value
+    if kind is Var:
+        return float(t) if e.name == "t" else float(eps)
+    if kind is Div:
+        denom = evaluate(e.rhs, t, eps)
+        if denom == 0.0:
+            raise ExprDomainError(e.offset, "division by zero")
+        args = (evaluate(e.lhs, t, eps), denom)
+    elif kind is Neg or kind is Call:
+        args = (evaluate(e.arg, t, eps),)
+    elif kind in _MATH:
+        args = (evaluate(e.lhs, t, eps), evaluate(e.rhs, t, eps))
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    try:
+        return _MATH[e.fn if kind is Call else kind](*args)
+    except (ValueError, OverflowError) as exc:
+        what = e.fn if kind is Call else "power"
+        raise ExprDomainError(e.offset, f"{what} out of domain: {exc}") from None
 
 
 def d_eps_exact(e, t, eps):

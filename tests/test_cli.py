@@ -144,6 +144,21 @@ def test_malformed_file_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name, data, start", [
+    ("missing.json", None, "cannot read {path}: "),
+    ("bad.json", b"{not json", "invalid JSON in {path}: Expecting property name"),
+    ("bad.json", b'{"name": "caf\xe9"}', "cannot decode {path} as UTF-8: "),
+], ids=["missing", "invalid-json", "not-utf8"])
+def test_unreadable_file_error_names_the_file(tmp_path, capsys, name, data, start):
+    path = tmp_path / name
+    if data is not None:
+        path.write_bytes(data)
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + start.format(path=path)), err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("data", [
     pytest.param(b'{"name": "caf\xe9"}', id="not-utf8"),
     pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deep-json"),

@@ -1,12 +1,13 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kreinsplit.expr as expr
-from kreinsplit import SymmetricCurve, evaluate, parse
+from kreinsplit import SymmetricCurve, parse
 from kreinsplit.errors import (
     ExprDepthError,
     ExprDomainError,
@@ -26,7 +27,7 @@ from kreinsplit.expr import (
     compile_array,
     d_eps,
 )
-from oracles import compile_generated, d_eps_exact, pretty
+from oracles import compile_generated, d_eps_exact, evaluate, pretty
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -271,6 +272,18 @@ def test_curve_domain_error_names_entry():
     with pytest.raises(ExprDomainError) as err:
         curve.eval_matrix(0.0)
     assert "(1,3)" in str(err.value)
+
+
+def test_overflow_is_located_at_the_node_that_overflowed():
+    # the first * past 1e200*(t+1) overflows, not the root
+    src = "1e200*(t+1)*1e200*0 + 1"
+    curve = SymmetricCurve.from_strings({"0,0": src})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExprDomainError) as err:
+            curve.eval_matrix(0.0)
+    assert err.value.offset == 11 == src.index("*", src.index(")"))
+    assert err.value.reason == "entry (0,0): overflow at (t, eps) = (0.0, 0.0)"
 
 
 def test_curve_batch_matches_scalar():

@@ -1,7 +1,12 @@
 """Property tests on random trees: the compiled symbolic eps-derivative
-agrees with a fourth-order central difference of the compiled tree, and
-the compiled closures are bitwise equal to the generated-source compiler
-they replaced."""
+agrees with a fourth-order central difference of the compiled tree, the
+compiled closures are bitwise equal to the generated-source compiler
+they replaced, and a non-finite entry is located at the first node,
+children before parents, whose compiled value is non-finite."""
+
+import itertools
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,10 +25,12 @@ from kreinsplit.expr import (  # noqa: E402
     Num,
     Pow,
     Sub,
+    SymmetricCurve,
     Var,
     compile_array,
     d_eps,
 )
+from kreinsplit.errors import ExprDomainError  # noqa: E402
 from oracles import compile_generated  # noqa: E402
 
 LEAVES = st.one_of(
@@ -42,6 +49,10 @@ def _extend(children):
 
 
 TREES = st.recursive(LEAVES, _extend, max_leaves=8)
+# with leaves that overflow a product, a quotient or exp
+WIDE_TREES = st.recursive(
+    st.one_of(LEAVES, st.sampled_from([Num(1e200), Num(-1e200), Num(1e-200), Num(800.0)])),
+    _extend, max_leaves=8)
 
 
 def _abs_arguments(e):
@@ -95,3 +106,41 @@ def test_closures_bitwise_equal_generated_source(tree, t, eps):
             got, want = compile_array(trees)(ts, e), compile_generated(trees)(ts, e)
             assert [type(g) for g in got] == [type(w) for w in want]
             assert [np.asarray(g).tobytes() for g in got] == [np.asarray(w).tobytes() for w in want]
+
+
+def _postorder(e):
+    """The subtrees of a tree, children before parents, left before right."""
+    if type(e) in (Num, Var):
+        return [e]
+    if type(e) in (Neg, Call):
+        return _postorder(e.arg) + [e]
+    return _postorder(e.lhs) + _postorder(e.rhs) + [e]
+
+
+def _numbered(e, counter):
+    """The same tree with every node at its own offset, in postorder."""
+    if type(e) in (Num, Var):
+        return replace(e, offset=next(counter))
+    if type(e) in (Neg, Call):
+        return replace(e, arg=_numbered(e.arg, counter), offset=next(counter))
+    lhs = _numbered(e.lhs, counter)
+    return replace(e, lhs=lhs, rhs=_numbered(e.rhs, counter), offset=next(counter))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(WIDE_TREES, st.floats(-2.0, 2.0), st.floats(-0.5, 0.5))
+def test_domain_error_located_at_the_first_non_finite_node(tree, t, eps):
+    tree = _numbered(tree, itertools.count())
+    nodes = _postorder(tree)
+    values = [float(np.broadcast_to(v, (1,))[0])
+              for v in compile_array(nodes)(np.array([t]), eps)]
+    curve = SymmetricCurve({(0, 0): tree})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if np.isfinite(values[-1]):
+            assert curve.eval_matrix_batch([t], eps)[0, 0, 0] == values[-1]
+            return
+        with pytest.raises(ExprDomainError) as err:
+            curve.eval_matrix_batch([t], eps)
+    first = next(node for node, v in zip(nodes, values) if not np.isfinite(v))
+    assert err.value.offset == first.offset
