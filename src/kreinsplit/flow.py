@@ -7,8 +7,8 @@ from h J4 A at the step's three Gauss-Legendre nodes and two nested
 commutators.  Omega_n is Hamiltonian, so the step is symplectic up to
 roundoff, and it is exact when A is constant over the step.  Otherwise
 the global error falls like h^6 with A's variation.  Uniform grids keep
-the quadrature of the effective perturbation generator simple and runs
-reproducible; there is no adaptivity and no dense output.
+the (sixth-order Boole) quadrature of the effective perturbation
+generator simple and runs reproducible; no adaptivity, no dense output.
 
 A step is a matrix I + D_n that depends only on A, so no step loop is
 needed.  One chunk engine runs K flows from one initial condition, each
@@ -344,13 +344,17 @@ def perturbation_hamiltonian(curve, sol):
         B = integral_0^T (G(T)^-1)^T G(t)^T dA/deps(t, eps) G(t) G(T)^-1 dt.
 
     dA/deps is the curve's symbolic derivative, exact up to rounding,
-    evaluated at every grid time.  Composite Simpson quadrature on the
-    solution's grid (one trapezoid panel absorbs an odd step count).  The
-    result is symmetrized; the asymmetry it removes measures quadrature
-    error and triggers a warning above 1e-6.
+    evaluated at every grid time.  Composite Boole quadrature on the
+    solution's grid, whose step count must be a multiple of 4: weights 7,
+    32, 12, 32, 14, ..., 32, 7 times 2h/45, an O(h^6) error like the flow's.
+    The result is symmetrized; the asymmetry it removes measures
+    quadrature error and triggers a warning above 1e-6.
     """
     if max_abs(sol.gammas[0] - np.eye(4)) > 1e-12:
         raise ValueError("perturbation generator needs a flow started at the identity")
+    n = sol.ts.size - 1
+    if n % 4:
+        raise ValueError(f"Boole's rule needs a step count divisible by 4, got {n}")
 
     Gend = sol.gammas[-1]
     Ginv = symplectic_inverse(Gend)
@@ -361,19 +365,12 @@ def perturbation_hamiltonian(curve, sol):
     W = sol.gammas @ Ginv
     integrand = np.transpose(W, (0, 2, 1)) @ Aprime @ W
 
-    n = sol.ts.size - 1
+    weights = np.full(n + 1, 32.0)
+    weights[2::4] = 12.0
+    weights[4::4] = 14.0
+    weights[[0, n]] = 7.0
     h = sol.ts[1] - sol.ts[0]
-    if n % 2 == 0:
-        m = n
-        tail = 0.0
-    else:
-        m = n - 1
-        tail = (h / 2.0) * (integrand[n - 1] + integrand[n])
-    weights = np.ones(m + 1)
-    weights[1:m:2] = 4.0
-    weights[2:m:2] = 2.0
-    body = (h / 3.0) * np.tensordot(weights, integrand[:m + 1], axes=(0, 0))
-    B = body + tail
+    B = (2.0 * h / 45.0) * np.tensordot(weights, integrand, axes=(0, 0))
 
     asym = max_abs(B - B.T)
     if asym > 1e-6:

@@ -74,6 +74,17 @@ def symplectic_inverse(M):
     return -J4 @ M.T @ J4
 
 
+def discriminant(M):
+    """Delta = 2 tr(M^2) - (tr M)^2 + 8, the discriminant in w = lambda +
+    1/lambda of a real symplectic M's characteristic polynomial (Howard &
+    MacKay, J. Math. Phys. 28, 1987): 0 at a double pair exp(+-i theta0),
+    which splits by sqrt|Delta| / (2 sin theta0); > 0 for four distinct unit
+    multipliers; < 0 for a quartet off the circle."""
+    M = np.asarray(M, dtype=float)
+    tr = np.trace(M)
+    return float(2.0 * np.sum(M * M.T) - tr * tr + 8.0)
+
+
 def _assignment_table():
     """Every assignment of {identity, A1, A2} (0, 1, 2) to the four columns,
     grouped by occurrence counts (k1, k2), A1's columns chosen first, then

@@ -58,7 +58,7 @@ class Tolerances:
     the shipped t scenarios only at roundoff, also on a grid reaching
     s = 1e-1.
     steps_eps = None, the default, sizes the eps family's flows from the
-    curve (:meth:`Scenario.steps`); a number is used as given.
+    curve (:func:`verify.eps_base`); a number, a multiple of 4, is used as given.
     """
 
     cluster: float = 1e-6
@@ -88,17 +88,10 @@ class Scenario:
 
     def steps(self, mode):
         """Step count of the ``mode`` family's flows: ``steps_t`` for "t";
-        for "eps", ``steps_eps`` when the scenario gives it, else
-        max(192, ceil(T beta / 0.03)) with beta the largest row sum of
-        |A(t, 0)| over 17 equally spaced t in [0, T].
-
-        The eps = 0 endpoint's double multiplier is resolved only to about
-        the square root of the endpoint's error (Lidskii), so the base needs
-        more steps than the endpoint's own accuracy would.  At 192 steps
-        the base pair of resonant_eps lies 1.8e-8 apart, the floor that
-        roundoff sets, and that of resonant_eps_gauge 1.1e-7 apart, both
-        well inside the default cluster = 1e-6; a curve whose A varies
-        faster gets steps in proportion to T beta; past MAX_STEPS, InputError."""
+        for "eps", ``steps_eps`` when given, else the least multiple of 4 at
+        least max(16, T beta / 0.03), beta the largest row sum of |A(t, 0)| at
+        17 equally spaced t in [0, T]: h beta <= 0.03, 52 steps on
+        resonant_eps; past MAX_STEPS, InputError.  verify.eps_base refines it."""
         tol = self.tolerances
         if mode == "t":
             return tol.steps_t
@@ -106,7 +99,7 @@ class Scenario:
             return tol.steps_eps
         A = self.curve.eval_matrix_batch(np.linspace(0.0, self.T, 17), 0.0)
         beta = float(np.abs(A).sum(axis=-1).max())
-        steps = max(192, math.ceil(self.T * beta / 0.03))
+        steps = 4 * math.ceil(max(16.0, self.T * beta / 0.03) / 4)
         if steps > MAX_STEPS:
             raise InputError(f"T = {self.T!r} sizes steps_eps at {steps} steps, "
                              f"above the cap of {MAX_STEPS}")
@@ -183,6 +176,8 @@ def _tolerances(obj, path):
                 raise SchemaError(f"{path}/{key}", "must be an integer >= 2")
             if v > MAX_STEPS:
                 raise SchemaError(f"{path}/{key}", f"must be at most {MAX_STEPS}")
+            if key == "steps_eps" and v % 4:
+                raise SchemaError(f"{path}/{key}", "must be a multiple of 4 (Boole's panels)")
             kwargs[key] = v
     return Tolerances(**kwargs)
 

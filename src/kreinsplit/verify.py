@@ -8,19 +8,18 @@ root extraction and nearest-neighbor continuation, so it is an
 independent oracle for the whole prediction pipeline.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bifurcation import ExpansionCoefficients, expansion_eps, expansion_t
-from .errors import (
-    IllConditionedFitError,
-    NoDoubleMultiplierError,
-    TrackingAmbiguityError,
-)
+from .errors import (IllConditionedFitError, InputError, NoDoubleMultiplierError,
+                     TrackingAmbiguityError)
 from .flow import endpoint, endpoints, integrate, perturbation_hamiltonian
-from .linalg import charpoly, quartic_roots
-from .spectral import JordanPair, detect_double_unitary, eigenvalues, jordan_pair
+from .linalg import charpoly, discriminant, quartic_roots
+from .scenario import MAX_STEPS
+from .spectral import JordanPair, detect_double_unitary, jordan_pair
 
 
 @dataclass(frozen=True)
@@ -257,7 +256,7 @@ class Family:
     A(0, 0); for the eps family the base is the endpoint G(T) at eps = 0
     and the drive is the effective perturbation generator B.  ``grid``
     holds the family's grid points (:meth:`Scenario.grid`) and ``steps``
-    the step count of its flows (:meth:`Scenario.steps`).
+    the step count of its flows (:meth:`Scenario.steps`, :func:`eps_base`).
     """
 
     grid: np.ndarray
@@ -268,40 +267,50 @@ class Family:
     coeffs: ExpansionCoefficients
 
 
-def _nearest_spread(M):
-    """Distance between the two closest eigenvalues of M."""
-    evs = eigenvalues(M)
-    return min(abs(evs[i] - evs[j]) for i in range(4) for j in range(i + 1, 4))
+def eps_base(scenario):
+    """Step count of the eps family and its flow at eps = 0 (every state
+    kept, for B's quadrature).  A scenario's own steps_eps is used as given.
+    Else the count starts at :meth:`Scenario.steps`; while the base's
+    |discriminant| is above cluster^2/4, the base reruns at the count that
+    Delta's steps^-6 law predicts, a multiple of 4, at most 8 times the last
+    and at most MAX_STEPS (else InputError), unless Delta fell by less than
+    16x per doubling: then no double multiplier is there to converge to."""
+    tol = scenario.tolerances
+    steps = scenario.steps("eps")
+    sol = integrate(scenario.curve, np.eye(4), scenario.T, steps, 0.0, tol.drift)
+    delta, bound = abs(discriminant(endpoint(sol))), tol.cluster ** 2 / 4.0
+    while tol.steps_eps is None and delta > bound:
+        finer = min(8 * steps, 4 * math.ceil(steps * (delta / bound) ** (1 / 6) / 4))
+        if finer > MAX_STEPS:
+            raise InputError(f"the endpoint at eps = 0 needs {finer} steps to resolve its "
+                             f"double multiplier, above the cap of {MAX_STEPS}")
+        finer_sol = integrate(scenario.curve, np.eye(4), scenario.T, finer, 0.0, tol.drift)
+        finer_delta = abs(discriminant(endpoint(finer_sol)))
+        if finer_delta * (finer / steps) ** 4 >= delta:
+            break
+        steps, sol, delta = finer, finer_sol, finer_delta
+    return steps, sol
 
 
 def family(scenario, mode):
-    """Detect the double multiplier of the ``mode`` family, extract its
-    chain and expand the splitting: the setup shared by the predictions
-    and the oracle.
-
-    When the eps = 0 endpoint shows no double multiplier but its nearest
-    eigenvalue pair closes by 4x or more at twice the steps, the step
-    count, not the curve, is at fault: under a sixth-order step an
-    unresolved double multiplier's spread goes as steps^-3.  The error
-    then says to raise steps_eps."""
+    """Detect the double multiplier of the ``mode`` family, extract its chain
+    and expand the splitting, for the predictions and the oracle.  When a
+    scenario's steps_eps leaves the eps = 0 endpoint without a double pair,
+    but its discriminant falls 16x or more at twice the steps, the error
+    says to raise steps_eps."""
     tol = scenario.tolerances
     curve = scenario.curve
     grid = scenario.grid(mode)
-    steps = scenario.steps(mode)
     if mode == "eps":
-        # The quadrature reads the whole eps = 0 trajectory, so this flow
-        # is integrated on its own rather than as an endpoint.
-        sol0 = integrate(curve, np.eye(4), scenario.T, steps, 0.0, tol.drift)
-        base = endpoint(sol0)
-        where = "endpoint at eps = 0"
+        steps, sol0 = eps_base(scenario)
+        base, where = endpoint(sol0), "endpoint at eps = 0"
     else:
-        base = scenario.gamma0
-        where = "initial matrix"
+        steps, base, where = scenario.steps(mode), scenario.gamma0, "initial matrix"
     lam = detect_double_unitary(base, tol.cluster, tol.circle)
     if lam is None:
-        if mode == "eps":
+        if mode == "eps" and tol.steps_eps is not None:
             finer, _ = endpoints(curve, np.eye(4), scenario.T, 2 * steps, 0.0, tol.drift)
-            if _nearest_spread(base) >= 4.0 * _nearest_spread(finer[0]):
+            if abs(discriminant(base)) >= 16.0 * abs(discriminant(finer[0])):
                 raise NoDoubleMultiplierError(
                     f"{where} is not resolved at steps_eps = {steps}; raise steps_eps")
         raise NoDoubleMultiplierError(f"{where} has no double unit-circle multiplier pair")
@@ -320,11 +329,11 @@ def family_endpoints(scenario, mode, params, steps=None):
     """The family's matrix at every parameter in ``params``, in one batch:
     the flow from the initial matrix to time s ("t"), or the flow from the
     identity over [0, T] at eps = s ("eps"), each of ``steps`` steps
-    (``Family.steps``; by default ``scenario.steps(mode)``).  Shape
-    (len(params), 4, 4)."""
+    (``Family.steps``; by default ``scenario.steps("t")`` or the count of
+    :func:`eps_base`).  Shape (len(params), 4, 4)."""
     tol = scenario.tolerances
     if steps is None:
-        steps = scenario.steps(mode)
+        steps = eps_base(scenario)[0] if mode == "eps" else scenario.steps(mode)
     if mode == "eps":
         ends, _ = endpoints(scenario.curve, np.eye(4), scenario.T, steps, params, tol.drift)
     else:

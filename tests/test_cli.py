@@ -474,19 +474,28 @@ def test_step_counts_are_capped(key):
         parse_scenario(doc)
 
 
+def test_steps_eps_must_be_a_multiple_of_four(tmp_path, capsys):
+    # Boole's rule for B works on panels of four steps.
+    path = _scenario_copy(tmp_path, SCENARIOS / "resonant_eps.json",
+                          lambda doc: doc.update(tolerances={"steps_eps": 130}))
+    assert main(["verify", path, "--mode", "eps"]) == 1
+    _one_error_line(capsys, "/tolerances/steps_eps: must be a multiple of 4")
+
+
 def test_sized_steps_past_the_cap_stop_before_any_flow(tmp_path, capsys, monkeypatch):
-    # resonant_eps at T = 1e6 sizes steps_eps at 48,239,919 steps, a 6.2 GB
-    # trajectory; no flow may start.
+    # resonant_eps at T = 1e6 sizes steps_eps at 48,239,920 steps (T beta /
+    # 0.03 rounded up to a multiple of 4), a 6.2 GB trajectory; no flow may
+    # start.
     def no_flow(*args, **kwargs):
         raise AssertionError("a flow ran")
 
     monkeypatch.setattr(flow, "_flows", no_flow)
     path = _scenario_copy(tmp_path, SCENARIOS / "resonant_eps.json",
                           lambda doc: doc.update(T=1e6))
-    with pytest.raises(InputError, match="48239919 steps"):
+    with pytest.raises(InputError, match="48239920 steps"):
         load_scenario(path).steps("eps")
     assert main(["analyze", path, "--mode", "eps"]) == 1
-    _one_error_line(capsys, f"T = 1000000.0 sizes steps_eps at 48239919 steps, "
+    _one_error_line(capsys, f"T = 1000000.0 sizes steps_eps at 48239920 steps, "
                             f"above the cap of {MAX_STEPS}")
 
 
@@ -549,9 +558,9 @@ def test_eps_batch_domain_error_is_located(tmp_path, capsys):
 @pytest.mark.parametrize("text, steps_eps, reason, where", [
     # Finite at eps = 0, so the base flow runs; the endpoint batch, which
     # evaluates A on a column of times against a row of eps, fails at its
-    # first Gauss node, t = (1/2 - sqrt(15)/10) / 192.
+    # first Gauss node, t = (1/2 - sqrt(15)/10) / 52.
     ("0.2*eps*t + sqrt(5e-4 - eps)*0", None, "sqrt out of domain",
-     "(t, eps) = (0.0005869878405169703, 0.0005411695265464637) (subexpression at offset 12)"),
+     "(t, eps) = (0.00216733971883189, 0.0005411695265464637) (subexpression at offset 12)"),
     # No Gauss node of the base flow meets the pole at t = 0.5, but the
     # sizing of steps_eps samples A(t, 0) at t = 0, 1/16, ..., 1 first.
     ("1/(t - 0.5 - eps*100)*0", None, "division by zero",
@@ -562,7 +571,7 @@ def test_eps_batch_domain_error_is_located(tmp_path, capsys):
      "(t, eps) = (0.500586987840517, 0.0) (subexpression at offset 0)"),
     # A quotient in eps alone, non-finite only at the top of the eps grid.
     ("0.2*eps*t + (eps - 1e-3)/(eps - 1e-3)*0", None, "division by zero",
-     "(t, eps) = (0.0005869878405169703, 0.001) (subexpression at offset 24)"),
+     "(t, eps) = (0.00216733971883189, 0.001) (subexpression at offset 24)"),
 ], ids=["batch-sqrt", "base-pole", "base-sqrt", "batch-eps-quotient"])
 def test_eps_family_domain_error_names_entry_and_point(tmp_path, capsys, text, steps_eps,
                                                        reason, where):

@@ -169,10 +169,13 @@ def test_perturbation_generator_linear_autonomous():
     entries = {f"{i},{j}": f"eps*({float(A1[i, j])!r})"
                for i in range(4) for j in range(i, 4)}
     curve = SymmetricCurve.from_strings(entries)
-    for steps in (100, 101):  # odd count exercises the trapezoid tail
+    for steps in (100, 104):
         sol = integrate(curve, np.eye(4), 1.3, steps, eps=0.0)
         B = perturbation_hamiltonian(curve, sol)
         assert np.max(np.abs(B - 1.3 * A1)) < 1e-12
+    # Boole's rule works on panels of four steps.
+    with pytest.raises(ValueError, match="divisible by 4, got 101"):
+        perturbation_hamiltonian(curve, integrate(curve, np.eye(4), 1.3, 101, eps=0.0))
 
 
 def test_perturbation_generator_is_symmetric():
@@ -214,6 +217,30 @@ def test_derivative_generator_matches_finite_difference(resonant_scenario):
     Gm = endpoint(integrate(curve, np.eye(4), T, 1500, -h))
     dG = (Gp - Gm) / (2 * h)
     assert np.max(np.abs(dG - J4 @ B @ endpoint(sol0))) < 1e-7
+
+
+def _generator_error(scenario, steps, ref_steps=4096):
+    """Largest entry of |B - B_ref| over that of |B_ref|, with B_ref from
+    ``ref_steps`` steps."""
+    B, ref = (perturbation_hamiltonian(scenario.curve,
+                                       integrate(scenario.curve, np.eye(4), scenario.T, n, 0.0))
+              for n in (steps, ref_steps))
+    return np.max(np.abs(B - ref)) / np.max(np.abs(ref))
+
+
+def test_perturbation_generator_is_sixth_order(resonant_scenario):
+    # Boole's rule: halving the step divides B's error by about 64, as it
+    # does the flow's (criterion 9).  At 16, 32 and 64 steps the errors are
+    # 2.9e-9, 4.6e-11 and 7.1e-13.
+    e16, e32, e64 = (_generator_error(resonant_scenario, n) for n in (16, 32, 64))
+    assert 48.0 <= e16 / e32 <= 80.0
+    assert 48.0 <= e32 / e64 <= 80.0
+
+
+def test_perturbation_generator_is_sharp_at_the_sized_count(resonant_scenario):
+    # 52 steps, the count sized for resonant_eps, give 2.5e-12.
+    assert resonant_scenario.steps("eps") == 52
+    assert _generator_error(resonant_scenario, 52) <= 1e-11
 
 
 # --- batched endpoints ----------------------------------------------------------

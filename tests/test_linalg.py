@@ -15,14 +15,17 @@ from kreinsplit import (
 from kreinsplit import linalg
 from kreinsplit.errors import DegeneratePolynomialError
 
+from conftest import COUPLINGS, SEMISIMPLE_COUPLINGS, THETAS
 from oracles import (
     best_match_distance,
     charpoly_by_sampling,
     charpoly_loop,
     det_cofactor,
+    expm_taylor,
     exterior_power_loop,
     magnitude,
     polish_loop,
+    random_symmetric4,
     to_absolute,
 )
 
@@ -263,3 +266,44 @@ def test_quartic_poly_recentring_evaluation():
     lam = 2.5 - 0.5j
     x = lam - (1 + 1j)
     assert abs(p(lam) - (1 + 2 * x + x ** 4)) < 1e-12
+
+
+# --- discriminant -------------------------------------------------------------
+
+def test_discriminant_vanishes_at_a_double_multiplier():
+    for theta in THETAS:
+        for C in COUPLINGS + SEMISIMPLE_COUPLINGS:
+            assert abs(linalg.discriminant(make_jordan_symplectic(theta, C))) <= 1e-14
+
+
+def _squared_w_gap(M):
+    """(w1 - w2)^2 with w = lambda + 1/lambda over the roots of M's
+    characteristic quartic, no trace taken."""
+    lams = quartic_roots(charpoly(M, 0.0))
+    w = lams + 1.0 / lams
+    return (w[0] - w[np.argmax(np.abs(w - w[0]))]) ** 2
+
+
+@pytest.mark.parametrize("on_circle", [True, False], ids=["four-unit", "quartet"])
+def test_discriminant_is_the_squared_gap_of_w(on_circle):
+    # M = P M0 P^-1 with P = exp(J4 S) for a random symmetric S.  M0 turns
+    # (q1, p1) by a and (q2, p2) by b, giving four distinct unit
+    # multipliers, or is diag(L, L^-T) with L = r R(phi), giving the quartet
+    # r^+-1 exp(+-i phi) off the circle.
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        if on_circle:
+            a, b = rng.uniform(0.3, 1.3), rng.uniform(1.7, 2.8)
+            M0 = expm_taylor(J4 @ np.diag([a, b, a, b]))
+        else:
+            r, phi = rng.uniform(1.1, 2.0), rng.uniform(0.3, 2.8)
+            L = r * np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+            M0 = np.zeros((4, 4))
+            M0[:2, :2] = L
+            M0[2:, 2:] = np.linalg.inv(L).T
+        P = expm_taylor(J4 @ random_symmetric4(rng, 0.3))
+        M = P @ M0 @ linalg.symplectic_inverse(P)
+        assert is_symplectic(M, 1e-12)
+        delta, gap = linalg.discriminant(M), _squared_w_gap(M)
+        assert (delta > 0) == on_circle
+        assert abs(delta - gap) <= 1e-13 * max(1.0, abs(gap))

@@ -23,6 +23,7 @@ from kreinsplit.errors import (
     InputError,
     TrackingAmbiguityError,
 )
+from kreinsplit import verify
 from kreinsplit.cli import main
 from kreinsplit.scenario import GridSpec, Scenario, load_scenario
 from kreinsplit.verify import BranchTrack, _stability_probe, family, family_endpoints
@@ -360,16 +361,18 @@ def test_branch_quotient_diverges(pi3_report):
     assert abs(report.t.quotient_growth - 2.0) <= 0.2
 
 
-def _gauge_scenario(tmp_path, c, steps_eps=None):
-    """resonant_eps_gauge.json with the rotation amplitude c in place of
-    0.5, written under ``tmp_path``; ``steps_eps`` is set when given."""
+def _gauge_scenario(tmp_path, c, steps_eps=None, k=1):
+    """resonant_eps_gauge.json with the rotation c sin(2 pi k t) in place of
+    0.5 sin(2 pi t), written under ``tmp_path``; ``steps_eps`` is set when
+    given."""
     text = (SCENARIOS / "resonant_eps_gauge.json").read_text()
     text = text.replace("0.5*sin(", f"{c!r}*sin(")
-    text = text.replace("3.141592653589793*cos", f"{2 * np.pi * c!r}*cos")
+    text = text.replace("3.141592653589793*cos", f"{2 * np.pi * k * c!r}*cos")
+    text = text.replace("6.283185307179586*t", f"{2 * np.pi * k!r}*t")
     doc = json.loads(text)
     if steps_eps is not None:
         doc["tolerances"] = {"steps_eps": steps_eps}
-    path = tmp_path / f"gauge_{c!r}.json"
+    path = tmp_path / f"gauge_{k}_{c!r}.json"
     path.write_text(json.dumps(doc))
     return path
 
@@ -396,13 +399,41 @@ def test_gauge_rotated_resonant_scenario_keeps_predictions_and_passes(
 
 
 def test_fast_gauge_passes_at_the_sized_step_count(tmp_path, capsys):
-    # At c = 4 the base needs about 768 steps to resolve its double
-    # multiplier within the default cluster tolerance; the count sized
-    # from A(t, 0) is 886.
+    # At c = 4 the count sized from A(t, 0) is 888, where the base's
+    # discriminant, 3.3e-13, is above cluster^2/4 = 2.5e-13; the steps^-6
+    # law refines it once, to 932.
     path = _gauge_scenario(tmp_path, 4.0)
-    assert load_scenario(path).steps("eps") == 886
+    assert load_scenario(path).steps("eps") == 888
+    assert family(load_scenario(path), "eps").steps == 932
     assert main(["verify", str(path), "--mode", "eps"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("k, c, steps", [(8, 0.05, 340), (16, 0.02, 512), (32, 0.01, 812)])
+def test_gauge_at_high_frequency_is_refined_until_resolved(k, c, steps, tmp_path, capsys):
+    # A(t, 0) rotates k times over [0, T] with a small amplitude, so its row
+    # sums, and the count sized from them (136, 116, 116), stay small while
+    # the base needs more steps to resolve its double multiplier; the
+    # discriminant check finds that without a steps_eps in the file.
+    path = _gauge_scenario(tmp_path, c, k=k)
+    assert family(load_scenario(path), "eps").steps == steps
+    assert main(["verify", str(path), "--mode", "eps"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_relative_error"] < 1e-5
+
+
+def test_refined_steps_past_the_cap_stop_before_that_flow(tmp_path, monkeypatch):
+    # The k = 8 gauge starts at 136 steps and is refined to 340; under a cap
+    # of 300 the refinement is an input error, and only the first flow ran.
+    counts = []
+    flows = verify.integrate
+    monkeypatch.setattr(verify, "integrate",
+                        lambda curve, g, T, steps, *rest: counts.append(steps)
+                        or flows(curve, g, T, steps, *rest))
+    monkeypatch.setattr(verify, "MAX_STEPS", 300)
+    path = _gauge_scenario(tmp_path, 0.05, k=8)
+    with pytest.raises(InputError, match="needs 340 steps .* above the cap of 300$"):
+        family(load_scenario(path), "eps")
+    assert counts == [136]
 
 
 def test_unresolved_base_asks_for_more_steps(tmp_path, capsys):
