@@ -52,7 +52,7 @@ def symplectic_form(x, y):
 
 def max_abs(m):
     """Entrywise max-norm."""
-    return float(np.max(np.abs(m)))
+    return float(np.abs(m).max())
 
 
 def is_symplectic(M, tol):
@@ -60,11 +60,12 @@ def is_symplectic(M, tol):
     to entrywise tolerance tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    M = np.asarray(M, dtype=complex)
-    if max_abs(M.imag) > tol:
-        return False
-    R = M.real
-    return max_abs(R.T @ J4 @ R - J4) <= tol
+    M = np.asarray(M)
+    if np.iscomplexobj(M):
+        if not max_abs(M.imag) <= tol:  # a NaN part fails too
+            return False
+        M = M.real
+    return max_abs(M.T @ J4 @ M - J4) <= tol
 
 
 def symplectic_inverse(M):
@@ -81,8 +82,8 @@ def discriminant(M):
     which splits by sqrt|Delta| / (2 sin theta0); > 0 for four distinct unit
     multipliers; < 0 for a quartet off the circle."""
     M = np.asarray(M, dtype=float)
-    tr = np.trace(M)
-    return float(2.0 * np.sum(M * M.T) - tr * tr + 8.0)
+    tr = M.trace()
+    return float(2.0 * (M * M.T).sum() - tr * tr + 8.0)
 
 
 def _assignment_table():

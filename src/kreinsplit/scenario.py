@@ -44,9 +44,11 @@ class GridSpec:
 class Tolerances:
     """Documented defaults, overridable per scenario.
 
-    cluster / circle feed multiplier detection; drift flags flow
-    solutions; steps_t and steps_eps are the step counts of the sixth-order
-    Magnus flows of the time family (flow.endpoints) and of the eps family
+    cluster bounds the detected double pair's spread and, times 10, its
+    distance from +-1; circle bounds max |M^T J4 M - J4|, the reciprocity
+    behind detection's trace rule; drift flags flow solutions; steps_t
+    and steps_eps are the step counts of the sixth-order Magnus flows of
+    the time family (flow.endpoints) and of the eps family
     (flow.integrate's eps = 0 base, flow.endpoints over [0, T]), at most
     MAX_STEPS; probe is the |t| used by the stability dichotomy check.
 

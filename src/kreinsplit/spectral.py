@@ -7,11 +7,13 @@ pair (eta1, eta2) with
     M eta1 = L eta1,        M eta2 = L eta2 + L eta1,
 
 note the superdiagonal entry L rather than the textbook 1: every closed
-form downstream assumes this normalization.  Eigenvalues come from the
-recentred characteristic quartic; rank decisions and the chain come from
-one LAPACK SVD of lambda0 I - M.
+form downstream assumes this normalization.  The double pair is found
+from two traces, tr M and the discriminant of the quartic in
+w = lambda + 1/lambda, with no root extraction; rank decisions and the
+chain come from one LAPACK SVD of lambda0 I - M.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,61 +25,53 @@ from .errors import (
     InconsistentChainError,
     NotAJordanBlockError,
 )
-from .linalg import as_mat4, charpoly, quartic_roots, symplectic_form
+from .linalg import as_mat4, charpoly, discriminant, is_symplectic, quartic_roots, symplectic_form
 
 _RANK_RTOL = 1e-8  # sigma below this times sigma_max counts as zero
 _GAUGE_TIE = 1e-9  # entries of eta1 within this relative modulus tie
 
 
-def eigenvalues(M, center=0j):
-    """All four eigenvalues of M via the recentred characteristic quartic.
-
-    Recentring at an approximate eigenvalue removes the catastrophic
-    cancellation that plagues near-double roots extracted from the
-    expansion about zero.  A stack (n, 4, 4) gives an (n, 4) array from
-    one batch of characteristic polynomials.
-    """
-    polys = charpoly(M, center)
+def eigenvalues(M):
+    """All four eigenvalues of M, the roots of its characteristic quartic.
+    A stack (n, 4, 4) gives an (n, 4) array from one batch of
+    characteristic polynomials."""
+    polys = charpoly(M, 0j)
     if isinstance(polys, list):
         return np.array([quartic_roots(p) for p in polys]).reshape(-1, 4)
     return quartic_roots(polys)
 
 
 def detect_double_unitary(M, tol_cluster=1e-6, tol_circle=1e-6):
-    """Find a double unit-circle eigenvalue with positive imaginary part.
+    """Find a double unit-circle multiplier with positive imaginary part
+    from two traces, without roots.
 
-    Returns the cluster center L when the spectrum consists of exactly one
-    conjugate pair of two-point clusters {L, L} and {conj L, conj L} with
-    intra-cluster spread at most ``tol_cluster``, |.|L| - 1| at most
-    ``tol_circle`` and L further than 10 * tol_cluster from both +1 and
-    -1.  Returns None otherwise; absence is a value, not an error.
+    With w = lambda + 1/lambda, a real symplectic M's characteristic
+    quartic becomes w^2 - tr M w + e2 - 2, whose roots w+- have mean
+    w = tr M / 2 and squared gap :func:`discriminant`.  A double pair
+    exp(+-i theta0) has w = 2 cos theta0 and Delta = 0.  Returns the mean
+    L of the pair lambda(w+-), w/2 + i sin theta0 - i Delta / (32
+    sin^3 theta0) to O(Delta^2), when M is symplectic to ``tol_circle``
+    (max |M^T J4 M - J4|, the reciprocity the reduction rests on),
+    |w| < 2, L lies further than 10 * tol_cluster from both +1 and -1,
+    and the pair's spread sqrt|Delta| / (2 sin theta0) is at most
+    ``tol_cluster``.  Returns None otherwise; absence is a value, not an
+    error.  A semisimple double pair is accepted here; :func:`jordan_pair`
+    rejects it.
     """
-    evs = eigenvalues(M)
-    plus = [z for z in evs if z.imag > 0]
-    minus = [z for z in evs if z.imag <= 0]
-    if len(plus) != 2 or len(minus) != 2:
+    if not is_symplectic(M, tol_circle):
         return None
-    if abs(plus[0] - plus[1]) > tol_cluster:
+    M = np.real(M)
+    w = float(M.trace()) / 2.0
+    if not abs(w) < 2.0:
         return None
-    if abs(minus[0] - minus[1]) > tol_cluster:
+    # On the circle |L -+ 1| = sqrt(2 -+ w).
+    if min(2.0 - w, 2.0 + w) <= (10.0 * tol_cluster) ** 2:
         return None
-    lam = (plus[0] + plus[1]) / 2.0
-    lam_conj = (minus[0] + minus[1]) / 2.0
-    if abs(np.conj(lam) - lam_conj) > 2.0 * tol_cluster:
+    sin0 = math.sqrt(1.0 - w * w / 4.0)
+    delta = discriminant(M)
+    if math.sqrt(abs(delta)) / (2.0 * sin0) > tol_cluster:
         return None
-    if abs(abs(lam) - 1.0) > tol_circle:
-        return None
-    if abs(lam - 1.0) <= 10.0 * tol_cluster or abs(lam + 1.0) <= 10.0 * tol_cluster:
-        return None
-    # One recentred re-extraction: roots about 0 lose ~half the digits of a
-    # near-double pair to cancellation, and downstream tracking measures
-    # sums against this center, so it must come from the recentred path.
-    refined = eigenvalues(M, center=lam)
-    near = refined[np.argsort(np.abs(refined - lam))[:2]]
-    lam = complex((near[0] + near[1]) / 2.0)
-    if abs(abs(lam) - 1.0) > tol_circle:
-        return None
-    return lam
+    return complex(w / 2.0, sin0 - delta / (32.0 * sin0 ** 3))
 
 
 def make_jordan_symplectic(theta0, C):

@@ -97,17 +97,16 @@ def track(polys, roots, lambda0, grid, a_seed=None):
 class PuiseuxFit:
     """Result of fitting branch data to +-a sqrt(s) + mu s.
 
-    ``a`` comes from the odd part (branch2 - branch1)/2 alone and ``mu``
-    from the even part alone, each a weighted least-squares projection;
-    ``mu_sum`` re-estimates mu from the even part, extrapolated to s = 0
-    over the three smallest parameters.  The odd powers of sqrt(s) cancel
-    in the sum, so its quotient is mu + O(s) and the extrapolation is done
-    against s, not sqrt(s); this is the sharper and more grid-stable
-    second-order estimate.
+    ``a`` comes from the odd part (branch2 - branch1)/2 alone, a weighted
+    least-squares projection; ``mu_sum`` estimates mu from the even part,
+    extrapolated to s = 0 over the three smallest parameters.  The odd
+    powers of sqrt(s) cancel in the sum, so its quotient is mu + O(s) and
+    the extrapolation is done against s, not sqrt(s).
+    ``diagnostics["richardson_spread"]`` is the gap between the two-point
+    Richardson extrapolations of that quotient, a convergence record.
     """
 
     a: complex
-    mu: complex
     mu_sum: complex
     diagnostics: dict = field(default_factory=dict, compare=False)
 
@@ -131,15 +130,13 @@ def fit_puiseux(tr, lambda0):
     # q(s) = (b1 + b2 - 2 L) / (2 s) = mu + O(s) since the odd sqrt(s)
     # powers cancel pointwise.  With the 1/s row weights the joint fit's
     # two columns, [sqrt(s)/s; -sqrt(s)/s] and [1; 1], are orthogonal, so
-    # its solution is one projection per column: a from the odd part, mu
-    # the mean of q.
+    # its a is the projection on the odd part alone.
     q = (y1 + y2) / (2.0 * s)
     a_fit = complex(np.sum((y2 - y1) / 2.0 * s ** -1.5) / np.sum(1.0 / s))
-    mu_fit = complex(np.mean(q))
 
     # Intercept of the least-squares line through q's three smallest
-    # points; the two-point Richardson values are kept as convergence
-    # diagnostics.
+    # points; the spread of the two-point Richardson values is kept as a
+    # convergence diagnostic.
     design3 = np.stack([np.ones(3), s[:3]], axis=1)
     line, _, rank3, _ = np.linalg.lstsq(design3, q[:3], rcond=None)
     if rank3 < 2:
@@ -147,13 +144,8 @@ def fit_puiseux(tr, lambda0):
     mu_sum = complex(line[0])
     rich12 = (q[0] * s[1] - q[1] * s[0]) / (s[1] - s[0])
     rich23 = (q[1] * s[2] - q[2] * s[1]) / (s[2] - s[1])
-    diagnostics = {
-        "richardson_12": complex(rich12),
-        "richardson_23": complex(rich23),
-        "richardson_spread": float(abs(rich12 - rich23)),
-        "raw_quotient_smallest": complex(q[0]),
-    }
-    return PuiseuxFit(a=a_fit, mu=mu_fit, mu_sum=mu_sum, diagnostics=diagnostics)
+    diagnostics = {"richardson_spread": float(abs(rich12 - rich23))}
+    return PuiseuxFit(a=a_fit, mu_sum=mu_sum, diagnostics=diagnostics)
 
 
 # --- end-to-end comparison ---------------------------------------------------

@@ -24,7 +24,12 @@ parity-split ``kreinsplit.verify.fit_puiseux``.  The degree-10 Horner
 series for exp(W) - I with its per-matrix scaling is kept verbatim as
 ``expm1_horner``, the reference of the Paterson-Stockmeyer
 ``kreinsplit.flow._expm1``, and ``expm1_decimal`` sums the Taylor series
-of one matrix in 50-digit decimal arithmetic.
+of one matrix in 50-digit decimal arithmetic.  The detector that found
+the double multiplier from the roots of two characteristic quartics, the
+second recentred at the first estimate, is kept as
+``detect_double_unitary_roots`` (its two ``eigenvalues`` calls written
+out as ``quartic_roots(charpoly(...))``), the reference of the trace rule
+in ``kreinsplit.spectral.detect_double_unitary``.
 
 The rest are helpers that only tests read: the inner-product closed forms
 of the ladder's mixed coefficients (``ladder_closed_forms``, which computes
@@ -46,7 +51,7 @@ from kreinsplit.bifurcation import UNSTABLE_FORWARD
 from kreinsplit.errors import ExprDomainError, IllConditionedFitError, NonSymplecticError
 from kreinsplit.expr import Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var
 from kreinsplit.flow import _CHUNK
-from kreinsplit.linalg import J4, is_symplectic, symplectic_form
+from kreinsplit.linalg import J4, charpoly, is_symplectic, quartic_roots, symplectic_form
 from kreinsplit.spectral import pair_from_vectors
 from kreinsplit.verify import PuiseuxFit
 
@@ -132,6 +137,38 @@ def charpoly_by_sampling(M, center):
     vand = np.vander(xs, 5, increasing=True)
     vals = np.array([det_cofactor((center + x) * np.eye(4) - M) for x in xs])
     return np.linalg.solve(vand, vals)
+
+
+def detect_double_unitary_roots(M, tol_cluster=1e-6, tol_circle=1e-6):
+    """``detect_double_unitary`` as it was: the cluster center L of a
+    spectrum made of exactly one conjugate pair of two-point clusters
+    {L, L} and {conj L, conj L}, each of spread at most ``tol_cluster``,
+    with ||L| - 1| at most ``tol_circle`` and L further than
+    10 * tol_cluster from both +1 and -1; else None.  L is refined by one
+    root extraction from the quartic recentred at the first estimate."""
+    evs = quartic_roots(charpoly(M, 0j))
+    plus = [z for z in evs if z.imag > 0]
+    minus = [z for z in evs if z.imag <= 0]
+    if len(plus) != 2 or len(minus) != 2:
+        return None
+    if abs(plus[0] - plus[1]) > tol_cluster:
+        return None
+    if abs(minus[0] - minus[1]) > tol_cluster:
+        return None
+    lam = (plus[0] + plus[1]) / 2.0
+    lam_conj = (minus[0] + minus[1]) / 2.0
+    if abs(np.conj(lam) - lam_conj) > 2.0 * tol_cluster:
+        return None
+    if abs(abs(lam) - 1.0) > tol_circle:
+        return None
+    if abs(lam - 1.0) <= 10.0 * tol_cluster or abs(lam + 1.0) <= 10.0 * tol_cluster:
+        return None
+    refined = quartic_roots(charpoly(M, lam))
+    near = refined[np.argsort(np.abs(refined - lam))[:2]]
+    lam = complex((near[0] + near[1]) / 2.0)
+    if abs(abs(lam) - 1.0) > tol_circle:
+        return None
+    return lam
 
 
 def best_match_distance(got, want):
@@ -556,7 +593,7 @@ def fit_joint(tr, lambda0):
         "richardson_spread": float(abs(rich12 - rich23)),
         "raw_quotient_smallest": complex(q[0]),
     }
-    return PuiseuxFit(a=a_fit, mu=mu_fit, mu_sum=mu_sum, diagnostics=diagnostics)
+    return PuiseuxFit(a=a_fit, mu_sum=mu_sum, diagnostics=diagnostics)
 
 
 def ladder_closed_forms(pair, A0):

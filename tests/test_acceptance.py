@@ -16,7 +16,6 @@ from kreinsplit import (
     charpoly,
     detect_double_unitary,
     endpoint,
-    eigenvalues,
     expansion_t,
     exterior_power,
     inner,
@@ -26,6 +25,7 @@ from kreinsplit import (
     make_jordan_symplectic,
     pair_from_vectors,
     perturbation_hamiltonian,
+    quartic_roots,
 )
 from kreinsplit.errors import NotAJordanBlockError
 
@@ -199,10 +199,10 @@ def test_criterion_6_stability_dichotomy(pi3_scenario, pi3_neg_scenario):
         lam = detect_double_unitary(gamma0)
         pair = jordan_pair(gamma0, lam)
         kappa = expansion_t(pair, scenario.curve.eval_matrix(0.0, 0.0)).kappa
-        plus = eigenvalues(endpoint(
-            integrate(scenario.curve, gamma0, 1e-4, 10000, 0.0)), center=lam)
-        minus = eigenvalues(endpoint(
-            integrate(scenario.curve, gamma0, -1e-4, 10000, 0.0)), center=lam)
+        plus = quartic_roots(charpoly(endpoint(
+            integrate(scenario.curve, gamma0, 1e-4, 10000, 0.0)), lam))
+        minus = quartic_roots(charpoly(endpoint(
+            integrate(scenario.curve, gamma0, -1e-4, 10000, 0.0)), lam))
         unstable_side, stable_side = (plus, minus) if kappa > 0 else (minus, plus)
         escapes = float(np.max(np.abs(unstable_side))) > 1.0 + 1e-6
         circle_dev = float(np.max(np.abs(np.abs(stable_side) - 1.0)))

@@ -65,6 +65,8 @@ def test_is_symplectic():
     assert is_symplectic(np.eye(4), 1e-12)
     assert is_symplectic(J4, 1e-12)
     assert not is_symplectic(2 * np.eye(4), 1e-8)
+    for bad in (complex(np.nan, 0.0), complex(0.0, np.nan), complex(0.0, 1e-6)):
+        assert not is_symplectic(J4 + bad * np.eye(4), 1e-8), bad
     with pytest.raises(ValueError):
         is_symplectic(np.eye(4), 0.0)
 

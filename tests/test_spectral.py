@@ -3,6 +3,7 @@ import pytest
 
 from kreinsplit import (
     J4,
+    charpoly,
     detect_double_unitary,
     eigenvalues,
     inner,
@@ -11,7 +12,10 @@ from kreinsplit import (
     load_scenario,
     make_jordan_symplectic,
     pair_from_vectors,
+    quartic_roots,
 )
+from kreinsplit import linalg, spectral, verify
+from kreinsplit.cli import main
 from kreinsplit.errors import (
     DegenerateAngleError,
     ExcludedCaseError,
@@ -22,6 +26,7 @@ from conftest import COUPLINGS, SCENARIOS, SEMISIMPLE_COUPLINGS, THETAS
 from oracles import (
     best_match_distance,
     conjugated,
+    detect_double_unitary_roots,
     expm_taylor,
     krein_pairings_ok,
     random_symmetric4,
@@ -38,11 +43,10 @@ def test_eigenvalues_simple_cases():
 def test_eigenvalues_of_a_stack_equal_one_matrix_calls():
     rng = np.random.default_rng(42)
     stack = rng.normal(size=(5, 4, 4))
-    center = 0.3 + 0.8j
-    batch = eigenvalues(stack, center=center)
+    batch = eigenvalues(stack)
     assert batch.shape == (5, 4)
     for M, got in zip(stack, batch):
-        assert got.tobytes() == eigenvalues(M, center=center).tobytes()
+        assert got.tobytes() == quartic_roots(charpoly(M, 0j)).tobytes()
 
 
 def test_eigenvalue_quartet_symmetry_for_random_symplectic():
@@ -87,6 +91,73 @@ def test_detect_rejects_off_circle_and_real_spectra():
     assert detect_double_unitary(M) is None
 
 
+def _rotations(th1, th2):
+    """Four distinct unit multipliers exp(+-i th1), exp(+-i th2)."""
+    return expm_taylor(J4 @ np.diag([th1, th2, th1, th2]))
+
+
+def _detector_corpus():
+    near_ends = (1e-6, 5e-6, 9e-6)  # |L -+ 1| within 10 * cluster = 1e-5
+    corpus = [make_jordan_symplectic(th, C) for th in THETAS for C in COUPLINGS]
+    corpus += [make_jordan_symplectic(th, C) for th in THETAS for C in SEMISIMPLE_COUPLINGS]
+    corpus += [_rotations(th1, th2) for th1, th2 in ((0.4, 1.3), (0.2, 2.9), (1.0, 1.1))]
+    corpus += [make_jordan_symplectic(th, np.eye(2)) for th in near_ends]
+    corpus += [make_jordan_symplectic(np.pi - th, np.eye(2)) for th in near_ends]
+    corpus += [np.diag([2.0, 3.0, 0.5, 1.0 / 3.0]),
+               # off the circle by twice tol_circle
+               (1.0 + 2e-6) * make_jordan_symplectic(np.pi / 3, np.eye(2))]
+    return corpus
+
+
+def test_detect_decisions_match_the_root_reference():
+    # The trace rule accepts and rejects exactly where the root-based
+    # detector does, and on acceptance both give the same lambda0.
+    accepted = 0
+    for M in _detector_corpus():
+        got, want = detect_double_unitary(M), detect_double_unitary_roots(M)
+        assert (got is None) == (want is None), M
+        if got is not None:
+            accepted += 1
+            assert abs(got - want) <= 1e-12
+    assert accepted == len(THETAS) * (len(COUPLINGS) + len(SEMISIMPLE_COUPLINGS))
+
+
+def test_detect_rejects_a_slightly_scaled_double_that_the_roots_accepted():
+    # Scaling by f = 1 + 5e-7 moves the double pair off the circle by 5e-7,
+    # within the root detector's tol_circle = 1e-6, so it accepted.  The
+    # trace rule reads the pair through Delta, which scales to
+    # 8 (1 - f^2) = -8e-6: a spread of about 1.6e-3, far above the cluster
+    # tolerance, so it rejects, also with the reciprocity bound relaxed.
+    M = (1.0 + 5e-7) * make_jordan_symplectic(np.pi / 3, np.eye(2))
+    assert detect_double_unitary_roots(M) is not None
+    assert detect_double_unitary(M) is None
+    assert detect_double_unitary(M, tol_circle=1e-3) is None
+
+
+def test_detect_reads_the_reciprocity_bound():
+    # Multipliers +-0.5i and +-sqrt(1.75)i: tr M = 0 and tr M^2 = -4, the
+    # traces of a double pair at i, but M is not symplectic, so the
+    # w-reduction does not hold.  tol_circle bounds max |M^T J4 M - J4|.
+    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+    M = np.zeros((4, 4))
+    M[:2, :2] = 0.5 * quarter
+    M[2:, 2:] = np.sqrt(1.75) * quarter
+    assert detect_double_unitary_roots(M) is None
+    assert detect_double_unitary(M) is None
+    assert detect_double_unitary(M, tol_circle=10.0) == 1j
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_closed_forms_solve_no_quartic(command, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quartic_roots called")
+
+    for module in (linalg, spectral, verify):
+        monkeypatch.setattr(module, "quartic_roots", refuse)
+    assert main([command, str(SCENARIOS / "jordan_pi3.json")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_make_jordan_symplectic_properties():
     for theta in THETAS:
         for C in COUPLINGS:
@@ -108,11 +179,15 @@ def test_make_jordan_symplectic_rejects_degenerate_angle():
 def test_jordan_pair_rejects_semisimple():
     with pytest.raises(NotAJordanBlockError):
         jordan_pair(J4, 1j)
-    # traceless couplings produce semisimple double multipliers
-    for C in SEMISIMPLE_COUPLINGS:
-        M = make_jordan_symplectic(np.pi / 3, C)
-        with pytest.raises(NotAJordanBlockError):
-            jordan_pair(M, np.exp(1j * np.pi / 3))
+    # traceless couplings produce semisimple double multipliers, which
+    # detection accepts (Delta = 0) and the chain extraction rejects
+    for theta in THETAS:
+        for C in SEMISIMPLE_COUPLINGS:
+            M = make_jordan_symplectic(theta, C)
+            lam = detect_double_unitary(M)
+            assert abs(lam - np.exp(1j * theta)) < 1e-13
+            with pytest.raises(NotAJordanBlockError):
+                jordan_pair(M, lam)
 
 
 def test_jordan_pair_rejects_excluded_multipliers():
