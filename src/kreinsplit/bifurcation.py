@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateCaseError, ExcludedCaseError, InconclusiveError
-from .linalg import as_mat4, charpoly, exterior_power, inner
+from .linalg import as_mat4, charpoly_mixed, inner
 
 #: Verdict strings for the strong-stability dichotomy.
 UNSTABLE_FORWARD = "unstable_forward_stable_backward"
@@ -78,13 +78,8 @@ def ladder(gamma0, gammadot0, lambda0):
     quadratic coefficient vanishes, which happens exactly when the
     multiplier sits at +-1.
     """
-    gamma0 = as_mat4(gamma0)
-    gammadot0 = as_mat4(gammadot0)
     lambda0 = complex(lambda0)
-    K = lambda0 * np.eye(4) - gamma0
-    c = charpoly(gamma0, lambda0).coeffs
-    c31 = exterior_power(3, 1, K, gammadot0)
-    c21 = exterior_power(2, 1, K, gammadot0)
+    c, c31, c21 = charpoly_mixed(gamma0, lambda0, gammadot0)
     if abs(c[2]) < 1e-10:
         raise ExcludedCaseError(
             "quadratic coefficient vanishes; multiplier too close to +-1")

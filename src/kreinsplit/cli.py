@@ -51,8 +51,7 @@ def _json_default(obj):
 
 
 def _emit_json(doc):
-    json.dump(doc, sys.stdout, indent=2, default=_json_default)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2, default=_json_default) + "\n")
 
 
 def _grid_arg(text):

@@ -6,15 +6,15 @@ sqrt and abs.  Precedence is ``^`` above unary minus above ``*``/``/``
 above ``+``/``-``; ``^`` is right-associative, everything else is left-
 associative.  Text may nest at most :data:`MAX_DEPTH` levels deep.
 
-One operator table gives each operator its numpy function, read by the
-closures of :func:`compile_array` (no source code is generated) and by
-the locator that names the first node of a tree whose value is not
-finite.  dA/deps is the symbolic derivative of each entry (:func:`d_eps`),
-compiled the same way.
+One operator table gives each operator its numpy function.  The closures
+of :func:`compile_array` read it for arrays of points (no source code is
+generated), and a tree walker reads it for one point and to name the first
+node of a tree whose value is not finite.  dA/deps is the symbolic
+derivative of each entry (:func:`d_eps`), compiled the same way.
 """
 
 import operator
-from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -36,60 +36,90 @@ MAX_DEPTH = 100
 
 
 # --- abstract syntax --------------------------------------------------------
-# ``offset`` is the byte position in the source text, excluded from
-# equality so structural comparison ignores provenance.
+# ``offset`` is the byte position in the source text.  Nodes are equal when
+# they are of one class with equal fields; the offset is not a field, so
+# structural comparison ignores provenance.  Nodes are never mutated.
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-    offset: int = field(default=0, compare=False)
+class _Node:
+    __slots__ = ("offset",)
+    _fields = ()
+
+    def _key(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash((type(self), self._key()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    offset: int = field(default=0, compare=False)
+class Num(_Node):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value, offset=0):
+        self.value = value
+        self.offset = offset
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-    offset: int = field(default=0, compare=False)
+class Var(_Node):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name, offset=0):
+        self.name = name
+        self.offset = offset
 
 
-@dataclass(frozen=True)
-class _Binary:
-    lhs: object
-    rhs: object
-    offset: int = field(default=0, compare=False)
+class Neg(_Node):
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg, offset=0):
+        self.arg = arg
+        self.offset = offset
+
+
+class _Binary(_Node):
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs, rhs, offset=0):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.offset = offset
 
 
 # Binary nodes differ only in class, so equality still tells them apart.
 class Add(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Sub(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Mul(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Div(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Pow(_Binary):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: object
-    offset: int = field(default=0, compare=False)
+class Call(_Node):
+    __slots__ = _fields = ("fn", "arg")
+
+    def __init__(self, fn, arg, offset=0):
+        self.fn = fn
+        self.arg = arg
+        self.offset = offset
 
 
 # --- tokenizer / parser -----------------------------------------------------
@@ -100,15 +130,20 @@ def _tokenize(source):
     n = len(source)
     while i < n:
         ch = source[i]
-        if ch.isspace():
+        if ch in "+-*/^()":
+            tokens.append((ch, ch, i))
             i += 1
-            continue
-        if ch.isdigit() or ch == ".":
+        elif ch.isspace():
+            i += 1
+        elif ch.isdigit() or ch == ".":
+            # digits with at most one ".", then an optional exponent
             j = i
-            seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or source[j] == "."
+            while j < n and source[j].isdigit():
                 j += 1
+            if j < n and source[j] == ".":
+                j += 1
+                while j < n and source[j].isdigit():
+                    j += 1
             if j < n and source[j] in "eE":
                 k = j + 1
                 if k < n and source[k] in "+-":
@@ -122,7 +157,7 @@ def _tokenize(source):
                 value = float(text)
             except ValueError:
                 raise ExprSyntaxError(i, ("number",), f"bad number literal {text!r} at offset {i}")
-            if not np.isfinite(value):
+            if not isfinite(value):
                 raise ExprSyntaxError(i, ("number",), f"non-finite literal {text!r} at offset {i}")
             tokens.append(("num", value, i))
             i = j
@@ -132,9 +167,6 @@ def _tokenize(source):
                 j += 1
             tokens.append(("ident", source[i:j], i))
             i = j
-        elif ch in "+-*/^()":
-            tokens.append((ch, ch, i))
-            i += 1
         else:
             raise ExprSyntaxError(i, ("number", "identifier", "operator"),
                                   f"unexpected character {ch!r} at offset {i}")
@@ -142,99 +174,13 @@ def _tokenize(source):
     return tokens
 
 
-class _Parser:
-    def __init__(self, source):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ExprSyntaxError(tok[2], (kind,))
-        return self.take()
-
-    def deeper(self, depth, offset):
-        # Each rule takes the levels enclosing it and returns its tree with
-        # the levels down to its deepest leaf; this adds one level.
-        if depth >= MAX_DEPTH:
-            raise ExprDepthError(f"expression nests deeper than {MAX_DEPTH} levels "
-                                 f"at offset {offset}")
-        return depth + 1
-
-    def parse(self):
-        node, _ = self.sum(0)
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExprSyntaxError(tok[2], ("+", "-", "*", "/", "^", "end"))
-        return node
-
-    def sum(self, level):
-        node, depth = self.term(level)
-        while self.peek()[0] in ("+", "-"):
-            kind, _, off = self.take()
-            rhs, rhs_depth = self.term(level)
-            depth = self.deeper(max(depth, rhs_depth), off)
-            node = Add(node, rhs, off) if kind == "+" else Sub(node, rhs, off)
-        return node, depth
-
-    def term(self, level):
-        node, depth = self.unary(level)
-        while self.peek()[0] in ("*", "/"):
-            kind, _, off = self.take()
-            rhs, rhs_depth = self.unary(level)
-            depth = self.deeper(max(depth, rhs_depth), off)
-            node = Mul(node, rhs, off) if kind == "*" else Div(node, rhs, off)
-        return node, depth
-
-    def unary(self, level):
-        tok = self.peek()
-        if tok[0] == "-":
-            self.take()
-            arg, depth = self.unary(self.deeper(level, tok[2]))
-            return Neg(arg, tok[2]), depth
-        return self.power(level)
-
-    def power(self, level):
-        base, depth = self.atom(level)
-        tok = self.peek()
-        if tok[0] == "^":
-            self.take()
-            # Right-associative: the exponent may itself carry unary minus.
-            expo, expo_depth = self.unary(self.deeper(level, tok[2]))
-            return Pow(base, expo, tok[2]), max(self.deeper(depth, tok[2]), expo_depth)
-        return base, depth
-
-    def atom(self, level):
-        tok = self.peek()
-        if tok[0] == "num":
-            self.take()
-            return Num(tok[1], tok[2]), level
-        if tok[0] == "ident":
-            self.take()
-            name, off = tok[1], tok[2]
-            if name in _VARIABLES:
-                return Var(name, off), level
-            if name in _FUNCTIONS:
-                self.expect("(")
-                arg, depth = self.sum(self.deeper(level, off))
-                self.expect(")")
-                return Call(name, arg, off), depth
-            raise UnknownIdentifierError(name, off)
-        if tok[0] == "(":
-            self.take()
-            node, depth = self.sum(self.deeper(level, tok[2]))
-            self.expect(")")
-            return node, depth
-        raise ExprSyntaxError(tok[2], ("number", "identifier", "(", "-"))
+def _deeper(depth, offset):
+    # Each rule takes the levels enclosing it and returns its tree with the
+    # levels down to its deepest leaf; this adds one level.
+    if depth >= MAX_DEPTH:
+        raise ExprDepthError(f"expression nests deeper than {MAX_DEPTH} levels "
+                             f"at offset {offset}")
+    return depth + 1
 
 
 def parse(source):
@@ -243,7 +189,86 @@ def parse(source):
     Raises ExprSyntaxError (with byte offset and expected-token set),
     UnknownIdentifierError, or ExprDepthError past MAX_DEPTH levels.
     """
-    return _Parser(source).parse()
+    tokens = _tokenize(source)
+    pos = 0
+
+    def close():
+        nonlocal pos
+        kind, _, off = tokens[pos]
+        if kind != ")":
+            raise ExprSyntaxError(off, (")",))
+        pos += 1
+
+    def sum_(level):
+        # term (("+" | "-") term)*
+        nonlocal pos
+        node, depth = term(level)
+        kind, _, off = tokens[pos]
+        while kind == "+" or kind == "-":
+            pos += 1
+            rhs, rhs_depth = term(level)
+            depth = _deeper(max(depth, rhs_depth), off)
+            node = Add(node, rhs, off) if kind == "+" else Sub(node, rhs, off)
+            kind, _, off = tokens[pos]
+        return node, depth
+
+    def term(level):
+        # unary (("*" | "/") unary)*
+        nonlocal pos
+        node, depth = unary(level)
+        kind, _, off = tokens[pos]
+        while kind == "*" or kind == "/":
+            pos += 1
+            rhs, rhs_depth = unary(level)
+            depth = _deeper(max(depth, rhs_depth), off)
+            node = Mul(node, rhs, off) if kind == "*" else Div(node, rhs, off)
+            kind, _, off = tokens[pos]
+        return node, depth
+
+    def unary(level):
+        # "-" unary | atom ("^" unary)?, atom a number, a variable,
+        # fn "(" sum ")" or "(" sum ")"
+        nonlocal pos
+        kind, value, off = tokens[pos]
+        if kind == "-":
+            pos += 1
+            arg, depth = unary(_deeper(level, off))
+            return Neg(arg, off), depth
+        if kind == "num":
+            pos += 1
+            node, depth = Num(value, off), level
+        elif kind == "ident":
+            pos += 1
+            if value in _VARIABLES:
+                node, depth = Var(value, off), level
+            elif value in _FUNCTIONS:
+                if tokens[pos][0] != "(":
+                    raise ExprSyntaxError(tokens[pos][2], ("(",))
+                pos += 1
+                arg, depth = sum_(_deeper(level, off))
+                close()
+                node = Call(value, arg, off)
+            else:
+                raise UnknownIdentifierError(value, off)
+        elif kind == "(":
+            pos += 1
+            node, depth = sum_(_deeper(level, off))
+            close()
+        else:
+            raise ExprSyntaxError(off, ("number", "identifier", "(", "-"))
+        kind, _, off = tokens[pos]
+        if kind != "^":
+            return node, depth
+        pos += 1
+        # Right-associative: the exponent may itself carry unary minus.
+        expo, expo_depth = unary(_deeper(level, off))
+        return Pow(node, expo, off), max(_deeper(depth, off), expo_depth)
+
+    node, _ = sum_(0)
+    kind, _, off = tokens[pos]
+    if kind != "end":
+        raise ExprSyntaxError(off, ("+", "-", "*", "/", "^", "end"))
+    return node
 
 
 # --- the operator table -----------------------------------------------------
@@ -343,12 +368,16 @@ def d_eps(e):
 
 # --- compilation ------------------------------------------------------------
 
+def _too_deep(e):
+    return ExprDepthError(f"expression (or its eps-derivative) nests deeper than "
+                          f"{MAX_DEPTH} levels at offset {e.offset}")
+
+
 def _closure(e, depth=0):
     """One tree as a function of (t, eps) that applies the table's numpy
     function at each node to its children's values, left to right."""
     if depth > MAX_DEPTH:
-        raise ExprDepthError(f"expression (or its eps-derivative) nests deeper than "
-                             f"{MAX_DEPTH} levels at offset {e.offset}")
+        raise _too_deep(e)
     kind = type(e)
     if kind is Num:
         return lambda t, eps, value=e.value: value
@@ -374,6 +403,23 @@ def compile_array(trees):
             return tuple([fn(ts, eps) for fn in fns])
 
     return evaluate_all
+
+
+def _value(e, t, eps, depth=0):
+    """The value of a tree at the point (t, eps) by the same operator table,
+    as its closure computes it at a one-element array of t; held to
+    MAX_DEPTH like the closures, and otherwise unchecked.  Run under
+    ``np.errstate(all="ignore")``."""
+    if depth > MAX_DEPTH:
+        raise _too_deep(e)
+    kind = type(e)
+    if kind is Num:
+        return e.value
+    if kind is Var:
+        return t if e.name == "t" else eps
+    if kind is Neg or kind is Call:
+        return _OPS[e.fn if kind is Call else kind](_value(e.arg, t, eps, depth + 1))
+    return _OPS[kind](_value(e.lhs, t, eps, depth + 1), _value(e.rhs, t, eps, depth + 1))
 
 
 def _locate(e, t, eps):
@@ -413,7 +459,7 @@ class SymmetricCurve:
     def __init__(self, entries):
         self._entries = dict(entries)
         self.has_eps = any(contains_eps(e) for e in self._entries.values())
-        self._compiled = _compile_entries(self._entries)
+        self._compiled = None  # compiled on the first batch call
         self._d_eps = None  # compiled on the first d_eps_matrix_batch call
 
     @classmethod
@@ -448,16 +494,31 @@ class SymmetricCurve:
         return dict(self._entries)
 
     def eval_matrix(self, t, eps=0.0):
-        """The symmetric real matrix A(t, eps)."""
-        return self.eval_matrix_batch([t], eps)[0]
+        """The symmetric real matrix A(t, eps): each tree walked once at the
+        point, with the values and errors of ``eval_matrix_batch([t], eps)[0]``."""
+        t = float(t)
+        out = np.zeros((4, 4))
+        with np.errstate(all="ignore"):
+            for (i, j), tree in self._entries.items():
+                value = _value(tree, t, eps)
+                if not isfinite(value):
+                    raise _domain_error("entry", (i, j), tree, t, float(eps))
+                out[i, j] = out[j, i] = value
+        return out
+
+    def _batch(self):
+        if self._compiled is None:
+            self._compiled = _compile_entries(self._entries)
+        return self._compiled
 
     def eval_matrix_batch(self, ts, eps=0.0):
         """A(t, eps) for every t in ``ts``; shape (len(ts), 4, 4).
 
         ``eps`` is a scalar or an array shaped like ``ts``, paired with it
         point by point.  A non-finite entry raises ExprDomainError naming
-        the entry, the point and the offending subexpression."""
-        return _fill(self._compiled, ts, eps, "entry")
+        the entry, the point and the offending subexpression.  The trees
+        are compiled on the first batch call."""
+        return _fill(self._batch(), ts, eps, "entry")
 
     def entry_values(self, ts, eps):
         """Yield ``((i, j), values)`` for each stored entry (i <= j) at the
@@ -465,7 +526,7 @@ class SymmetricCurve:
         each other; ``values`` broadcasts to their common shape.  A term in
         t alone is computed once per element of ``ts``.  Checked as in
         :meth:`eval_matrix_batch`, one entry at a time."""
-        return _checked(self._compiled, ts, eps, "entry")
+        return _checked(self._batch(), ts, eps, "entry")
 
     def d_eps_matrix_batch(self, ts, eps=0.0):
         """dA/deps for every t in ``ts``, paired with ``eps`` as in
@@ -496,15 +557,21 @@ def _checked(compiled, ts, eps, what):
             bad = int(np.flatnonzero(~np.isfinite(np.broadcast_to(vals, shape)))[0])
             t_bad = float(np.broadcast_to(ts, shape).flat[bad])
             eps_bad = float(np.broadcast_to(eps, shape).flat[bad])
-            where = f"at (t, eps) = ({t_bad!r}, {eps_bad!r})"
-            try:
-                with np.errstate(all="ignore"):
-                    _locate(tree, t_bad, eps_bad)
-            except ExprDomainError as exc:
-                raise ExprDomainError(exc.offset,
-                                      f"{what} ({i},{j}): {exc.reason} {where}") from None
-            raise ExprDomainError(tree.offset, f"{what} ({i},{j}) non-finite {where}")
+            raise _domain_error(what, (i, j), tree, t_bad, eps_bad)
         yield (i, j), vals
+
+
+def _domain_error(what, key, tree, t, eps):
+    """The ExprDomainError of entry ``key``, whose ``tree`` is not finite at
+    (t, eps), naming the node that :func:`_locate` finds."""
+    i, j = key
+    where = f"at (t, eps) = ({t!r}, {eps!r})"
+    try:
+        with np.errstate(all="ignore"):
+            _locate(tree, t, eps)
+    except ExprDomainError as exc:
+        return ExprDomainError(exc.offset, f"{what} ({i},{j}): {exc.reason} {where}")
+    return ExprDomainError(tree.offset, f"{what} ({i},{j}) non-finite {where}")
 
 
 def _fill(compiled, ts, eps, what):

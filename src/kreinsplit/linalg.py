@@ -182,6 +182,23 @@ def charpoly(M, lambda0):
     return [QuarticPoly(tuple(c), center=lambda0) for c in coeffs]
 
 
+# charpoly's 16 rows, then the (3, 1) and (2, 1) classes: the determinants of
+# the coefficient ladder as one stack.
+_C31, _C21 = _CLASSES[3, 1], _CLASSES[2, 1]
+_LADDER_ROWS = np.r_[0:16, _C31, _C21]
+_SPLIT = 16 + _C31.stop - _C31.start
+
+
+def charpoly_mixed(M, lambda0, A):
+    """``charpoly(M, lambda0).coeffs``, ``exterior_power(3, 1, K, A)`` and
+    ``exterior_power(2, 1, K, A)`` with K = lambda0*I - M, for one 4x4 M,
+    from one stacked determinant; bitwise what those three calls return."""
+    K = complex(lambda0) * _ID4 - as_mat4(M)
+    dets = _dets(K, as_mat4(A), _LADDER_ROWS)
+    coeffs = tuple(complex(_fold(dets[_CLASSES[4 - k, 0]])) for k in range(5))
+    return coeffs, complex(_fold(dets[16:_SPLIT])), complex(_fold(dets[_SPLIT:]))
+
+
 def _quadratic_roots(b, c):
     # Monic y^2 + b y + c, numerically stable branch choice.
     disc = cmath.sqrt(b * b - 4.0 * c)

@@ -10,6 +10,7 @@ keys are rejected, and every complaint carries a JSON-pointer-style path.
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,12 @@ class GridSpec:
     log: bool = True
 
     def points(self):
+        """The grid's points, computed on the first call; each call returns
+        a fresh copy."""
+        return self._points.copy()
+
+    @cached_property
+    def _points(self):
         if self.log:
             return np.geomspace(self.lo, self.hi, self.count)
         return np.linspace(self.lo, self.hi, self.count)
@@ -81,11 +88,15 @@ class Scenario:
     eps_grid: GridSpec = field(default_factory=GridSpec)
     tolerances: Tolerances = field(default_factory=Tolerances)
 
-    def grid(self, mode):
-        """Grid points of the ``mode`` family: "t", or "eps" when the
-        curve mentions eps."""
+    def require(self, mode):
+        """Raise InputError unless the scenario has the ``mode`` family:
+        "t", or "eps" when the curve mentions eps."""
         if mode == "eps" and not self.curve.has_eps:
             raise InputError("scenario curve does not mention eps; eps mode unavailable")
+
+    def grid(self, mode):
+        """Grid points of the ``mode`` family (:meth:`require`)."""
+        self.require(mode)
         return getattr(self, f"{mode}_grid").points()
 
     def steps(self, mode):
@@ -123,7 +134,7 @@ def _number(value, path, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
     v = float(value)
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise SchemaError(path, "number must be finite")
     if positive and v <= 0:
         raise SchemaError(path, "number must be positive")
@@ -159,7 +170,8 @@ def parse_grid(obj, path):
     if not isinstance(log, bool):
         raise SchemaError(f"{path}/log", "log must be a boolean")
     grid = GridSpec(lo=lo, hi=hi, count=count, log=log)
-    if not np.all(np.diff(grid.points()) > 0):
+    points = grid.points()
+    if not (points[1:] > points[:-1]).all():
         raise SchemaError(path, "grid points must be strictly increasing; widen [min, max]")
     return grid
 
@@ -248,11 +260,13 @@ def load_scenario(path):
     """Load and validate a scenario JSON file."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_bytes().decode("utf-8")
     except OSError as exc:
         raise SchemaError("", f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError("", f"cannot decode {path} as UTF-8: {exc}") from None
+    if "\r" in text:  # a text-mode read's newlines, which JSON's error positions count
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         obj = json.loads(text)
     except ValueError as exc:  # also an integer past Python's 4,300 digits

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bifurcation import ExpansionCoefficients, expansion_eps, expansion_t
-from .errors import (IllConditionedFitError, InputError, NoDoubleMultiplierError,
-                     TrackingAmbiguityError)
+from .errors import (ExcludedCaseError, IllConditionedFitError, InputError,
+                     NoDoubleMultiplierError, TrackingAmbiguityError)
 from .flow import endpoint, endpoints, integrate, perturbation_hamiltonian
-from .linalg import charpoly, discriminant, quartic_roots
+from .linalg import charpoly, discriminant, is_symplectic, quartic_roots
 from .scenario import MAX_STEPS
 from .spectral import JordanPair, detect_double_unitary, jordan_pair
 
@@ -246,12 +246,10 @@ class Family:
 
     For the time family the base is the initial matrix and the drive is
     A(0, 0); for the eps family the base is the endpoint G(T) at eps = 0
-    and the drive is the effective perturbation generator B.  ``grid``
-    holds the family's grid points (:meth:`Scenario.grid`) and ``steps``
+    and the drive is the effective perturbation generator B.  ``steps`` is
     the step count of its flows (:meth:`Scenario.steps`, :func:`eps_base`).
     """
 
-    grid: np.ndarray
     steps: int
     base: np.ndarray
     pair: JordanPair
@@ -289,10 +287,11 @@ def family(scenario, mode):
     and expand the splitting, for the predictions and the oracle.  When a
     scenario's steps_eps leaves the eps = 0 endpoint without a double pair,
     but its discriminant falls 16x or more at twice the steps, the error
-    says to raise steps_eps."""
+    says to raise steps_eps; a pair within 10 * cluster of +-1 is an
+    ExcludedCaseError."""
     tol = scenario.tolerances
     curve = scenario.curve
-    grid = scenario.grid(mode)
+    scenario.require(mode)
     if mode == "eps":
         steps, sol0 = eps_base(scenario)
         base, where = endpoint(sol0), "endpoint at eps = 0"
@@ -300,6 +299,7 @@ def family(scenario, mode):
         steps, base, where = scenario.steps(mode), scenario.gamma0, "initial matrix"
     lam = detect_double_unitary(base, tol.cluster, tol.circle)
     if lam is None:
+        _near_one(base, tol, where)
         if mode == "eps" and tol.steps_eps is not None:
             finer, _ = endpoints(curve, np.eye(4), scenario.T, 2 * steps, 0.0, tol.drift)
             if abs(discriminant(base)) >= 16.0 * abs(discriminant(finer[0])):
@@ -313,8 +313,19 @@ def family(scenario, mode):
     else:
         drive = curve.eval_matrix(0.0, 0.0)
         coeffs = expansion_t(pair, drive)
-    return Family(grid=grid, steps=steps, base=base, pair=pair, drive=drive,
-                  coeffs=coeffs)
+    return Family(steps=steps, base=base, pair=pair, drive=drive, coeffs=coeffs)
+
+
+def _near_one(base, tol, where):
+    """Raise ExcludedCaseError when :func:`detect_double_unitary` turned
+    ``base`` down for its closeness to +-1: symplectic to ``tol.circle``,
+    with w = tr M / 2 inside (-2, 2) and within (10 * cluster)^2 of +-2."""
+    w = float(np.real(base).trace()) / 2.0
+    near = abs(w) < 2.0 and 2.0 - abs(w) <= (10.0 * tol.cluster) ** 2
+    if near and is_symplectic(base, tol.circle):
+        raise ExcludedCaseError(
+            f"{where} has a multiplier pair within 10 * cluster of {'+1' if w > 0 else '-1'} "
+            f"(tr M / 2 = {w!r}), which the expansion excludes")
 
 
 def family_endpoints(scenario, mode, params, steps=None):
@@ -342,7 +353,7 @@ def _oracle(scenario, mode):
     the ModeComparison and the StabilityProbe (None for the eps family).
     """
     fam = family(scenario, mode)
-    lam, coeffs, grid = fam.pair.lambda0, fam.coeffs, fam.grid
+    lam, coeffs, grid = fam.pair.lambda0, fam.coeffs, scenario.grid(mode)
     probe = scenario.tolerances.probe
     n = grid.size
     params = np.concatenate([grid, [4.0 * np.min(grid)], [probe, -probe] if mode == "t" else []])

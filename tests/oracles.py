@@ -29,7 +29,12 @@ the double multiplier from the roots of two characteristic quartics, the
 second recentred at the first estimate, is kept as
 ``detect_double_unitary_roots`` (its two ``eigenvalues`` calls written
 out as ``quartic_roots(charpoly(...))``), the reference of the trace rule
-in ``kreinsplit.spectral.detect_double_unitary``.
+in ``kreinsplit.spectral.detect_double_unitary``.  The recursive-descent
+parser class with one method per grammar rule and ``peek``/``take``/
+``expect``, and the tokenizer that scanned a literal character by
+character with a ``seen_dot`` flag and checked it with ``np.isfinite``,
+are kept verbatim as ``parse_reference``, the reference of the flat
+``kreinsplit.expr.parse``: the same trees, offsets and errors.
 
 The rest are helpers that only tests read: the inner-product closed forms
 of the ladder's mixed coefficients (``ladder_closed_forms``, which computes
@@ -48,8 +53,28 @@ from math import comb
 import numpy as np
 
 from kreinsplit.bifurcation import UNSTABLE_FORWARD
-from kreinsplit.errors import ExprDomainError, IllConditionedFitError, NonSymplecticError
-from kreinsplit.expr import Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var
+from kreinsplit.errors import (
+    ExprDepthError,
+    ExprDomainError,
+    ExprSyntaxError,
+    IllConditionedFitError,
+    NonSymplecticError,
+    UnknownIdentifierError,
+)
+from kreinsplit.expr import (
+    _FUNCTIONS,
+    _VARIABLES,
+    MAX_DEPTH,
+    Add,
+    Call,
+    Div,
+    Mul,
+    Neg,
+    Num,
+    Pow,
+    Sub,
+    Var,
+)
 from kreinsplit.flow import _CHUNK
 from kreinsplit.linalg import J4, charpoly, is_symplectic, quartic_roots, symplectic_form
 from kreinsplit.spectral import pair_from_vectors
@@ -473,6 +498,155 @@ def evaluate(e, t, eps):
     except (ValueError, OverflowError) as exc:
         what = e.fn if kind is Call else "power"
         raise ExprDomainError(e.offset, f"{what} out of domain: {exc}") from None
+
+
+def _tokenize(source):
+    tokens = []
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit() or ch == ".":
+            j = i
+            seen_dot = False
+            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
+                seen_dot = seen_dot or source[j] == "."
+                j += 1
+            if j < n and source[j] in "eE":
+                k = j + 1
+                if k < n and source[k] in "+-":
+                    k += 1
+                if k < n and source[k].isdigit():
+                    while k < n and source[k].isdigit():
+                        k += 1
+                    j = k
+            text = source[i:j]
+            try:
+                value = float(text)
+            except ValueError:
+                raise ExprSyntaxError(i, ("number",), f"bad number literal {text!r} at offset {i}")
+            if not np.isfinite(value):
+                raise ExprSyntaxError(i, ("number",), f"non-finite literal {text!r} at offset {i}")
+            tokens.append(("num", value, i))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            tokens.append(("ident", source[i:j], i))
+            i = j
+        elif ch in "+-*/^()":
+            tokens.append((ch, ch, i))
+            i += 1
+        else:
+            raise ExprSyntaxError(i, ("number", "identifier", "operator"),
+                                  f"unexpected character {ch!r} at offset {i}")
+    tokens.append(("end", "", n))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, source):
+        self.source = source
+        self.tokens = _tokenize(source)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ExprSyntaxError(tok[2], (kind,))
+        return self.take()
+
+    def deeper(self, depth, offset):
+        # Each rule takes the levels enclosing it and returns its tree with
+        # the levels down to its deepest leaf; this adds one level.
+        if depth >= MAX_DEPTH:
+            raise ExprDepthError(f"expression nests deeper than {MAX_DEPTH} levels "
+                                 f"at offset {offset}")
+        return depth + 1
+
+    def parse(self):
+        node, _ = self.sum(0)
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ExprSyntaxError(tok[2], ("+", "-", "*", "/", "^", "end"))
+        return node
+
+    def sum(self, level):
+        node, depth = self.term(level)
+        while self.peek()[0] in ("+", "-"):
+            kind, _, off = self.take()
+            rhs, rhs_depth = self.term(level)
+            depth = self.deeper(max(depth, rhs_depth), off)
+            node = Add(node, rhs, off) if kind == "+" else Sub(node, rhs, off)
+        return node, depth
+
+    def term(self, level):
+        node, depth = self.unary(level)
+        while self.peek()[0] in ("*", "/"):
+            kind, _, off = self.take()
+            rhs, rhs_depth = self.unary(level)
+            depth = self.deeper(max(depth, rhs_depth), off)
+            node = Mul(node, rhs, off) if kind == "*" else Div(node, rhs, off)
+        return node, depth
+
+    def unary(self, level):
+        tok = self.peek()
+        if tok[0] == "-":
+            self.take()
+            arg, depth = self.unary(self.deeper(level, tok[2]))
+            return Neg(arg, tok[2]), depth
+        return self.power(level)
+
+    def power(self, level):
+        base, depth = self.atom(level)
+        tok = self.peek()
+        if tok[0] == "^":
+            self.take()
+            # Right-associative: the exponent may itself carry unary minus.
+            expo, expo_depth = self.unary(self.deeper(level, tok[2]))
+            return Pow(base, expo, tok[2]), max(self.deeper(depth, tok[2]), expo_depth)
+        return base, depth
+
+    def atom(self, level):
+        tok = self.peek()
+        if tok[0] == "num":
+            self.take()
+            return Num(tok[1], tok[2]), level
+        if tok[0] == "ident":
+            self.take()
+            name, off = tok[1], tok[2]
+            if name in _VARIABLES:
+                return Var(name, off), level
+            if name in _FUNCTIONS:
+                self.expect("(")
+                arg, depth = self.sum(self.deeper(level, off))
+                self.expect(")")
+                return Call(name, arg, off), depth
+            raise UnknownIdentifierError(name, off)
+        if tok[0] == "(":
+            self.take()
+            node, depth = self.sum(self.deeper(level, tok[2]))
+            self.expect(")")
+            return node, depth
+        raise ExprSyntaxError(tok[2], ("number", "identifier", "(", "-"))
+
+
+def parse_reference(source):
+    """``kreinsplit.expr.parse`` as it was: a parser object with one method
+    per grammar rule."""
+    return _Parser(source).parse()
 
 
 def d_eps_exact(e, t, eps):

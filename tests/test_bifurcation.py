@@ -86,6 +86,26 @@ def test_ladder_coefficients_are_the_recentred_charpoly():
         assert c == tuple(exterior_power(4 - k, 0, lam * np.eye(4) - M) for k in range(5))
 
 
+def _bits(*values):
+    return np.array(values, dtype=complex).tobytes()
+
+
+def test_ladder_is_charpoly_and_exterior_powers_bitwise():
+    # One stacked determinant gives the same c, c31 and c21 as charpoly and
+    # two exterior_power calls, bit for bit.
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        M, pair, A0 = random_jordan_scenario(rng)
+        lam = pair.lambda0
+        Mdot = J4 @ A0 @ M
+        lad = ladder(M, Mdot, lam)
+        K = lam * np.eye(4) - M
+        assert _bits(*lad.c) == _bits(*charpoly(M, lam).coeffs)
+        assert _bits(lad.c31) == _bits(exterior_power(3, 1, K, Mdot))
+        assert _bits(lad.c21) == _bits(exterior_power(2, 1, K, Mdot))
+        assert _bits(lad.a_squared) == _bits(lad.c31 / lad.c[2])
+
+
 def test_ladder_rejects_multiplier_at_one():
     with pytest.raises(ExcludedCaseError):
         ladder(np.eye(4), np.zeros((4, 4)), 1.0)

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from kreinsplit import flow
-from kreinsplit.cli import _DEFAULT_MODE, apply_grid_override, build_parser, main
+from kreinsplit.cli import (
+    _DEFAULT_MODE,
+    _emit_json,
+    _json_default,
+    apply_grid_override,
+    build_parser,
+    main,
+)
 from kreinsplit.errors import InputError, NonSymplecticError, SchemaError, SymmetryConflictError
 from kreinsplit.expr import MAX_DEPTH
 from kreinsplit.scenario import (
@@ -18,7 +25,7 @@ from kreinsplit.scenario import (
     load_scenario,
     parse_scenario,
 )
-from kreinsplit.spectral import make_jordan_symplectic
+from kreinsplit.spectral import detect_double_unitary, make_jordan_symplectic
 
 DATA = Path(__file__).parent / "data"
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -134,6 +141,23 @@ def test_analyze_no_double_multiplier_exit_two(capsys):
     rc = main(["analyze", str(DATA / "no_double.json")])
     assert rc == 2
     assert "multiplier" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theta0, near", [(1e-7, "+1"), (np.pi - 1e-7, "-1")])
+def test_pair_near_one_is_an_excluded_case(tmp_path, capsys, theta0, near):
+    # The trace rule turns a pair within 10 * cluster of +-1 down; the family
+    # names the excluded case instead of a missing multiplier.
+    doc = json.loads((SCENARIOS / "jordan_pi3.json").read_text())
+    doc["gamma0"]["generator"]["theta0"] = theta0
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert detect_double_unitary(load_scenario(path).gamma0) is None
+    for command in ("analyze", "classify", "verify"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ExcludedCaseError: initial matrix has a multiplier "
+                              f"pair within 10 * cluster of {near} ")
+        assert err.count("\n") == 1
 
 
 def test_malformed_file_exit_one(tmp_path, capsys):
@@ -635,3 +659,33 @@ def test_analyze_golden(capsys):
     got = json.loads(capsys.readouterr().out)
     want = json.loads((GOLDEN / "analyze_pi3.json").read_text())
     _assert_same_structure(got, want)
+
+
+class _Writes:
+    """A stdout that keeps each write call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("doc", [
+    {"name": "jordan_π3 ψ", "lambda0": 0.5 + 0.8660254037844386j,
+     "eta1": np.array([1 + 2j, -0.0, 3.5, 1e-300j]), "kappa": np.float64(-0.25),
+     "steps": np.int64(52), "flag": np.bool_(True), "c": [np.complex128(1 - 1j), 2.0],
+     "diagnostics": {"nan": float("nan"), "inf": float("inf"), "-inf": -np.inf,
+                     "none": None, "empty": [], "nested": {}}},
+    {"matrix": np.arange(16.0).reshape(4, 4), "ints": np.arange(3), "s": "ü\n\"q\""},
+    [1.0, np.nan, -np.inf, np.float32(0.1)],
+])
+def test_emit_json_is_one_write_of_json_dump(monkeypatch, doc):
+    want = io.StringIO()
+    json.dump(doc, want, indent=2, default=_json_default)
+    want.write("\n")
+    stdout = _Writes()
+    monkeypatch.setattr("sys.stdout", stdout)
+    _emit_json(doc)
+    assert stdout.calls == [want.getvalue()]

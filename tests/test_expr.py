@@ -393,11 +393,15 @@ def test_d_eps_compiled_once_and_only_for_eps_entries(monkeypatch):
     real = expr.compile_array
     monkeypatch.setattr(expr, "compile_array", counting)
     curve = SymmetricCurve.from_strings({"0,0": "1 + t", "1,1": "eps*sin(t)", "2,3": "2"})
+    assert compiled == []  # nothing at construction
+    curve.eval_matrix(0.1, 0.0)
+    assert compiled == []  # a point is walked, not compiled
     curve.eval_matrix_batch([0.1, 0.2], 0.0)
-    assert len(compiled) == 1
+    curve.eval_matrix_batch([0.3], 0.0)
+    assert len(compiled) == 1  # once, on the first batch call
     curve.d_eps_matrix_batch([0.1, 0.2])
     curve.d_eps_matrix_batch([0.3])
     assert compiled[1:] == [[parse("sin(t)")]]
     eps_free = SymmetricCurve.from_strings({"0,0": "1 + t"})
     eps_free.eval_matrix(0.5)
-    assert len(compiled) == 3
+    assert len(compiled) == 2

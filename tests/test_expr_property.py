@@ -6,7 +6,6 @@ children before parents, whose compiled value is non-finite."""
 
 import itertools
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,12 +118,16 @@ def _postorder(e):
 
 def _numbered(e, counter):
     """The same tree with every node at its own offset, in postorder."""
-    if type(e) in (Num, Var):
-        return replace(e, offset=next(counter))
-    if type(e) in (Neg, Call):
-        return replace(e, arg=_numbered(e.arg, counter), offset=next(counter))
+    if type(e) is Num:
+        return Num(e.value, next(counter))
+    if type(e) is Var:
+        return Var(e.name, next(counter))
+    if type(e) is Neg:
+        return Neg(_numbered(e.arg, counter), next(counter))
+    if type(e) is Call:
+        return Call(e.fn, _numbered(e.arg, counter), next(counter))
     lhs = _numbered(e.lhs, counter)
-    return replace(e, lhs=lhs, rhs=_numbered(e.rhs, counter), offset=next(counter))
+    return type(e)(lhs, _numbered(e.rhs, counter), next(counter))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
