@@ -6,11 +6,11 @@ sqrt and abs.  Precedence is ``^`` above unary minus above ``*``/``/``
 above ``+``/``-``; ``^`` is right-associative, everything else is left-
 associative.  Text may nest at most :data:`MAX_DEPTH` levels deep.
 
-One operator table gives each operator its numpy function.  The closures
-of :func:`compile_array` read it for arrays of points (no source code is
-generated), and a tree walker reads it for one point and to name the first
-node of a tree whose value is not finite.  dA/deps is the symbolic
-derivative of each entry (:func:`d_eps`), compiled the same way.
+One operator table gives each operator its numpy function, and one tree
+walker reads it: for one point of Python floats, for arrays of points, and
+for dA/deps, the symbolic derivative of each entry (:func:`d_eps`).  A
+second walk of the same table names the first node of a tree whose value
+is not finite.
 """
 
 import operator
@@ -31,7 +31,7 @@ _VARIABLES = ("t", "eps")
 
 # Deepest nesting of text: each parenthesis, call, unary minus, ^ and chain
 # operator (+ - * /) is a level.  The parser recurses up to five times a level
-# (540 of 1,000 frames under pytest); compile_array holds d/deps to it too.
+# (540 of 1,000 frames under pytest); the walker holds d/deps to it too.
 MAX_DEPTH = 100
 
 
@@ -336,19 +336,22 @@ def d_eps(e):
     table knows, not the parser.
     """
     kind = type(e)
-    if kind is Var and e.name == "eps":
-        return _ONE
-    if not contains_eps(e):
+    if kind is Num:
         return _ZERO
+    if kind is Var:
+        return _ONE if e.name == "eps" else _ZERO
     at = e.offset
     if kind is Neg:
         return _neg(d_eps(e.arg), at)
     if kind is Call:
         u = e.arg
+        du = d_eps(u)
+        if du == _ZERO:
+            return _ZERO
         outer = {"sin": Call("cos", u, at), "cos": Neg(Call("sin", u, at), at),
                  "exp": e, "sqrt": Div(Num(0.5, at), e, at),
                  "abs": Call("sign", u, at)}[e.fn]
-        return _mul(outer, d_eps(u), at)
+        return _mul(outer, du, at)
     u, v = e.lhs, e.rhs
     du, dv = d_eps(u), d_eps(v)
     if kind is Add:
@@ -366,50 +369,18 @@ def d_eps(e):
                 _mul(_mul(v, Pow(u, Sub(v, _ONE, at), at), at), du, at), at)
 
 
-# --- compilation ------------------------------------------------------------
+# --- evaluation -------------------------------------------------------------
 
 def _too_deep(e):
     return ExprDepthError(f"expression (or its eps-derivative) nests deeper than "
                           f"{MAX_DEPTH} levels at offset {e.offset}")
 
 
-def _closure(e, depth=0):
-    """One tree as a function of (t, eps) that applies the table's numpy
-    function at each node to its children's values, left to right."""
-    if depth > MAX_DEPTH:
-        raise _too_deep(e)
-    kind = type(e)
-    if kind is Num:
-        return lambda t, eps, value=e.value: value
-    if kind is Var:
-        return (lambda t, eps: t) if e.name == "t" else (lambda t, eps: eps)
-    fn = _OPS[e.fn if kind is Call else kind]
-    if kind is Neg or kind is Call:
-        arg = _closure(e.arg, depth + 1)
-        return lambda t, eps: fn(arg(t, eps))
-    lhs, rhs = _closure(e.lhs, depth + 1), _closure(e.rhs, depth + 1)
-    return lambda t, eps: fn(lhs(t, eps), rhs(t, eps))
-
-
-def compile_array(trees):
-    """Compile trees into one callable mapping a numpy array of t values
-    and an eps (a scalar or an array shaped like t) to a tuple with one
-    value per tree, broadcastable to the shape of t.  Out-of-domain points
-    come back non-finite, without numpy warnings; callers must check."""
-    fns = [_closure(e) for e in trees]
-
-    def evaluate_all(ts, eps):
-        with np.errstate(all="ignore"):
-            return tuple([fn(ts, eps) for fn in fns])
-
-    return evaluate_all
-
-
 def _value(e, t, eps, depth=0):
-    """The value of a tree at the point (t, eps) by the same operator table,
-    as its closure computes it at a one-element array of t; held to
-    MAX_DEPTH like the closures, and otherwise unchecked.  Run under
-    ``np.errstate(all="ignore")``."""
+    """The value of a tree at (t, eps), Python floats or numpy arrays that
+    broadcast against each other: the table's numpy function applied at
+    each node to its children's values, left to right.  Held to MAX_DEPTH
+    and otherwise unchecked; run under ``np.errstate(all="ignore")``."""
     if depth > MAX_DEPTH:
         raise _too_deep(e)
     kind = type(e)
@@ -459,8 +430,6 @@ class SymmetricCurve:
     def __init__(self, entries):
         self._entries = dict(entries)
         self.has_eps = any(contains_eps(e) for e in self._entries.values())
-        self._compiled = None  # compiled on the first batch call
-        self._d_eps = None  # compiled on the first d_eps_matrix_batch call
 
     @classmethod
     def from_strings(cls, mapping):
@@ -506,19 +475,13 @@ class SymmetricCurve:
                 out[i, j] = out[j, i] = value
         return out
 
-    def _batch(self):
-        if self._compiled is None:
-            self._compiled = _compile_entries(self._entries)
-        return self._compiled
-
     def eval_matrix_batch(self, ts, eps=0.0):
         """A(t, eps) for every t in ``ts``; shape (len(ts), 4, 4).
 
         ``eps`` is a scalar or an array shaped like ``ts``, paired with it
         point by point.  A non-finite entry raises ExprDomainError naming
-        the entry, the point and the offending subexpression.  The trees
-        are compiled on the first batch call."""
-        return _fill(self._batch(), ts, eps, "entry")
+        the entry, the point and the offending subexpression."""
+        return _fill(self._entries, ts, eps, "entry")
 
     def entry_values(self, ts, eps):
         """Yield ``((i, j), values)`` for each stored entry (i <= j) at the
@@ -526,32 +489,28 @@ class SymmetricCurve:
         each other; ``values`` broadcasts to their common shape.  A term in
         t alone is computed once per element of ``ts``.  Checked as in
         :meth:`eval_matrix_batch`, one entry at a time."""
-        return _checked(self._batch(), ts, eps, "entry")
+        return _checked(self._entries, ts, eps, "entry")
 
     def d_eps_matrix_batch(self, ts, eps=0.0):
         """dA/deps for every t in ``ts``, paired with ``eps`` as in
         :meth:`eval_matrix_batch`.
 
-        Each entry that mentions eps is differentiated symbolically and
-        compiled (within MAX_DEPTH) on the first call; the rest are zero."""
-        if self._d_eps is None:
-            self._d_eps = _compile_entries(
-                {k: d_eps(e) for k, e in self._entries.items() if contains_eps(e)})
-        return _fill(self._d_eps, ts, eps, "d/deps of entry")
+        Each entry that mentions eps is differentiated symbolically on every
+        call and walked within MAX_DEPTH; the rest are zero."""
+        return _fill({k: d_eps(e) for k, e in self._entries.items() if contains_eps(e)},
+                     ts, eps, "d/deps of entry")
 
 
-def _compile_entries(entries):
-    """{(i, j): tree} as (keys, trees, one compiled evaluator of all)."""
-    return tuple(entries), tuple(entries.values()), compile_array(entries.values())
-
-
-def _checked(compiled, ts, eps, what):
-    """Yield ``((i, j), values)`` for each entry of a :func:`_compile_entries`
-    curve at the points (ts, eps), which broadcast against each other; a
-    non-finite value is located by :func:`_locate` at the first bad point
-    of the broadcast shape."""
-    keys, trees, fn = compiled
-    for (i, j), tree, vals in zip(keys, trees, fn(ts, eps)):
+def _checked(entries, ts, eps, what):
+    """Yield ``((i, j), values)`` for each entry of {(i, j): tree} at the
+    points (ts, eps), which broadcast against each other.  Every tree is
+    walked before any value is checked, so the first tree too deep is named
+    before any domain error; the first non-finite value, in entry order, is
+    located by :func:`_locate` at the first bad point of the broadcast
+    shape."""
+    with np.errstate(all="ignore"):
+        values = [_value(tree, ts, eps) for tree in entries.values()]
+    for ((i, j), tree), vals in zip(entries.items(), values):
         if not np.all(np.isfinite(vals)):
             shape = np.broadcast_shapes(np.shape(ts), np.shape(eps))
             bad = int(np.flatnonzero(~np.isfinite(np.broadcast_to(vals, shape)))[0])
@@ -574,12 +533,12 @@ def _domain_error(what, key, tree, t, eps):
     return ExprDomainError(tree.offset, f"{what} ({i},{j}) non-finite {where}")
 
 
-def _fill(compiled, ts, eps, what):
-    """Evaluate a :func:`_compile_entries` curve into a stack of symmetric
-    matrices, checked by :func:`_checked`."""
+def _fill(entries, ts, eps, what):
+    """{(i, j): tree} at every t in ``ts`` as a stack of symmetric matrices,
+    checked by :func:`_checked`."""
     ts = np.asarray(ts, dtype=float)
     out = np.zeros((ts.size, 4, 4))
-    for (i, j), vals in _checked(compiled, ts, eps, what):
+    for (i, j), vals in _checked(entries, ts, eps, what):
         out[:, i, j] = vals
         out[:, j, i] = vals
     return out

@@ -104,7 +104,8 @@ class Scenario:
         for "eps", ``steps_eps`` when given, else the least multiple of 4 at
         least max(16, T beta / 0.03), beta the largest row sum of |A(t, 0)| at
         17 equally spaced t in [0, T]: h beta <= 0.03, 52 steps on
-        resonant_eps; past MAX_STEPS, InputError.  verify.eps_base refines it."""
+        resonant_eps; past MAX_STEPS or infinite, InputError.
+        verify.eps_base refines it."""
         tol = self.tolerances
         if mode == "t":
             return tol.steps_t
@@ -112,7 +113,8 @@ class Scenario:
             return tol.steps_eps
         A = self.curve.eval_matrix_batch(np.linspace(0.0, self.T, 17), 0.0)
         beta = float(np.abs(A).sum(axis=-1).max())
-        steps = 4 * math.ceil(max(16.0, self.T * beta / 0.03) / 4)
+        size = max(16.0, self.T * beta / 0.03)
+        steps = 4 * math.ceil(size / 4) if math.isfinite(size) else size
         if steps > MAX_STEPS:
             raise InputError(f"T = {self.T!r} sizes steps_eps at {steps} steps, "
                              f"above the cap of {MAX_STEPS}")

@@ -17,7 +17,7 @@ Newton polish that evaluates through method calls is kept verbatim as
 ``polish_loop``, the bitwise reference of ``kreinsplit.linalg._polish``.
 The compiler that generated Python source for a list of trees and ran it
 through ``eval`` is kept verbatim as ``compile_generated``, the bitwise
-reference of the closures of ``kreinsplit.expr.compile_array``.  The
+reference of the tree walker ``kreinsplit.expr._value`` on arrays.  The
 Puiseux fit that solved both branches as one weighted least-squares
 system is kept verbatim as ``fit_joint``, the reference of the
 parity-split ``kreinsplit.verify.fit_puiseux``.  The degree-10 Horner
@@ -452,7 +452,7 @@ def polish_loop(poly, x):
 
 
 # Each operator's double-precision function, shared with nothing in the
-# package: the closures of ``kreinsplit.expr`` read numpy's.
+# package: the tree walker of ``kreinsplit.expr`` reads numpy's.
 _MATH = {
     Neg: operator.neg,
     Add: operator.add,
@@ -704,7 +704,7 @@ _ARRAY_NS = {
 
 
 def compile_generated(trees):
-    """``compile_array`` as it was: one lambda of generated source for all
+    """The array compiler as it was: one lambda of generated source for all
     trees, run under ``np.errstate(all="ignore")``."""
     body = "".join(f"{_codegen(e)}, " for e in trees)
     fn = eval(compile(f"lambda t, eps: ({body})", "<expr>", "eval"), dict(_ARRAY_NS))

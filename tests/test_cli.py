@@ -508,19 +508,20 @@ def test_steps_eps_must_be_a_multiple_of_four(tmp_path, capsys):
 
 def test_sized_steps_past_the_cap_stop_before_any_flow(tmp_path, capsys, monkeypatch):
     # resonant_eps at T = 1e6 sizes steps_eps at 48,239,920 steps (T beta /
-    # 0.03 rounded up to a multiple of 4), a 6.2 GB trajectory; no flow may
-    # start.
+    # 0.03 rounded up to a multiple of 4), a 6.2 GB trajectory; at T = 1e308,
+    # T beta / 0.03 overflows to inf.  No flow may start.
     def no_flow(*args, **kwargs):
         raise AssertionError("a flow ran")
 
     monkeypatch.setattr(flow, "_flows", no_flow)
-    path = _scenario_copy(tmp_path, SCENARIOS / "resonant_eps.json",
-                          lambda doc: doc.update(T=1e6))
-    with pytest.raises(InputError, match="48239920 steps"):
-        load_scenario(path).steps("eps")
-    assert main(["analyze", path, "--mode", "eps"]) == 1
-    _one_error_line(capsys, f"T = 1000000.0 sizes steps_eps at 48239920 steps, "
-                            f"above the cap of {MAX_STEPS}")
+    for T, count in ((1e6, "48239920"), (1e308, "inf")):
+        path = _scenario_copy(tmp_path, SCENARIOS / "resonant_eps.json",
+                              lambda doc: doc.update(T=T))
+        with pytest.raises(InputError, match=f" {count} steps"):
+            load_scenario(path).steps("eps")
+        assert main(["analyze", path, "--mode", "eps"]) == 1
+        _one_error_line(capsys, f"T = {T!r} sizes steps_eps at {count} steps, "
+                                f"above the cap of {MAX_STEPS}")
 
 
 def test_nonconforming_flow_exit_two(tmp_path, capsys):

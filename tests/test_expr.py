@@ -24,7 +24,7 @@ from kreinsplit.expr import (
     Neg,
     Num,
     Var,
-    compile_array,
+    _value,
     d_eps,
 )
 from oracles import compile_generated, d_eps_exact, evaluate, pretty
@@ -130,21 +130,23 @@ def test_pretty_round_trip_corpus():
 
 
 def test_compiled_paths_agree_with_evaluate():
+    # the walker on arrays of points, alone and as the entries of one checked walk
     rng = np.random.default_rng(21)
     trees = [parse(src) for src in CORPUS]
-    together = compile_array(trees)
+    entries = {(k, k): tree for k, tree in enumerate(trees)}
     for k, (src, tree) in enumerate(zip(CORPUS, trees)):
         ts = rng.uniform(0.1, 2.0, size=5)
         ep = 0.3
         want = np.array([evaluate(tree, t, ep) for t in ts])
-        got = np.broadcast_to(compile_array([tree])(ts, ep)[0], ts.shape)
+        got = np.broadcast_to(_value(tree, ts, ep), ts.shape)
         # numpy's power and exp kernels may differ from libm by an ulp
         assert np.allclose(got, want, rtol=5e-16, atol=0.0), src
-        assert np.array_equal(np.broadcast_to(together(ts, ep)[k], ts.shape), got), src
+        together = dict(expr._checked(entries, ts, ep, "entry"))
+        assert np.array_equal(np.broadcast_to(together[(k, k)], ts.shape), got), src
 
 
 def _bitwise_equal(got, want):
-    """Two tuples of compiled values hold the same types and the same bytes."""
+    """Two tuples of evaluated values hold the same types and the same bytes."""
     return len(got) == len(want) and all(
         type(g) is type(w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
         for g, w in zip(got, want))
@@ -159,7 +161,9 @@ def test_closures_bitwise_equal_generated_source():
     ts = np.linspace(-0.5, 2.0, 11)
     for t, eps in ((ts, 0.3), (ts, 0.0), (ts, np.linspace(-0.2, 0.2, 11)),
                    (ts[:, None], np.linspace(0.0, 1e-3, 3))):
-        assert _bitwise_equal(compile_array(trees)(t, eps), compile_generated(trees)(t, eps))
+        with np.errstate(all="ignore"):
+            got = tuple([_value(e, t, eps) for e in trees])
+        assert _bitwise_equal(got, compile_generated(trees)(t, eps))
 
 
 _NESTINGS = {
@@ -179,7 +183,7 @@ _NESTINGS = {
 def test_depth_limit_is_exact(nest):
     tree = parse(nest(MAX_DEPTH))
     value = evaluate(tree, 0.5, 0.0)
-    assert compile_array([tree])(np.array([0.5]), 0.0)[0] == pytest.approx(value, rel=1e-15)
+    assert _value(tree, np.array([0.5]), 0.0) == pytest.approx(value, rel=1e-15)
     with pytest.raises(ExprDepthError, match=f"deeper than {MAX_DEPTH} levels at offset"):
         parse(nest(MAX_DEPTH + 1))
 
@@ -189,7 +193,7 @@ def test_compiler_rejects_a_deep_tree_without_recursion_error():
     for _ in range(5000):
         tree = Neg(tree)
     with pytest.raises(ExprDepthError):
-        compile_array([tree])
+        _value(tree, np.array([0.5]), 0.0)
 
 
 def test_d_eps_held_to_the_depth_limit():
@@ -214,7 +218,7 @@ def test_codegen_helpers_stay_out_of_the_parser():
 
 
 def test_d_eps_exact_linear():
-    # the reference walker the compiled derivative is held to
+    # the reference walker the symbolic derivative is held to
     assert d_eps_exact(parse("t + 2*eps"), 0.7, 0.0) == 2.0
     tree = parse("eps*sin(t)")
     assert d_eps_exact(tree, 0.7, 0.0) == math.sin(0.7)
@@ -383,25 +387,67 @@ def test_d_eps_domain_error_is_located_in_the_source():
 
 
 def test_d_eps_compiled_once_and_only_for_eps_entries(monkeypatch):
-    compiled = []
+    # d_eps runs once per eps entry per d_eps_matrix_batch call, and never
+    # for A itself; calls that d_eps makes on subtrees are not counted
+    differentiated = []
+    nesting = 0
 
-    def counting(trees):
-        trees = list(trees)
-        compiled.append(trees)
-        return real(trees)
+    def counting(e):
+        nonlocal nesting
+        if nesting == 0:
+            differentiated.append(e)
+        nesting += 1
+        try:
+            return real(e)
+        finally:
+            nesting -= 1
 
-    real = expr.compile_array
-    monkeypatch.setattr(expr, "compile_array", counting)
+    real = expr.d_eps
+    monkeypatch.setattr(expr, "d_eps", counting)
     curve = SymmetricCurve.from_strings({"0,0": "1 + t", "1,1": "eps*sin(t)", "2,3": "2"})
-    assert compiled == []  # nothing at construction
+    assert differentiated == []  # nothing at construction
     curve.eval_matrix(0.1, 0.0)
-    assert compiled == []  # a point is walked, not compiled
     curve.eval_matrix_batch([0.1, 0.2], 0.0)
     curve.eval_matrix_batch([0.3], 0.0)
-    assert len(compiled) == 1  # once, on the first batch call
-    curve.d_eps_matrix_batch([0.1, 0.2])
+    assert differentiated == []
+    assert curve.d_eps_matrix_batch([0.1, 0.2])[1, 1, 1] == pytest.approx(math.sin(0.2), rel=1e-15)
     curve.d_eps_matrix_batch([0.3])
-    assert compiled[1:] == [[parse("sin(t)")]]
+    assert differentiated == [parse("eps*sin(t)")] * 2
     eps_free = SymmetricCurve.from_strings({"0,0": "1 + t"})
-    eps_free.eval_matrix(0.5)
-    assert len(compiled) == 2
+    assert not eps_free.d_eps_matrix_batch([0.5]).any()
+    assert len(differentiated) == 2
+
+
+def test_d_eps_makes_no_contains_eps_call(monkeypatch):
+    calls = []
+    real = expr.contains_eps
+    monkeypatch.setattr(expr, "contains_eps", lambda e: calls.append(e) or real(e))
+    for src in CORPUS + ["exp(eps)*sqrt(1 + eps^2) + abs(t - eps)/(2 + cos(eps))"]:
+        d_eps(parse(src))
+    assert calls == []
+
+
+def _neg_chain(depth, offset):
+    tree = Var("t", offset)
+    for _ in range(depth):
+        tree = Neg(tree, offset)
+    return tree
+
+
+def test_error_order_of_a_checked_walk():
+    # every entry is walked before any is checked: a depth error beats a
+    # domain error, the first entry too deep is named, and a domain error
+    # names the first non-finite entry in entry order
+    bad = parse("1/t")
+    deep0, deep7 = _neg_chain(MAX_DEPTH + 1, 0), _neg_chain(MAX_DEPTH + 1, 7)
+    at_depth = f"nests deeper than {MAX_DEPTH} levels at offset"
+    with pytest.raises(ExprDepthError, match=f"{at_depth} 0$"):
+        SymmetricCurve({(0, 0): bad, (1, 1): deep0}).eval_matrix_batch([0.0, 1.0])
+    with pytest.raises(ExprDepthError, match=f"{at_depth} 0$"):
+        SymmetricCurve({(0, 0): deep0, (1, 1): deep7}).eval_matrix_batch([0.0, 1.0])
+    with pytest.raises(ExprDepthError, match=f"{at_depth} 7$"):
+        SymmetricCurve({(0, 0): deep7, (1, 1): deep0}).eval_matrix_batch([0.0, 1.0])
+    with pytest.raises(ExprDomainError, match=r"^entry \(1,1\): division by zero"):
+        SymmetricCurve({(1, 1): bad, (0, 0): parse("sqrt(t - 1)")}).eval_matrix_batch([0.0, 1.0])
+    with pytest.raises(ExprDomainError, match=r"^entry \(0,0\): sqrt out of domain"):
+        SymmetricCurve({(0, 0): parse("sqrt(t - 1)"), (1, 1): bad}).eval_matrix_batch([0.0, 1.0])

@@ -1,6 +1,6 @@
 """The expression front end: syntax-tree nodes, the flat parser against the
-reference parser it replaced, and point evaluation against the compiled
-batch path."""
+reference parser it replaced, and point evaluation against the array
+walk of eval_matrix_batch."""
 
 import warnings
 
