@@ -13,7 +13,6 @@ from .bifurcation import (
     UNSTABLE_FORWARD,
     CoefficientLadder,
     ExpansionCoefficients,
-    StabilityVerdict,
     classify_stability,
     expansion_eps,
     expansion_t,
@@ -29,11 +28,11 @@ from .expr import SymmetricCurve, parse
 from .flow import FlowSolution, endpoint, endpoints, integrate, perturbation_hamiltonian
 from .linalg import (
     J4,
-    QuarticPoly,
     charpoly,
     exterior_power,
     inner,
     is_symplectic,
+    poly_value,
     quartic_roots,
     symplectic_form,
     symplectic_inverse,
@@ -53,11 +52,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "J4",
-    "QuarticPoly",
     "charpoly",
     "exterior_power",
     "inner",
     "is_symplectic",
+    "poly_value",
     "quartic_roots",
     "symplectic_form",
     "symplectic_inverse",
@@ -76,7 +75,6 @@ __all__ = [
     "pair_from_vectors",
     "CoefficientLadder",
     "ExpansionCoefficients",
-    "StabilityVerdict",
     "ladder",
     "expansion_t",
     "expansion_eps",

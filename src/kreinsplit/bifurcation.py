@@ -15,6 +15,8 @@ algebra applies verbatim to the endpoint-in-eps family once A is replaced
 by the effective perturbation generator, so there is a single code path.
 Everything here is a pure function of the chain and of A; the coefficient
 ladder offers an independent exterior-power route to the same numbers.
+The records hold only what the formulas compute (L stays with the chain,
+``JordanPair.lambda0``), and the stability verdict is one of two strings.
 """
 
 import cmath
@@ -45,7 +47,6 @@ class CoefficientLadder:
     c31: complex
     c21: complex
     a_squared: complex
-    lambda0: complex
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,6 @@ class ExpansionCoefficients:
     second_order: complex
     sum_derivative: complex
     bracket: complex
-    lambda0: complex
     kappa_imag_residual: float = field(default=0.0, compare=False)
 
 
@@ -78,13 +78,11 @@ def ladder(gamma0, gammadot0, lambda0):
     quadratic coefficient vanishes, which happens exactly when the
     multiplier sits at +-1.
     """
-    lambda0 = complex(lambda0)
     c, c31, c21 = charpoly_mixed(gamma0, lambda0, gammadot0)
     if abs(c[2]) < 1e-10:
         raise ExcludedCaseError(
             "quadratic coefficient vanishes; multiplier too close to +-1")
-    return CoefficientLadder(c=c, c31=c31, c21=c21,
-                             a_squared=c31 / c[2], lambda0=lambda0)
+    return CoefficientLadder(c=c, c31=c31, c21=c21, a_squared=c31 / c[2])
 
 
 def expansion_t(pair, A0):
@@ -112,7 +110,6 @@ def expansion_t(pair, A0):
         second_order=sum_derivative / 2.0,
         sum_derivative=sum_derivative,
         bracket=bracket,
-        lambda0=lam,
         kappa_imag_residual=abs(ratio.imag),
     )
 
@@ -134,17 +131,9 @@ def expansion_eps(pair, B):
             f"degenerate case: |<B eta1, eta1>| = {abs(exc.measured):.3e}") from None
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
-    """Outcome of the strong-stability dichotomy, with the rate that
-    decided it."""
-
-    verdict: str
-    kappa: float
-
-
 def classify_stability(coeffs, tol=1e-10):
-    """Strong-stability dichotomy from the sign of kappa.
+    """Strong-stability dichotomy from the sign of kappa: the verdict
+    string :data:`UNSTABLE_FORWARD` or :data:`STABLE_FORWARD`.
 
     kappa > 0: the family is unstable for small positive parameter and
     strongly stable for small negative parameter; kappa < 0 is the mirror
@@ -155,7 +144,7 @@ def classify_stability(coeffs, tol=1e-10):
         raise InconclusiveError(
             f"first-order rate {kappa:.3e} is zero within {tol:.1e}; "
             "the dichotomy needs higher-order analysis")
-    return StabilityVerdict(UNSTABLE_FORWARD if kappa > 0 else STABLE_FORWARD, kappa)
+    return UNSTABLE_FORWARD if kappa > 0 else STABLE_FORWARD
 
 
 def predict_branches(coeffs, lambda0, s):

@@ -18,6 +18,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -97,7 +98,7 @@ def cmd_analyze(scenario, args):
         "a": coeffs.a,
         "second_order": coeffs.second_order,
         "sum_derivative": coeffs.sum_derivative,
-        "stability": verdict.verdict,
+        "stability": verdict,
         "ladder": {
             "c": list(lad.c),
             "c31": lad.c31,
@@ -115,8 +116,7 @@ def cmd_analyze(scenario, args):
 
 def cmd_classify(scenario, args):
     coeffs = family(scenario, args.mode).coeffs
-    verdict = classify_stability(coeffs)
-    print(f"{verdict.verdict} kappa={coeffs.kappa!r}")
+    print(f"{classify_stability(coeffs)} kappa={coeffs.kappa!r}")
     return 0
 
 
@@ -229,7 +229,14 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         args.mode = args.mode or _DEFAULT_MODE[args.command]
         scenario = apply_grid_override(load_scenario(args.scenario), args.mode, args.grid)
-        return _COMMANDS[args.command](scenario, args)
+        code = _COMMANDS[args.command](scenario, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): exit 1 quietly, with stdout
+        # on devnull so the flush at exit cannot fail again (Python docs, SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -294,34 +294,45 @@ _OPS = {
 
 
 def contains_eps(e):
-    kind = type(e)
-    if kind is Num or kind is Var:
-        return kind is Var and e.name == "eps"
-    if kind is Neg or kind is Call:
-        return contains_eps(e.arg)
-    return contains_eps(e.lhs) or contains_eps(e.rhs)
+    """True when the tree mentions eps; an explicit stack, so any depth."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        kind = type(e)
+        if kind is Var and e.name == "eps":
+            return True
+        if kind is Neg or kind is Call:
+            stack.append(e.arg)
+        elif isinstance(e, _Binary):
+            stack += (e.lhs, e.rhs)
+    return False
 
 
 _ZERO = Num(0.0)
 _ONE = Num(1.0)
 
 
+def _is(a, value):
+    # A test by value: comparing trees would walk them.
+    return type(a) is Num and a.value == value
+
+
 def _add(a, b, at):
-    return b if a == _ZERO else a if b == _ZERO else Add(a, b, at)
+    return b if _is(a, 0.0) else a if _is(b, 0.0) else Add(a, b, at)
 
 
 def _sub(a, b, at):
-    return a if b == _ZERO else _neg(b, at) if a == _ZERO else Sub(a, b, at)
+    return a if _is(b, 0.0) else _neg(b, at) if _is(a, 0.0) else Sub(a, b, at)
 
 
 def _neg(a, at):
-    return _ZERO if a == _ZERO else Neg(a, at)
+    return _ZERO if _is(a, 0.0) else Neg(a, at)
 
 
 def _mul(a, b, at):
-    if a == _ZERO or b == _ZERO:
+    if _is(a, 0.0) or _is(b, 0.0):
         return _ZERO
-    return b if a == _ONE else a if b == _ONE else Mul(a, b, at)
+    return b if _is(a, 1.0) else a if _is(b, 1.0) else Mul(a, b, at)
 
 
 def d_eps(e):
@@ -346,7 +357,7 @@ def d_eps(e):
     if kind is Call:
         u = e.arg
         du = d_eps(u)
-        if du == _ZERO:
+        if _is(du, 0.0):
             return _ZERO
         outer = {"sin": Call("cos", u, at), "cos": Neg(Call("sin", u, at), at),
                  "exp": e, "sqrt": Div(Num(0.5, at), e, at),
@@ -363,7 +374,7 @@ def d_eps(e):
     if kind is Div:
         # (u/v)' = (u' - (u/v) v') / v
         top = _sub(du, _mul(e, dv, at), at)
-        return _ZERO if top == _ZERO else Div(top, v, at)
+        return _ZERO if _is(top, 0.0) else Div(top, v, at)
     # (u^v)' = u^v log(u) v' + v u^(v-1) u'; log(u) only when v has eps
     return _add(_mul(_mul(e, Call("log", u, at), at), dv, at),
                 _mul(_mul(v, Pow(u, Sub(v, _ONE, at), at), at), du, at), at)

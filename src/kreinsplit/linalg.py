@@ -3,12 +3,13 @@
 Everything here is specialized to 4x4 matrices: the standard symplectic
 form, mixed exterior powers of one or two linear maps, the characteristic
 polynomial recentred at a point (one stacked determinant for a stack of
-matrices), and a closed-form quartic solver with Newton polishing.  All
-scalars are double precision; matrices are plain numpy arrays.
+matrices), and a closed-form quartic solver with Newton polishing.  A
+quartic is a row of five coefficients in ascending powers of (lambda -
+center), with its centre passed beside it.  All scalars are double
+precision; matrices are plain numpy arrays.
 """
 
 import cmath
-from dataclasses import dataclass
 from itertools import combinations
 from math import isfinite
 
@@ -138,31 +139,6 @@ def exterior_power(k1, k2, A1, A2=None):
     return complex(total) if total.ndim == 0 else total
 
 
-@dataclass(frozen=True)
-class QuarticPoly:
-    """Quartic polynomial in powers of (lambda - center).
-
-    ``coeffs`` are ordered by ascending power; characteristic polynomials
-    produced by :func:`charpoly` are monic (coeffs[4] == 1).
-    """
-
-    coeffs: tuple
-    center: complex = 0j
-
-    def __post_init__(self):
-        if len(self.coeffs) != 5:
-            raise ValueError("need exactly five coefficients")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        object.__setattr__(self, "center", complex(self.center))
-
-    def __call__(self, lam):
-        x = complex(lam) - self.center
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
 def charpoly(M, lambda0):
     """Characteristic polynomial of ``M`` recentred at ``lambda0``.
 
@@ -170,16 +146,14 @@ def charpoly(M, lambda0):
     so the coefficient of (lambda - lambda0)^k is the exterior power
     ``exterior_power(4 - k, 0, K)``.  Recentring at a near-double root
     avoids catastrophic cancellation when the roots are later extracted.
-    A stack (n, 4, 4) gives a list of n polynomials from one stacked
-    determinant over the 16 column assignments of each matrix.
+    Returns the coefficients in ascending powers of (lambda - lambda0),
+    shape (5,) for one matrix; a stack (n, 4, 4) gives an (n, 5) array of
+    rows from one stacked determinant over the 16 column assignments of
+    each matrix.  The leading coefficient is 1.
     """
-    lambda0 = complex(lambda0)
-    K = lambda0 * _ID4 - as_mat4(M)
+    K = complex(lambda0) * _ID4 - as_mat4(M)
     dets = _dets(K, _ID4, slice(0, 16))
-    coeffs = np.stack([_fold(dets[..., _CLASSES[4 - k, 0]]) for k in range(5)], axis=-1)
-    if coeffs.ndim == 1:
-        return QuarticPoly(tuple(coeffs), center=lambda0)
-    return [QuarticPoly(tuple(c), center=lambda0) for c in coeffs]
+    return np.stack([_fold(dets[..., _CLASSES[4 - k, 0]]) for k in range(5)], axis=-1)
 
 
 # charpoly's 16 rows, then the (3, 1) and (2, 1) classes: the determinants of
@@ -190,7 +164,7 @@ _SPLIT = 16 + _C31.stop - _C31.start
 
 
 def charpoly_mixed(M, lambda0, A):
-    """``charpoly(M, lambda0).coeffs``, ``exterior_power(3, 1, K, A)`` and
+    """``charpoly(M, lambda0)`` as a tuple, ``exterior_power(3, 1, K, A)`` and
     ``exterior_power(2, 1, K, A)`` with K = lambda0*I - M, for one 4x4 M,
     from one stacked determinant; bitwise what those three calls return."""
     K = complex(lambda0) * _ID4 - as_mat4(M)
@@ -230,12 +204,22 @@ def _cubic_roots(a2, a1, a0):
     return roots
 
 
-def _polish(poly, x):
+def poly_value(coeffs, center, lam):
+    """The quartic with ``coeffs`` in ascending powers of (lambda -
+    center), evaluated at ``lam`` by the centred Horner form from 0j."""
+    x = complex(lam) - complex(center)
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * x + complex(c)
+    return acc
+
+
+def _polish(coeffs, center, x):
     # Newton iteration on the centred Horner form, which keeps near-double
     # roots well conditioned.  Both forms are written out from 0j with the
-    # operations of QuarticPoly.__call__ and of k * c_k, so the roots are
-    # the method-call loop's bit for bit; each new iterate's f is reused.
-    (c0, c1, c2, c3, c4), center = poly.coeffs, poly.center
+    # operations of poly_value and of k * c_k, so the roots are the
+    # per-call loop's bit for bit; each new iterate's f is reused.
+    c0, c1, c2, c3, c4 = coeffs
     d1, d2, d3, d4 = 1 * c1, 2 * c2, 3 * c3, 4 * c4
     lam = best_lam = center + x
     y = lam - center
@@ -263,8 +247,9 @@ def _polish(poly, x):
     return best_lam
 
 
-def quartic_roots(p):
-    """All four roots of a quartic, in absolute coordinates.
+def quartic_roots(coeffs, center):
+    """All four roots of the quartic with ``coeffs`` in ascending powers of
+    (lambda - center), in absolute coordinates.
 
     Primary path is the closed-form resolvent-cubic factorization of the
     depressed quartic, followed by Newton polishing on the recentred
@@ -273,11 +258,17 @@ def quartic_roots(p):
     circularity.  Clustered roots are reported individually; no
     multiplicity inference is attempted.
 
-    Returns a numpy array of four complex numbers sorted by (real, imag).
+    Raises ValueError unless there are exactly five coefficients, and
+    DegeneratePolynomialError when the leading one is zero.  Returns a
+    numpy array of four complex numbers sorted by (real, imag).
     """
-    c0, c1, c2, c3, c4 = p.coeffs
+    if len(coeffs) != 5:
+        raise ValueError("need exactly five coefficients")
+    # Python complex arithmetic: numpy scalars do not always round alike.
+    c0, c1, c2, c3, c4 = coeffs = tuple(complex(c) for c in coeffs)
     if c4 == 0:
         raise DegeneratePolynomialError("leading coefficient is zero")
+    center = complex(center)
     b = c3 / c4
     c = c2 / c4
     d = c1 / c4
@@ -303,6 +294,6 @@ def quartic_roots(p):
         y1, y2 = _quadratic_roots(u, s)
         y3, y4 = _quadratic_roots(-u, w)
         ys = [y1, y2, y3, y4]
-    roots = [_polish(p, y + shift) for y in ys]
+    roots = [_polish(coeffs, center, y + shift) for y in ys]
     roots.sort(key=lambda z: (z.real, z.imag))
     return np.array(roots, dtype=complex)

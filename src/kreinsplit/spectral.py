@@ -35,10 +35,9 @@ def eigenvalues(M):
     """All four eigenvalues of M, the roots of its characteristic quartic.
     A stack (n, 4, 4) gives an (n, 4) array from one batch of
     characteristic polynomials."""
-    polys = charpoly(M, 0j)
-    if isinstance(polys, list):
-        return np.array([quartic_roots(p) for p in polys]).reshape(-1, 4)
-    return quartic_roots(polys)
+    coeffs = charpoly(M, 0j)
+    roots = [quartic_roots(c, 0j) for c in coeffs.reshape(-1, 5)]
+    return np.array(roots).reshape(coeffs.shape[:-1] + (4,))
 
 
 def detect_double_unitary(M, tol_cluster=1e-6, tol_circle=1e-6):

@@ -17,7 +17,7 @@ from .bifurcation import ExpansionCoefficients, expansion_eps, expansion_t
 from .errors import (ExcludedCaseError, IllConditionedFitError, InputError,
                      NoDoubleMultiplierError, TrackingAmbiguityError)
 from .flow import endpoint, endpoints, integrate, perturbation_hamiltonian
-from .linalg import charpoly, discriminant, is_symplectic, quartic_roots
+from .linalg import charpoly, discriminant, is_symplectic, poly_value, quartic_roots
 from .scenario import MAX_STEPS
 from .spectral import JordanPair, detect_double_unitary, jordan_pair
 
@@ -41,15 +41,15 @@ class BranchTrack:
 def track(polys, roots, lambda0, grid, a_seed=None):
     """Track the two near eigenvalues of a matrix family over a grid.
 
-    ``polys[n]`` is the characteristic quartic of the family's matrix at
-    ``grid[n]``, recentred at ``lambda0`` to keep the nearly-double roots
-    well conditioned (:func:`charpoly`), and ``roots[n]`` are its four
-    roots from :func:`quartic_roots`.  Branch labels continue by
-    nearest-neighbor matching from the previous grid point; at the first
-    point, ``a_seed`` (the predicted square-root coefficient) orients
-    branch 2 along +a_seed when given.  The grid must be strictly monotone
-    and positive; a decreasing grid simply runs the continuation from the
-    other end.
+    ``polys[n]`` is the coefficient row of the characteristic quartic of
+    the family's matrix at ``grid[n]``, recentred at ``lambda0`` to keep
+    the nearly-double roots well conditioned (:func:`charpoly`), and
+    ``roots[n]`` are its four roots from :func:`quartic_roots`.  Branch
+    labels continue by nearest-neighbor matching from the previous grid
+    point; at the first point, ``a_seed`` (the predicted square-root
+    coefficient) orients branch 2 along +a_seed when given.  The grid
+    must be strictly monotone and positive; a decreasing grid simply runs
+    the continuation from the other end.
 
     Raises TrackingAmbiguityError when a third eigenvalue comes within
     twice the pair spread of the collision point.
@@ -89,7 +89,8 @@ def track(polys, roots, lambda0, grid, a_seed=None):
         prev = pair
         pairs.append(pair)
     b1, b2 = np.array(pairs, dtype=complex).T
-    res = np.array([[abs(poly(z)) for z in pair] for poly, pair in zip(polys, pairs)])
+    res = np.array([[abs(poly_value(poly, lambda0, z)) for z in pair]
+                    for poly, pair in zip(polys, pairs)])
     return BranchTrack(grid=grid, branch1=b1, branch2=b2, residuals=res)
 
 
@@ -358,7 +359,7 @@ def _oracle(scenario, mode):
     n = grid.size
     params = np.concatenate([grid, [4.0 * np.min(grid)], [probe, -probe] if mode == "t" else []])
     polys = charpoly(family_endpoints(scenario, mode, params, fam.steps), lam)
-    roots = [quartic_roots(p) for p in polys]
+    roots = [quartic_roots(p, lam) for p in polys]
 
     tr = track(polys[:n], roots[:n], lam, grid, a_seed=coeffs.a)
     fit = fit_puiseux(tr, lam)

@@ -13,7 +13,7 @@ numpy).  Two RK4 integrators, which share no step formula with the
 Magnus engine, cross-check it: the sequential loop ``rk4_reference``, and
 the RK4 chunk engine that allocates its arrays afresh in every chunk and
 evaluates A once per (time, flow) pair, kept as ``flows_allocating``; the
-Newton polish that evaluates through method calls is kept verbatim as
+Newton polish that evaluates through one call per evaluation is kept as
 ``polish_loop``, the bitwise reference of ``kreinsplit.linalg._polish``.
 The compiler that generated Python source for a list of trees and ran it
 through ``eval`` is kept verbatim as ``compile_generated``, the bitwise
@@ -28,7 +28,7 @@ of one matrix in 50-digit decimal arithmetic.  The detector that found
 the double multiplier from the roots of two characteristic quartics, the
 second recentred at the first estimate, is kept as
 ``detect_double_unitary_roots`` (its two ``eigenvalues`` calls written
-out as ``quartic_roots(charpoly(...))``), the reference of the trace rule
+out as ``quartic_roots(charpoly(M, c), c)``), the reference of the trace rule
 in ``kreinsplit.spectral.detect_double_unitary``.  The recursive-descent
 parser class with one method per grammar rule and ``peek``/``take``/
 ``expect``, and the tokenizer that scanned a literal character by
@@ -171,7 +171,7 @@ def detect_double_unitary_roots(M, tol_cluster=1e-6, tol_circle=1e-6):
     with ||L| - 1| at most ``tol_circle`` and L further than
     10 * tol_cluster from both +1 and -1; else None.  L is refined by one
     root extraction from the quartic recentred at the first estimate."""
-    evs = quartic_roots(charpoly(M, 0j))
+    evs = quartic_roots(charpoly(M, 0j), 0j)
     plus = [z for z in evs if z.imag > 0]
     minus = [z for z in evs if z.imag <= 0]
     if len(plus) != 2 or len(minus) != 2:
@@ -188,7 +188,7 @@ def detect_double_unitary_roots(M, tol_cluster=1e-6, tol_circle=1e-6):
         return None
     if abs(lam - 1.0) <= 10.0 * tol_cluster or abs(lam + 1.0) <= 10.0 * tol_cluster:
         return None
-    refined = quartic_roots(charpoly(M, lam))
+    refined = quartic_roots(charpoly(M, lam), lam)
     near = refined[np.argsort(np.abs(refined - lam))[:2]]
     lam = complex((near[0] + near[1]) / 2.0)
     if abs(abs(lam) - 1.0) > tol_circle:
@@ -404,42 +404,42 @@ def charpoly_loop(gamma0, gammat, center):
     return tuple(coeffs)
 
 
-# --- the method-call Newton polish ----------------------------------------------
+# --- the per-call Newton polish ----------------------------------------------
 
-def _poly_value(poly, lam):
-    """``QuarticPoly.__call__``: centred Horner form from 0j."""
-    x = complex(lam) - poly.center
+def _poly_value(coeffs, center, lam):
+    """The centred Horner form from 0j, one call per evaluation."""
+    x = complex(lam) - center
     acc = 0j
-    for c in reversed(poly.coeffs):
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-def _poly_derivative(poly, lam):
+def _poly_derivative(coeffs, center, lam):
     """The derivative's centred Horner form, k * c_k formed per call."""
-    x = complex(lam) - poly.center
+    x = complex(lam) - center
     acc = 0j
     for k in range(4, 0, -1):
-        acc = acc * x + k * poly.coeffs[k]
+        acc = acc * x + k * coeffs[k]
     return acc
 
 
-def polish_loop(poly, x):
+def polish_loop(coeffs, center, x):
     """Newton polish of the root guess ``center + x``, evaluating the
     polynomial and its derivative through one call per evaluation."""
-    lam = poly.center + x
+    lam = center + x
     best_lam = lam
-    best_res = abs(_poly_value(poly, lam))
+    best_res = abs(_poly_value(coeffs, center, lam))
     for _ in range(40):
-        f = _poly_value(poly, lam)
+        f = _poly_value(coeffs, center, lam)
         if f == 0:
             return lam
-        df = _poly_derivative(poly, lam)
+        df = _poly_derivative(coeffs, center, lam)
         if df == 0:
             break
         step = f / df
         lam_new = lam - step
-        res_new = abs(_poly_value(poly, lam_new))
+        res_new = abs(_poly_value(coeffs, center, lam_new))
         if not np.isfinite(res_new):
             break
         if res_new < best_res:
@@ -835,17 +835,18 @@ def conjugated(pair):
                              np.conj(pair.eta2), dict(pair.diagnostics))
 
 
-def magnitude(poly):
-    """Coefficient max-norm of a ``QuarticPoly``."""
-    return max(abs(c) for c in poly.coeffs)
+def magnitude(coeffs):
+    """Max-norm of a row of quartic coefficients."""
+    return max(abs(c) for c in coeffs)
 
 
-def to_absolute(poly):
-    """Coefficients of a ``QuarticPoly`` expanded about 0."""
+def to_absolute(coeffs, center):
+    """Quartic coefficients in powers of (lambda - center), expanded
+    about 0."""
     out = [0j] * 5
-    for k, ck in enumerate(poly.coeffs):
+    for k, ck in enumerate(coeffs):
         for j in range(k + 1):
-            out[j] += ck * comb(k, j) * (-poly.center) ** (k - j)
+            out[j] += complex(ck) * comb(k, j) * (-complex(center)) ** (k - j)
     return tuple(out)
 
 
@@ -855,8 +856,9 @@ def separations(track):
 
 
 def forward_unstable(verdict):
-    """True when a ``StabilityVerdict`` is unstable for positive parameter."""
-    return verdict.verdict == UNSTABLE_FORWARD
+    """True when a stability verdict string is unstable for positive
+    parameter."""
+    return verdict == UNSTABLE_FORWARD
 
 
 _TEXT = {Add: "+", Sub: "-", Mul: "*", Div: "/", Pow: "^"}

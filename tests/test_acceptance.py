@@ -58,8 +58,8 @@ def test_criterion_1_exterior_powers():
     worst_center = 0.0
     for _ in range(20):
         M = rng.normal(size=(4, 4))
-        pa = to_absolute(charpoly(M, 0.4 + 0.7j))
-        pb = to_absolute(charpoly(M, -0.9 - 0.3j))
+        pa = to_absolute(charpoly(M, 0.4 + 0.7j), 0.4 + 0.7j)
+        pb = to_absolute(charpoly(M, -0.9 - 0.3j), -0.9 - 0.3j)
         scale = max(max(abs(c) for c in pa), 1.0)
         worst_center = max(worst_center,
                            max(abs(a - b) for a, b in zip(pa, pb)) / scale)
@@ -200,9 +200,9 @@ def test_criterion_6_stability_dichotomy(pi3_scenario, pi3_neg_scenario):
         pair = jordan_pair(gamma0, lam)
         kappa = expansion_t(pair, scenario.curve.eval_matrix(0.0, 0.0)).kappa
         plus = quartic_roots(charpoly(endpoint(
-            integrate(scenario.curve, gamma0, 1e-4, 10000, 0.0)), lam))
+            integrate(scenario.curve, gamma0, 1e-4, 10000, 0.0)), lam), lam)
         minus = quartic_roots(charpoly(endpoint(
-            integrate(scenario.curve, gamma0, -1e-4, 10000, 0.0)), lam))
+            integrate(scenario.curve, gamma0, -1e-4, 10000, 0.0)), lam), lam)
         unstable_side, stable_side = (plus, minus) if kappa > 0 else (minus, plus)
         escapes = float(np.max(np.abs(unstable_side))) > 1.0 + 1e-6
         circle_dev = float(np.max(np.abs(np.abs(stable_side) - 1.0)))

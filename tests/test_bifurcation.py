@@ -82,7 +82,7 @@ def test_ladder_coefficients_are_the_recentred_charpoly():
         M, pair, A0 = random_jordan_scenario(rng)
         lam = pair.lambda0
         c = ladder(M, J4 @ A0 @ M, lam).c
-        assert c == charpoly(M, lam).coeffs
+        assert c == tuple(charpoly(M, lam))
         assert c == tuple(exterior_power(4 - k, 0, lam * np.eye(4) - M) for k in range(5))
 
 
@@ -100,7 +100,7 @@ def test_ladder_is_charpoly_and_exterior_powers_bitwise():
         Mdot = J4 @ A0 @ M
         lad = ladder(M, Mdot, lam)
         K = lam * np.eye(4) - M
-        assert _bits(*lad.c) == _bits(*charpoly(M, lam).coeffs)
+        assert _bits(*lad.c) == _bits(*charpoly(M, lam))
         assert _bits(lad.c31) == _bits(exterior_power(3, 1, K, Mdot))
         assert _bits(lad.c21) == _bits(exterior_power(2, 1, K, Mdot))
         assert _bits(lad.a_squared) == _bits(lad.c31 / lad.c[2])
@@ -207,10 +207,10 @@ def test_expansion_eps_same_algebra():
 def test_classify_stability():
     def with_kappa(k):
         return ExpansionCoefficients(kappa=k, a=0j, second_order=0j,
-                                     sum_derivative=0j, bracket=0j, lambda0=1j)
+                                     sum_derivative=0j, bracket=0j)
 
-    assert classify_stability(with_kappa(0.7)).verdict == UNSTABLE_FORWARD
-    assert classify_stability(with_kappa(-0.7)).verdict == STABLE_FORWARD
+    assert classify_stability(with_kappa(0.7)) == UNSTABLE_FORWARD
+    assert classify_stability(with_kappa(-0.7)) == STABLE_FORWARD
     assert forward_unstable(classify_stability(with_kappa(0.7)))
     with pytest.raises(InconclusiveError):
         classify_stability(with_kappa(0.0))

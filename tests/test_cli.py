@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -690,3 +693,21 @@ def test_emit_json_is_one_write_of_json_dump(monkeypatch, doc):
     monkeypatch.setattr("sys.stdout", stdout)
     _emit_json(doc)
     assert stdout.calls == [want.getvalue()]
+
+
+def test_closed_stdout_ends_quietly_with_exit_one():
+    # A reader that takes one line and closes the pipe (``| head -1``): the
+    # 1,000 sweep rows overflow the pipe, the write fails, and the command
+    # ends with exit 1 and nothing on stderr, not a BrokenPipeError traceback.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kreinsplit", "sweep", str(SCENARIOS / "jordan_pi3.json"),
+         "--grid", "1e-7,1e-3,1000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"s,re_1,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

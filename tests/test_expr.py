@@ -234,6 +234,23 @@ def test_d_eps_folds_to_the_coefficient():
     assert d_eps(parse("0*eps/t")) == Num(0.0)
 
 
+def test_d_eps_folds_without_comparing_trees(monkeypatch):
+    # Zero terms and unit factors are recognised by value: no node equality
+    # runs while a nonlinear coupling of the eps workload differentiates.
+    tree = parse("0.4 + sin(eps*(1.334184))*(1 + 0.3*cos(t))")
+    calls = []
+
+    def counting(self, other):
+        calls.append(self)
+        return NotImplemented
+
+    monkeypatch.setattr(expr._Node, "__eq__", counting)
+    derivative = d_eps(tree)
+    assert calls == []
+    monkeypatch.undo()
+    assert derivative == parse("cos(eps*(1.334184))*1.334184*(1 + 0.3*cos(t))")
+
+
 def test_curve_symmetry_is_bitwise():
     curve = SymmetricCurve.from_strings({"0,1": "sin(t)*0.3", "2,3": "t^2"})
     M = curve.eval_matrix(0.37)

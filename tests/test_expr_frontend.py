@@ -210,3 +210,15 @@ def test_point_walker_held_to_the_depth_limit():
         curve.eval_matrix(0.5)
     with pytest.raises(ExprDepthError):
         curve.eval_matrix_batch([0.5])
+
+
+def test_curve_of_any_depth_constructs():
+    # The eps scan of the constructor walks an explicit stack: a tree built
+    # in code 5,000 levels deep constructs, and only evaluation refuses it.
+    tree = Var("eps")
+    for _ in range(5000):
+        tree = Neg(tree)
+    curve = SymmetricCurve({(0, 0): tree})
+    assert curve.has_eps
+    with pytest.raises(ExprDepthError):
+        curve.eval_matrix(0.5)

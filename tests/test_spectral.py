@@ -46,7 +46,7 @@ def test_eigenvalues_of_a_stack_equal_one_matrix_calls():
     batch = eigenvalues(stack)
     assert batch.shape == (5, 4)
     for M, got in zip(stack, batch):
-        assert got.tobytes() == quartic_roots(charpoly(M, 0j)).tobytes()
+        assert got.tobytes() == quartic_roots(charpoly(M, 0j), 0j).tobytes()
 
 
 def test_eigenvalue_quartet_symmetry_for_random_symplectic():

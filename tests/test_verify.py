@@ -40,7 +40,7 @@ def spectra(matrices, lam):
     """The quartics of ``matrices`` recentred at ``lam`` and their roots,
     as ``track`` takes them."""
     polys = charpoly(matrices, lam)
-    return polys, [quartic_roots(p) for p in polys]
+    return polys, [quartic_roots(p, lam) for p in polys]
 
 
 def synthetic_track(lambda0, a, mu, grid, extra=None):
@@ -161,7 +161,7 @@ def test_shared_quartic_batch_equals_separate_calls(pi3_scenario, pi3_report):
     assert part.sqrt_ratio == float(dev[0] / dev[1])
     assert part.quotient_growth == float((dev[0] / s0) / (dev[1] / (4.0 * s0)))
 
-    evs = [quartic_roots(charpoly(M, lam)) for M in ends[n + 1:]]
+    evs = [quartic_roots(charpoly(M, lam), lam) for M in ends[n + 1:]]
     assert report.stability == _stability_probe(evs[0], evs[1], part.kappa_predicted, probe)
 
 
