@@ -5,7 +5,7 @@ double, non-semisimple eigenvalue pair on the unit circle, this package
 evaluates the closed-form square-root and linear terms of the two
 bifurcating eigenvalue branches, classifies strong stability from the
 first-order rate, and verifies every number against an independent
-eigenvalue-tracking oracle.
+eigenvalue oracle.
 """
 
 from .bifurcation import (
@@ -46,7 +46,7 @@ from .spectral import (
     make_jordan_symplectic,
     pair_from_vectors,
 )
-from .verify import BranchTrack, OracleReport, PuiseuxFit, compare, fit_puiseux, track
+from .verify import BranchTrack, OracleReport, compare, track
 
 __version__ = "0.1.0"
 
@@ -83,10 +83,8 @@ __all__ = [
     "UNSTABLE_FORWARD",
     "STABLE_FORWARD",
     "BranchTrack",
-    "PuiseuxFit",
     "OracleReport",
     "track",
-    "fit_puiseux",
     "compare",
     "GridSpec",
     "Tolerances",

@@ -28,10 +28,10 @@ import numpy as np
 from .bifurcation import classify_stability, ladder
 from .errors import AnalysisError, InputError
 from .flow import integrate  # noqa: F401  (looked up here by perfbench/spans.py)
-from .linalg import J4
+from .linalg import J4, charpoly, quartic_roots
 from .scenario import load_scenario, parse_grid
 from .spectral import eigenvalues
-from .verify import ModeComparison, compare, family, family_endpoints
+from .verify import ModeComparison, compare, family, family_endpoints, track
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,12 +120,16 @@ def cmd_classify(scenario, args):
     return 0
 
 
-def _track_rows(track):
+def _track_rows(scenario, part):
+    """The CSV table of ``track`` over the grid of ``part``'s family, its
+    branches labelled from the predicted a; one more engine call."""
+    grid, lam = scenario.grid(part.mode), part.lambda0
+    polys = charpoly(family_endpoints(scenario, part.mode, grid), lam)
+    tr = track(polys, [quartic_roots(p, lam) for p in polys], lam, grid, a_seed=part.a_predicted)
     header = ["s", "re_branch1", "im_branch1", "re_branch2", "im_branch2",
               "residual1", "residual2"]
     rows = [[repr(float(v)) for v in (s, b1.real, b1.imag, b2.real, b2.imag, *res)]
-            for s, b1, b2, res in zip(track.grid, track.branch1, track.branch2,
-                                      track.residuals)]
+            for s, b1, b2, res in zip(tr.grid, tr.branch1, tr.branch2, tr.residuals)]
     return header, rows
 
 
@@ -145,8 +149,8 @@ def _write_csv(out, name, header, rows):
                          f"{exc.strerror or exc}") from None
 
 
-# The JSON block of each family: ModeComparison's compared fields, in order.
-_COMPARISON_KEYS = [f.name for f in fields(ModeComparison) if f.compare and f.name != "mode"]
+# The JSON block of each family: ModeComparison's fields, in order.
+_COMPARISON_KEYS = [f.name for f in fields(ModeComparison) if f.name != "mode"]
 
 
 def cmd_verify(scenario, args):
@@ -155,7 +159,7 @@ def cmd_verify(scenario, args):
     if args.out:
         for part in parts:
             _write_csv(args.out, f"{scenario.name}_track_{part.mode}.csv",
-                       *_track_rows(part.track))
+                       *_track_rows(scenario, part))
 
     doc = {"name": report.name, "max_relative_error": report.max_relative_error}
     for part in parts:

@@ -27,9 +27,10 @@ size.  When all K horizons are equal, A is evaluated on a column of times
 against a row of eps values, so a term in t alone is computed once per
 time rather than once per flow.  A is never evaluated at a grid node, so
 a singularity that falls between Gauss nodes goes unseen.
-``integrate`` is the K = 1 case and keeps every state, which the
-perturbation quadrature needs; ``endpoints`` keeps only the endpoints.
-Both run the same code, so they agree bit for bit.
+``integrate_batch`` also keeps every state of its first flow, which the
+perturbation quadrature needs, and ``integrate`` is its K = 1 case;
+``endpoints`` keeps only the endpoints.  All run the same code, so they
+agree bit for bit.
 """
 
 import warnings
@@ -230,8 +231,8 @@ def _times(Ts, steps, positions):
 @np.errstate(over="ignore", invalid="ignore")
 def _flows(curve, gamma_init, horizons, steps, eps_values, drift_tol, keep):
     """The chunk engine behind ``endpoints``, with its arguments.  Returns
-    the K horizons, the states (all of them, (steps + 1, K, 4, 4), when
-    ``keep``, else the endpoints) and drifts.  Raises
+    the K horizons, the endpoints, the drifts and, when ``keep``, every
+    state of the first flow, shape (steps + 1, 4, 4) (else None).  Raises
     NonConformingFlowError naming the worst flow when any drift exceeds
     ``drift_tol`` or is NaN."""
     G = np.asarray(gamma_init)
@@ -257,9 +258,9 @@ def _flows(curve, gamma_init, horizons, steps, eps_values, drift_tol, keep):
     hB = _hB_workspace(m, h)
     D, P, Q, S, X = np.empty((5, m, K, 4, 4))
     drifts = _drift(G[None], (P[:1], Q[:1], D[:1]))
-    trajectory = np.empty((steps + 1, K, 4, 4)) if keep else None
+    trajectory = np.empty((steps + 1, 4, 4)) if keep else None
     if keep:
-        trajectory[0] = G
+        trajectory[0] = G[0]
     for start in range(0, steps, _CHUNK):
         n = min(_CHUNK, steps - start)
         # The chunk's n first Gauss nodes, n midpoints and n last Gauss
@@ -278,9 +279,11 @@ def _flows(curve, gamma_init, horizons, steps, eps_values, drift_tol, keep):
             XY += D[:n - d]
             D[d:n] += XY
             d *= 2
-        states = trajectory[start + 1:start + n + 1] if keep else S[:n]
+        states = S[:n]
         np.matmul(D[:n], G, out=states)
         states += G
+        if keep:
+            trajectory[start + 1:start + n + 1] = states[:, 0]
         drifts = np.maximum(drifts, _drift(states, (P[:n], Q[:n], D[:n])))
         G = states[-1].copy()  # the next chunk overwrites S
     worst = int(np.argmax(drifts))  # argmax picks the first NaN, if any
@@ -288,7 +291,20 @@ def _flows(curve, gamma_init, horizons, steps, eps_values, drift_tol, keep):
         raise NonConformingFlowError(
             f"symplectic drift {drifts[worst]:.3e} exceeds {drift_tol:.3e} on the flow "
             f"to T = {float(Ts[worst])!r} at eps = {float(eps[worst])!r}")
-    return Ts, (trajectory if keep else G), drifts
+    return Ts, G, drifts, trajectory
+
+
+def integrate_batch(curve, gamma_init, T, steps, eps_values, drift_tol=1e-8):
+    """The flows over [0, T] at each of ``eps_values`` (a scalar or 1-D
+    array) in one batch: the solution of the first, every state kept, and
+    the endpoints of all, shape (K, 4, 4).  Bit for bit what ``integrate``
+    and ``endpoints`` return, with their errors."""
+    Ts, ends, drifts, gammas = _flows(curve, gamma_init, T, steps, eps_values, drift_tol,
+                                      keep=True)
+    ts = _times(Ts[:1], steps, np.arange(len(gammas)))[:, 0]
+    sol = FlowSolution(ts=ts, gammas=gammas, eps=float(np.ravel(eps_values)[0]),
+                       drift=float(drifts[0]), drift_tol=float(drift_tol))
+    return sol, ends
 
 
 def integrate(curve, gamma_init, T, steps, eps=0.0, drift_tol=1e-8):
@@ -305,11 +321,7 @@ def integrate(curve, gamma_init, T, steps, eps=0.0, drift_tol=1e-8):
     Real arithmetic throughout: the states are float64 arrays, and a
     complex ``gamma_init`` contributes only its real part.
     """
-    Ts, gammas, drifts = _flows(curve, gamma_init, T, steps, eps, drift_tol, keep=True)
-    steps = len(gammas) - 1
-    ts = _times(Ts, steps, np.arange(steps + 1))[:, 0]
-    return FlowSolution(ts=ts, gammas=gammas[:, 0], eps=float(eps),
-                        drift=float(drifts[0]), drift_tol=float(drift_tol))
+    return integrate_batch(curve, gamma_init, T, steps, eps, drift_tol)[0]
 
 
 def endpoints(curve, gamma_init, horizons, steps, eps_values=0.0, drift_tol=1e-8):
@@ -325,8 +337,8 @@ def endpoints(curve, gamma_init, horizons, steps, eps_values=0.0, drift_tol=1e-8
     Raises the errors ``integrate`` raises; NonConformingFlowError names
     the worst flow.
     """
-    _, ends, drifts = _flows(curve, gamma_init, horizons, steps, eps_values, drift_tol,
-                             keep=False)
+    _, ends, drifts, _ = _flows(curve, gamma_init, horizons, steps, eps_values, drift_tol,
+                                keep=False)
     return ends, drifts
 
 

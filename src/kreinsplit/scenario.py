@@ -21,7 +21,7 @@ from .linalg import is_symplectic
 from .spectral import make_jordan_symplectic
 
 # Caps on a grid's points and a flow's steps.  A grid point is one flow of the
-# endpoint batch (128 KiB of chunk workspace); integrate keeps 128 B a step.
+# endpoint batch (128 KiB of chunk workspace); the eps = 0 base keeps 128 B a step.
 MAX_GRID_COUNT = 1024
 MAX_STEPS = 1_000_000
 
@@ -55,9 +55,9 @@ class Tolerances:
     distance from +-1; circle bounds max |M^T J4 M - J4|, the reciprocity
     behind detection's trace rule; drift flags flow solutions; steps_t
     and steps_eps are the step counts of the sixth-order Magnus flows of
-    the time family (flow.endpoints) and of the eps family
-    (flow.integrate's eps = 0 base, flow.endpoints over [0, T]), at most
-    MAX_STEPS; probe is the |t| used by the stability dichotomy check.
+    the time family (flow.endpoints) and of the eps family (one
+    flow.integrate_batch over [0, T] for the eps = 0 base and the family),
+    at most MAX_STEPS; probe is the |t| of the stability dichotomy check.
 
     A Magnus step is exact where A is constant, and its error over [0, s]
     falls like steps^-6 with the variation of B = J4 A over the step

@@ -1,25 +1,45 @@
 """Brute-force verification of the splitting predictions.
 
-Tracks the two eigenvalues bifurcating from a double unit multiplier
-across a parameter grid (time or perturbation strength), fits the
-two-term Puiseux model, and compares the fitted first- and second-order
-data against the closed forms.  Tracking rests on nothing but repeated
-root extraction and nearest-neighbor continuation, so it is an
-independent oracle for the whole prediction pipeline.
+The oracle flows each family (time or perturbation strength) to the
+eight parameters s = max(grid) (+-1/4, +-2/4, +-3/4, +-1) in one engine
+call, takes the two roots nearest the double multiplier lambda0 of each
+endpoint's recentred characteristic quartic, and fits the pair's
+symmetric functions (z1 - z2)^2 = 4 a^2 s + ... and z1 + z2 =
+2 lambda0 + 2 mu s + ... by polynomials in s.  Both are analytic on both
+sides of s = 0 (Moro, Burke & Overton, SIMAX 18, 1997), so the fit needs
+no branch labels and no sqrt(s).  Its slopes give kappa and the sum
+derivative, compared against the closed forms.  The oracle reads nothing
+but the roots and lambda0, so it is independent of the prediction
+pipeline.  ``track`` continues labelled branches over a whole grid, for
+the CSV tracks of ``verify --out``.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bifurcation import ExpansionCoefficients, expansion_eps, expansion_t
 from .errors import (ExcludedCaseError, IllConditionedFitError, InputError,
                      NoDoubleMultiplierError, TrackingAmbiguityError)
-from .flow import endpoint, endpoints, integrate, perturbation_hamiltonian
+from .flow import endpoint, endpoints, integrate_batch, perturbation_hamiltonian
 from .linalg import charpoly, discriminant, is_symplectic, poly_value, quartic_roots
 from .scenario import MAX_STEPS
 from .spectral import JordanPair, detect_double_unitary, jordan_pair
+
+
+def _nearest_pair(z, lambda0, s):
+    """The two of the roots ``z`` nearest lambda0.  Raises
+    TrackingAmbiguityError, naming the parameter ``s``, when the third
+    lies within twice the second's distance."""
+    dist = np.abs(z - lambda0)
+    order = np.argsort(dist)
+    if dist[order[2]] <= 2.0 * dist[order[1]]:
+        raise TrackingAmbiguityError(
+            float(s),
+            f"third eigenvalue at distance {dist[order[2]]:.3e} crowds the "
+            f"tracked pair (spread {dist[order[1]]:.3e}) at parameter {float(s)!r}")
+    return [z[order[0]], z[order[1]]]
 
 
 @dataclass(frozen=True)
@@ -68,14 +88,7 @@ def track(polys, roots, lambda0, grid, a_seed=None):
 
     pairs, prev = [], None
     for s, z in zip(grid, roots):
-        dist = np.abs(z - lambda0)
-        order = np.argsort(dist)
-        pair = [z[order[0]], z[order[1]]]
-        if dist[order[2]] <= 2.0 * dist[order[1]]:
-            raise TrackingAmbiguityError(
-                float(s),
-                f"third eigenvalue at distance {dist[order[2]]:.3e} crowds the "
-                f"tracked pair (spread {dist[order[1]]:.3e}) at parameter {s!r}")
+        pair = _nearest_pair(z, lambda0, s)
         if prev is None:
             if a_seed is not None and a_seed != 0:
                 target2 = lambda0 + a_seed * np.sqrt(s)
@@ -92,61 +105,6 @@ def track(polys, roots, lambda0, grid, a_seed=None):
     res = np.array([[abs(poly_value(poly, lambda0, z)) for z in pair]
                     for poly, pair in zip(polys, pairs)])
     return BranchTrack(grid=grid, branch1=b1, branch2=b2, residuals=res)
-
-
-@dataclass(frozen=True)
-class PuiseuxFit:
-    """Result of fitting branch data to +-a sqrt(s) + mu s.
-
-    ``a`` comes from the odd part (branch2 - branch1)/2 alone, a weighted
-    least-squares projection; ``mu_sum`` estimates mu from the even part,
-    extrapolated to s = 0 over the three smallest parameters.  The odd
-    powers of sqrt(s) cancel in the sum, so its quotient is mu + O(s) and
-    the extrapolation is done against s, not sqrt(s).
-    ``diagnostics["richardson_spread"]`` is the gap between the two-point
-    Richardson extrapolations of that quotient, a convergence record.
-    """
-
-    a: complex
-    mu_sum: complex
-    diagnostics: dict = field(default_factory=dict, compare=False)
-
-
-def fit_puiseux(tr, lambda0):
-    """Fit both branches to lambda0 +- a sqrt(s) + mu s, split by parity.
-
-    Rows are weighted by 1/s so every grid point contributes at its
-    relative accuracy; this keeps the o(s^{3/2}) contamination of the
-    largest parameters from biasing ``a``.  ``a`` is reported with the
-    sign matching branch 2 on the +a sheet.
-    """
-    if tr.grid.size < 4:
-        raise IllConditionedFitError("need at least four grid points")
-    lambda0 = complex(lambda0)
-    order = np.argsort(tr.grid)
-    s = tr.grid[order]
-    y1 = tr.branch1[order] - lambda0
-    y2 = tr.branch2[order] - lambda0
-
-    # q(s) = (b1 + b2 - 2 L) / (2 s) = mu + O(s) since the odd sqrt(s)
-    # powers cancel pointwise.  With the 1/s row weights the joint fit's
-    # two columns, [sqrt(s)/s; -sqrt(s)/s] and [1; 1], are orthogonal, so
-    # its a is the projection on the odd part alone.
-    q = (y1 + y2) / (2.0 * s)
-    a_fit = complex(np.sum((y2 - y1) / 2.0 * s ** -1.5) / np.sum(1.0 / s))
-
-    # Intercept of the least-squares line through q's three smallest
-    # points; the spread of the two-point Richardson values is kept as a
-    # convergence diagnostic.
-    design3 = np.stack([np.ones(3), s[:3]], axis=1)
-    line, _, rank3, _ = np.linalg.lstsq(design3, q[:3], rcond=None)
-    if rank3 < 2:
-        raise IllConditionedFitError("sum-slope extrapolation is rank deficient")
-    mu_sum = complex(line[0])
-    rich12 = (q[0] * s[1] - q[1] * s[0]) / (s[1] - s[0])
-    rich23 = (q[1] * s[2] - q[2] * s[1]) / (s[2] - s[1])
-    diagnostics = {"richardson_spread": float(abs(rich12 - rich23))}
-    return PuiseuxFit(a=a_fit, mu_sum=mu_sum, diagnostics=diagnostics)
 
 
 # --- end-to-end comparison ---------------------------------------------------
@@ -166,7 +124,6 @@ class ModeComparison:
     relative_errors: dict
     sqrt_ratio: float
     quotient_growth: float
-    track: BranchTrack = field(compare=False)
 
     @property
     def max_relative_error(self):
@@ -248,7 +205,9 @@ class Family:
     For the time family the base is the initial matrix and the drive is
     A(0, 0); for the eps family the base is the endpoint G(T) at eps = 0
     and the drive is the effective perturbation generator B.  ``steps`` is
-    the step count of its flows (:meth:`Scenario.steps`, :func:`eps_base`).
+    the step count of its flows (:meth:`Scenario.steps`, :func:`eps_base`)
+    and ``ends`` the family's matrices at the parameters :func:`family`
+    was given, shape (len(params), 4, 4).
     """
 
     steps: int
@@ -256,45 +215,51 @@ class Family:
     pair: JordanPair
     drive: np.ndarray
     coeffs: ExpansionCoefficients
+    ends: np.ndarray
 
 
-def eps_base(scenario):
-    """Step count of the eps family and its flow at eps = 0 (every state
-    kept, for B's quadrature).  A scenario's own steps_eps is used as given.
-    Else the count starts at :meth:`Scenario.steps`; while the base's
-    |discriminant| is above cluster^2/4, the base reruns at the count that
-    Delta's steps^-6 law predicts, a multiple of 4, at most 8 times the last
-    and at most MAX_STEPS (else InputError), unless Delta fell by less than
-    16x per doubling: then no double multiplier is there to converge to."""
+def eps_base(scenario, params=()):
+    """Step count of the eps family, its flow at eps = 0 (every state kept,
+    for B's quadrature) and its endpoints at ``params``, from one engine
+    call over eps in [0, *params].  A scenario's own steps_eps is used as
+    given.  Else the count starts at :meth:`Scenario.steps`; while the
+    base's |discriminant| is above cluster^2/4, the whole batch reruns at
+    the count that Delta's steps^-6 law predicts, a multiple of 4, at most
+    8 times the last and at most MAX_STEPS (else InputError), unless Delta
+    fell by less than 16x per doubling: then no double multiplier is there
+    to converge to."""
     tol = scenario.tolerances
+    eps = np.concatenate([[0.0], params])
     steps = scenario.steps("eps")
-    sol = integrate(scenario.curve, np.eye(4), scenario.T, steps, 0.0, tol.drift)
-    delta, bound = abs(discriminant(endpoint(sol))), tol.cluster ** 2 / 4.0
+    sol, ends = integrate_batch(scenario.curve, np.eye(4), scenario.T, steps, eps, tol.drift)
+    delta, bound = abs(discriminant(ends[0])), tol.cluster ** 2 / 4.0
     while tol.steps_eps is None and delta > bound:
         finer = min(8 * steps, 4 * math.ceil(steps * (delta / bound) ** (1 / 6) / 4))
         if finer > MAX_STEPS:
             raise InputError(f"the endpoint at eps = 0 needs {finer} steps to resolve its "
                              f"double multiplier, above the cap of {MAX_STEPS}")
-        finer_sol = integrate(scenario.curve, np.eye(4), scenario.T, finer, 0.0, tol.drift)
-        finer_delta = abs(discriminant(endpoint(finer_sol)))
+        finer_sol, finer_ends = integrate_batch(scenario.curve, np.eye(4), scenario.T, finer,
+                                                eps, tol.drift)
+        finer_delta = abs(discriminant(finer_ends[0]))
         if finer_delta * (finer / steps) ** 4 >= delta:
             break
-        steps, sol, delta = finer, finer_sol, finer_delta
-    return steps, sol
+        steps, sol, ends, delta = finer, finer_sol, finer_ends, finer_delta
+    return steps, sol, ends[1:]
 
 
-def family(scenario, mode):
+def family(scenario, mode, params=()):
     """Detect the double multiplier of the ``mode`` family, extract its chain
-    and expand the splitting, for the predictions and the oracle.  When a
-    scenario's steps_eps leaves the eps = 0 endpoint without a double pair,
-    but its discriminant falls 16x or more at twice the steps, the error
-    says to raise steps_eps; a pair within 10 * cluster of +-1 is an
-    ExcludedCaseError."""
+    and expand the splitting, for the predictions and the oracle, and flow
+    the family to ``params`` (the eps family in the same engine call as its
+    base).  When a scenario's steps_eps leaves the eps = 0 endpoint without
+    a double pair, but its discriminant falls 16x or more at twice the
+    steps, the error says to raise steps_eps; a pair within 10 * cluster of
+    +-1 is an ExcludedCaseError."""
     tol = scenario.tolerances
     curve = scenario.curve
     scenario.require(mode)
     if mode == "eps":
-        steps, sol0 = eps_base(scenario)
+        steps, sol0, ends = eps_base(scenario, params)
         base, where = endpoint(sol0), "endpoint at eps = 0"
     else:
         steps, base, where = scenario.steps(mode), scenario.gamma0, "initial matrix"
@@ -314,7 +279,8 @@ def family(scenario, mode):
     else:
         drive = curve.eval_matrix(0.0, 0.0)
         coeffs = expansion_t(pair, drive)
-    return Family(steps=steps, base=base, pair=pair, drive=drive, coeffs=coeffs)
+        ends = family_endpoints(scenario, mode, params) if len(params) else np.empty((0, 4, 4))
+    return Family(steps=steps, base=base, pair=pair, drive=drive, coeffs=coeffs, ends=ends)
 
 
 def _near_one(base, tol, where):
@@ -329,56 +295,71 @@ def _near_one(base, tol, where):
             f"(tr M / 2 = {w!r}), which the expansion excludes")
 
 
-def family_endpoints(scenario, mode, params, steps=None):
-    """The family's matrix at every parameter in ``params``, in one batch:
-    the flow from the initial matrix to time s ("t"), or the flow from the
-    identity over [0, T] at eps = s ("eps"), each of ``steps`` steps
-    (``Family.steps``; by default ``scenario.steps("t")`` or the count of
-    :func:`eps_base`).  Shape (len(params), 4, 4)."""
-    tol = scenario.tolerances
-    if steps is None:
-        steps = eps_base(scenario)[0] if mode == "eps" else scenario.steps(mode)
+def family_endpoints(scenario, mode, params):
+    """The family's matrix at every parameter in ``params``, in one engine
+    call: the flow of ``steps_t`` steps from the initial matrix to time s
+    ("t"), or the flow from the identity over [0, T] at eps = s ("eps"),
+    batched with the eps = 0 base that sizes its steps (:func:`eps_base`).
+    Shape (len(params), 4, 4)."""
     if mode == "eps":
-        ends, _ = endpoints(scenario.curve, np.eye(4), scenario.T, steps, params, tol.drift)
-    else:
-        ends, _ = endpoints(scenario.curve, scenario.gamma0, params, steps, 0.0, tol.drift)
+        return eps_base(scenario, params)[2]
+    ends, _ = endpoints(scenario.curve, scenario.gamma0, params, scenario.steps(mode), 0.0,
+                        scenario.tolerances.drift)
     return ends
+
+
+# The oracle's parameters x = s / max(grid), four on each side of 0, and
+# its fit: polynomials of degree 5 in x.  Both fitted functions vanish at
+# s = 0, so an intercept not below _INTERCEPT_TOL times the function's
+# least |value| at x = +-1/4 is roundoff that the fit cannot see past.
+_X = np.array([1.0, 2.0, 3.0, 4.0, -1.0, -2.0, -3.0, -4.0]) / 4.0
+_DEGREE = 5
+_INTERCEPT_TOL = 1e-3
 
 
 def _oracle(scenario, mode):
     """Closed forms and oracle for one family.
 
-    One endpoint batch, one batch of quartics recentred at lambda0 and one
-    root solve each cover the grid, the scaling probe at four times its
-    foot and, for the t family, the stability probes at +-probe.  Returns
-    the ModeComparison and the StabilityProbe (None for the eps family).
+    One engine call flows the family to s = max(grid) x for x in _X and,
+    for the t family, to the stability probes at +-probe; one batch of
+    quartics recentred at lambda0 and one root solve each follow.  In
+    each of the eight rows the two roots z1, z2 nearest lambda0 give the
+    pair's symmetric functions (z1 - z2)^2 = 4 a^2 s + ... and
+    z1 + z2 - 2 lambda0 = 2 mu s + ..., fitted by one least-squares solve
+    in x.  The slopes give kappa = Re(a^2 / lambda0^2) and the sum
+    derivative 2 mu.  Raises IllConditionedFitError when an intercept is
+    not small against the smallest |s|'s values (_INTERCEPT_TOL): the
+    grid is too small to resolve the pair above roundoff.  Returns the
+    ModeComparison and the StabilityProbe (None for the eps family).
     """
-    fam = family(scenario, mode)
-    lam, coeffs, grid = fam.pair.lambda0, fam.coeffs, scenario.grid(mode)
     probe = scenario.tolerances.probe
-    n = grid.size
-    params = np.concatenate([grid, [4.0 * np.min(grid)], [probe, -probe] if mode == "t" else []])
-    polys = charpoly(family_endpoints(scenario, mode, params, fam.steps), lam)
+    top = float(np.max(scenario.grid(mode)))
+    s = top * _X
+    fam = family(scenario, mode, np.concatenate([s, [probe, -probe]]) if mode == "t" else s)
+    lam, coeffs = fam.pair.lambda0, fam.coeffs
+    polys = charpoly(fam.ends, lam)
     roots = [quartic_roots(p, lam) for p in polys]
 
-    tr = track(polys[:n], roots[:n], lam, grid, a_seed=coeffs.a)
-    fit = fit_puiseux(tr, lam)
-    kappa_emp = float((fit.a ** 2 / (lam * lam)).real)
-    sumder_emp = 2.0 * fit.mu_sum
-    rel = {
-        "kappa": _relative_error(kappa_emp, coeffs.kappa),
-        "sum_derivative": _relative_error(sumder_emp, coeffs.sum_derivative),
-    }
-
-    # Scaling probes at the foot of the grid: deviations should scale as
-    # sqrt(s), so dev(s)/dev(4s) -> 1/2 and the one-sided difference
-    # quotient grows by 2 when s shrinks by 4.
-    foot = int(np.argmin(tr.grid))
-    s0 = float(tr.grid[foot])
-    scaling = track([polys[foot], polys[n]], [roots[foot], roots[n]], lam,
-                    np.array([s0, 4.0 * s0]), a_seed=coeffs.a)
-    dev = 0.5 * (np.abs(scaling.branch1 - lam) + np.abs(scaling.branch2 - lam))
-
+    # The pair's offsets from lambda0: its sum is fitted recentred, so that
+    # the solve's roundoff scales with the offsets, not with |2 lambda0|.
+    off = np.array([_nearest_pair(z, lam, x) for z, x in zip(roots, s)]) - lam
+    sym = np.stack([(off[:, 0] - off[:, 1]) ** 2, off.sum(axis=1)], axis=1)
+    coef = np.linalg.lstsq(np.vander(_X, _DEGREE + 1, increasing=True), sym, rcond=None)[0]
+    floor = _INTERCEPT_TOL * np.abs(sym[[0, 4]]).min(axis=0)
+    if not np.all(np.abs(coef[0]) < floor):
+        raise IllConditionedFitError(
+            f"the fitted (z1 - z2)^2 and z1 + z2 - 2 lambda0 at s = 0 ({abs(coef[0, 0]):.3e}, "
+            f"{abs(coef[0, 1]):.3e}) are not below {_INTERCEPT_TOL:g} times their values at "
+            f"s = +-{top / 4:.3e}: the {mode} grid is too small to resolve the pair")
+    sq1, sumder_emp = (complex(c) for c in coef[1] / top)
+    a_emp = complex(np.sqrt(sq1)) / 2.0  # signed as a_predicted: a label only
+    if (a_emp * np.conj(coeffs.a)).real < 0:
+        a_emp = -a_emp
+    kappa_emp = float((sq1 / (4.0 * lam * lam)).real)
+    # The pair's mean distance from lambda0 grows like sqrt(s), so dev(max/4)
+    # / dev(max) -> 1/2, and dev(s) / s grows by 2 when s shrinks by 4.
+    dev = np.abs(off).mean(axis=1)
+    ratio = float(dev[0] / dev[3])
     part = ModeComparison(
         mode=mode,
         lambda0=lam,
@@ -387,20 +368,22 @@ def _oracle(scenario, mode):
         sum_derivative_predicted=coeffs.sum_derivative,
         sum_derivative_empirical=sumder_emp,
         a_predicted=coeffs.a,
-        a_empirical=fit.a,
-        relative_errors=rel,
-        sqrt_ratio=float(dev[0] / dev[1]),
-        quotient_growth=float((dev[0] / s0) / (dev[1] / (4.0 * s0))),
-        track=tr,
+        a_empirical=a_emp,
+        relative_errors={
+            "kappa": _relative_error(kappa_emp, coeffs.kappa),
+            "sum_derivative": _relative_error(sumder_emp, coeffs.sum_derivative),
+        },
+        sqrt_ratio=ratio,
+        quotient_growth=4.0 * ratio,
     )
     stability = None
     if mode == "t":
-        stability = _stability_probe(roots[n + 1], roots[n + 2], coeffs.kappa, probe)
+        stability = _stability_probe(roots[-2], roots[-1], coeffs.kappa, probe)
     return part, stability
 
 
 def compare(scenario, mode="both"):
-    """Run predictions and the tracking oracle on a scenario.
+    """Run predictions and the oracle on a scenario.
 
     ``mode`` selects the time family ("t"), the endpoint-in-eps family
     ("eps"), or "both", where the eps family runs only when the curve

@@ -18,9 +18,10 @@ Newton polish that evaluates through one call per evaluation is kept as
 The compiler that generated Python source for a list of trees and ran it
 through ``eval`` is kept verbatim as ``compile_generated``, the bitwise
 reference of the tree walker ``kreinsplit.expr._value`` on arrays.  The
-Puiseux fit that solved both branches as one weighted least-squares
-system is kept verbatim as ``fit_joint``, the reference of the
-parity-split ``kreinsplit.verify.fit_puiseux``.  The degree-10 Horner
+two-term Puiseux fit of labelled branches, which the oracle ran before it
+fitted the pair's symmetric functions, is kept verbatim as the
+parity-split ``fit_puiseux``, with ``fit_joint``, the joint weighted
+least-squares solve that it replaced, as its reference.  The degree-10 Horner
 series for exp(W) - I with its per-matrix scaling is kept verbatim as
 ``expm1_horner``, the reference of the Paterson-Stockmeyer
 ``kreinsplit.flow._expm1``, and ``expm1_decimal`` sums the Taylor series
@@ -36,6 +37,9 @@ character with a ``seen_dot`` flag and checked it with ``np.isfinite``,
 are kept verbatim as ``parse_reference``, the reference of the flat
 ``kreinsplit.expr.parse``: the same trees, offsets and errors.
 
+``discriminant_oracle`` is a second, root-free oracle: it reads kappa and
+the sum derivative from the traces of the oracle's endpoint batch alone.
+
 The rest are helpers that only tests read: the inner-product closed forms
 of the ladder's mixed coefficients (``ladder_closed_forms``, which computes
 its own pairings, so criterion 3 shares no arithmetic with ``expansion_t``),
@@ -46,6 +50,7 @@ package values (``pretty``, ``magnitude``, ``to_absolute``, ``separations``,
 
 import math
 import operator
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from itertools import combinations, permutations
 from math import comb
@@ -78,7 +83,7 @@ from kreinsplit.expr import (
 from kreinsplit.flow import _CHUNK
 from kreinsplit.linalg import J4, charpoly, is_symplectic, quartic_roots, symplectic_form
 from kreinsplit.spectral import pair_from_vectors
-from kreinsplit.verify import PuiseuxFit
+from kreinsplit.verify import family_endpoints
 
 
 def det_cofactor(A):
@@ -716,6 +721,61 @@ def compile_generated(trees):
     return wrapped
 
 
+@dataclass(frozen=True)
+class PuiseuxFit:
+    """Result of fitting branch data to +-a sqrt(s) + mu s.
+
+    ``a`` comes from the odd part (branch2 - branch1)/2 alone, a weighted
+    least-squares projection; ``mu_sum`` estimates mu from the even part,
+    extrapolated to s = 0 over the three smallest parameters.  The odd
+    powers of sqrt(s) cancel in the sum, so its quotient is mu + O(s) and
+    the extrapolation is done against s, not sqrt(s).
+    ``diagnostics["richardson_spread"]`` is the gap between the two-point
+    Richardson extrapolations of that quotient, a convergence record.
+    """
+
+    a: complex
+    mu_sum: complex
+    diagnostics: dict = field(default_factory=dict, compare=False)
+
+
+def fit_puiseux(tr, lambda0):
+    """Fit both branches to lambda0 +- a sqrt(s) + mu s, split by parity.
+
+    Rows are weighted by 1/s so every grid point contributes at its
+    relative accuracy; this keeps the o(s^{3/2}) contamination of the
+    largest parameters from biasing ``a``.  ``a`` is reported with the
+    sign matching branch 2 on the +a sheet.
+    """
+    if tr.grid.size < 4:
+        raise IllConditionedFitError("need at least four grid points")
+    lambda0 = complex(lambda0)
+    order = np.argsort(tr.grid)
+    s = tr.grid[order]
+    y1 = tr.branch1[order] - lambda0
+    y2 = tr.branch2[order] - lambda0
+
+    # q(s) = (b1 + b2 - 2 L) / (2 s) = mu + O(s) since the odd sqrt(s)
+    # powers cancel pointwise.  With the 1/s row weights the joint fit's
+    # two columns, [sqrt(s)/s; -sqrt(s)/s] and [1; 1], are orthogonal, so
+    # its a is the projection on the odd part alone.
+    q = (y1 + y2) / (2.0 * s)
+    a_fit = complex(np.sum((y2 - y1) / 2.0 * s ** -1.5) / np.sum(1.0 / s))
+
+    # Intercept of the least-squares line through q's three smallest
+    # points; the spread of the two-point Richardson values is kept as a
+    # convergence diagnostic.
+    design3 = np.stack([np.ones(3), s[:3]], axis=1)
+    line, _, rank3, _ = np.linalg.lstsq(design3, q[:3], rcond=None)
+    if rank3 < 2:
+        raise IllConditionedFitError("sum-slope extrapolation is rank deficient")
+    mu_sum = complex(line[0])
+    rich12 = (q[0] * s[1] - q[1] * s[0]) / (s[1] - s[0])
+    rich23 = (q[1] * s[2] - q[2] * s[1]) / (s[2] - s[1])
+    diagnostics = {"richardson_spread": float(abs(rich12 - rich23))}
+    return PuiseuxFit(a=a_fit, mu_sum=mu_sum, diagnostics=diagnostics)
+
+
 def fit_joint(tr, lambda0):
     """``fit_puiseux`` as it was: fit both branches jointly to
     lambda0 +- a sqrt(s) + mu s.
@@ -768,6 +828,37 @@ def fit_joint(tr, lambda0):
         "raw_quotient_smallest": complex(q[0]),
     }
     return PuiseuxFit(a=a_fit, mu_sum=mu_sum, diagnostics=diagnostics)
+
+
+def discriminant_oracle(scenario, mode, lambda0):
+    """Kappa and the sum derivative of the ``mode`` family from traces alone.
+
+    A real symplectic M has the reciprocal characteristic polynomial
+    lambda^4 - e1 lambda^3 + e2 lambda^2 - e1 lambda + 1 with e1 = tr M;
+    with w = lambda + 1/lambda it becomes w^2 - e1 w + e2 - 2, whose
+    discriminant is Delta = 2 tr(M^2) - (tr M)^2 + 8.  Delta and e1 are
+    fitted by polynomials of degree 4 in x = s / max(grid) over the eight
+    points x = +-1/4, ..., +-1 of the package oracle's batch.  With
+    lambda0 = exp(i theta0), w0 = 2 cos theta0 and
+    lambda(w) = w/2 + i sqrt(1 - w^2/4) on lambda0's side:
+    kappa = -Delta'(0) / (16 sin^2 theta0) and
+    sum_derivative = lambda'(w0) e1'(0) + lambda''(w0) Delta'(0) / 4, where
+    lambda'(w0) = 1/2 - i cos theta0 / (2 sin theta0) and
+    lambda''(w0) = -i / (4 sin^3 theta0).  No root, chain or predicted
+    coefficient is read; ``lambda0`` only picks the side.
+    Returns (kappa, sum_derivative).
+    """
+    x = np.array([1.0, 2.0, 3.0, 4.0, -1.0, -2.0, -3.0, -4.0]) / 4.0
+    top = float(np.max(scenario.grid(mode)))
+    ends = family_endpoints(scenario, mode, top * x)
+    e1 = np.trace(ends, axis1=1, axis2=2)
+    delta = 2.0 * np.trace(ends @ ends, axis1=1, axis2=2) - e1 ** 2 + 8.0
+    coef = np.polynomial.polynomial.polyfit(x, np.stack([delta, e1], axis=1), 4)
+    d1, e11 = coef[1] / top
+    cos0, sin0 = complex(lambda0).real, complex(lambda0).imag
+    first = 0.5 - 0.5j * cos0 / sin0
+    second = -0.25j / sin0 ** 3
+    return -d1 / (16.0 * sin0 ** 2), complex(first * e11 + second * d1 / 4.0)
 
 
 def ladder_closed_forms(pair, A0):

@@ -353,7 +353,7 @@ def test_options_may_precede_the_command(capsys):
 def test_parser_is_built_once(capsys):
     assert build_parser() is build_parser()
     path = str(DATA / "pi3_fast.json")
-    runs = [["verify", path, "--grid", "1e-6,1e-4,8,lin", "--tol", "1e-9", "--mode", "t"],
+    runs = [["verify", path, "--grid", "1e-6,1e-4,8,lin", "--tol", "1e-15", "--mode", "t"],
             ["verify", path], ["classify", path, "--mode", "t"], ["classify", path]]
     shared = []
     for argv in runs:
@@ -401,7 +401,7 @@ def test_verify_json_schema(capsys):
 
 
 def test_verify_tight_tolerance_exit_three(capsys):
-    rc = main(["verify", str(DATA / "pi3_fast.json"), "--tol", "1e-9"])
+    rc = main(["verify", str(DATA / "pi3_fast.json"), "--tol", "1e-15"])
     assert rc == 3
     capsys.readouterr()
 
@@ -584,11 +584,12 @@ def test_eps_batch_domain_error_is_located(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, steps_eps, reason, where", [
-    # Finite at eps = 0, so the base flow runs; the endpoint batch, which
-    # evaluates A on a column of times against a row of eps, fails at its
-    # first Gauss node, t = (1/2 - sqrt(15)/10) / 52.
+    # Finite at eps = 0 and not above 5e-4: the batch of the base and the
+    # oracle's eps values, which evaluates A on a column of times against a
+    # row of eps, fails at its first Gauss node, t = (1/2 - sqrt(15)/10) / 52,
+    # and its first eps above 5e-4, 3/4 of the grid's maximum.
     ("0.2*eps*t + sqrt(5e-4 - eps)*0", None, "sqrt out of domain",
-     "(t, eps) = (0.00216733971883189, 0.0005411695265464637) (subexpression at offset 12)"),
+     "(t, eps) = (0.00216733971883189, 0.00075) (subexpression at offset 12)"),
     # No Gauss node of the base flow meets the pole at t = 0.5, but the
     # sizing of steps_eps samples A(t, 0) at t = 0, 1/16, ..., 1 first.
     ("1/(t - 0.5 - eps*100)*0", None, "division by zero",

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +11,6 @@ from kreinsplit import (
     compare,
     detect_double_unitary,
     expansion_t,
-    fit_puiseux,
     jordan_pair,
     make_jordan_symplectic,
     predict_branches,
@@ -22,11 +22,11 @@ from kreinsplit.errors import (
     InputError,
     TrackingAmbiguityError,
 )
-from kreinsplit import verify
+from kreinsplit import flow, verify
 from kreinsplit.cli import main
 from kreinsplit.scenario import GridSpec, Scenario, load_scenario
 from kreinsplit.verify import BranchTrack, _stability_probe, family, family_endpoints
-from oracles import fit_joint, separations
+from oracles import discriminant_oracle, fit_joint, fit_puiseux, separations
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -41,6 +41,14 @@ def spectra(matrices, lam):
     as ``track`` takes them."""
     polys = charpoly(matrices, lam)
     return polys, [quartic_roots(p, lam) for p in polys]
+
+
+def grid_track(scenario, mode, part):
+    """``track`` over the scenario's ``mode`` grid, its branches labelled
+    from ``part``'s predicted a, as ``verify --out`` writes it."""
+    grid, lam = scenario.grid(mode), part.lambda0
+    return track(*spectra(family_endpoints(scenario, mode, grid), lam), lam, grid,
+                 a_seed=part.a_predicted)
 
 
 def synthetic_track(lambda0, a, mu, grid, extra=None):
@@ -86,7 +94,7 @@ def test_track_ambiguity_detection():
 
 def test_track_continuity_and_reversal(pi3_scenario, pi3_report):
     report, _ = pi3_report
-    tr = report.t.track
+    tr = grid_track(pi3_scenario, "t", report.t)
     seps = separations(tr)
     steps1 = np.abs(np.diff(tr.branch1))
     steps2 = np.abs(np.diff(tr.branch2))
@@ -136,33 +144,27 @@ def test_tracked_quartet_mirrors_conjugate_cluster(pi3_scenario):
 
 
 def test_shared_quartic_batch_equals_separate_calls(pi3_scenario, pi3_report):
-    # The oracle solves one batch of quartics for the grid, four times its
-    # foot and the two stability probes.  The grid track, the scaling probe
-    # and the probes' multipliers equal separate track and quartic_roots
-    # calls on the same endpoints bit for bit.
+    # The oracle solves one batch of quartics for its eight points
+    # s = max(grid) (+-1/4, +-2/4, +-3/4, +-1) and the two stability
+    # probes.  Its roots equal separate charpoly and quartic_roots calls on
+    # the same endpoints bit for bit; sqrt_ratio is the pair's mean distance
+    # from lambda0 at max/4 over that at max, and the probes' multipliers
+    # give the stability block.
     report, _ = pi3_report
     part = report.t
-    lam, a = part.lambda0, part.a_predicted
+    lam = part.lambda0
     probe = pi3_scenario.tolerances.probe
-    grid = pi3_scenario.t_grid.points()
-    n = grid.size
-    ends = family_endpoints(pi3_scenario, "t",
-                            np.concatenate([grid, [4.0 * grid.min(), probe, -probe]]))
+    top = pi3_scenario.t_grid.points().max()
+    x = np.array([1.0, 2.0, 3.0, 4.0, -1.0, -2.0, -3.0, -4.0]) / 4.0
+    ends = family_endpoints(pi3_scenario, "t", np.concatenate([top * x, [probe, -probe]]))
 
-    tr = track(*spectra(ends[:n], lam), lam, grid, a_seed=a)
-    for got, want in ((part.track.branch1, tr.branch1), (part.track.branch2, tr.branch2),
-                      (part.track.residuals, tr.residuals)):
+    evs = [quartic_roots(charpoly(M, lam), lam) for M in ends]
+    for got, want in zip(spectra(ends, lam)[1], evs):
         assert got.tobytes() == want.tobytes()
-
-    foot = int(np.argmin(grid))
-    s0 = float(grid[foot])
-    scaling = track(*spectra(ends[[foot, n]], lam), lam, [s0, 4.0 * s0], a_seed=a)
-    dev = 0.5 * (np.abs(scaling.branch1 - lam) + np.abs(scaling.branch2 - lam))
-    assert part.sqrt_ratio == float(dev[0] / dev[1])
-    assert part.quotient_growth == float((dev[0] / s0) / (dev[1] / (4.0 * s0)))
-
-    evs = [quartic_roots(charpoly(M, lam), lam) for M in ends[n + 1:]]
-    assert report.stability == _stability_probe(evs[0], evs[1], part.kappa_predicted, probe)
+    dev = [np.mean(sorted(np.abs(z - lam))[:2]) for z in evs[:4]]
+    assert part.sqrt_ratio == float(dev[0] / dev[3])
+    assert part.quotient_growth == 4.0 * part.sqrt_ratio
+    assert report.stability == _stability_probe(evs[8], evs[9], part.kappa_predicted, probe)
 
 
 def test_fit_recovers_exact_model():
@@ -185,15 +187,19 @@ def test_fit_bias_under_three_halves_contamination():
     assert abs(fit.a - 1.0) <= c * grid.max()
 
 
-def test_parity_split_fit_matches_joint_solve(pi3_report, pi3_neg_report, resonant_report):
+def test_parity_split_fit_matches_joint_solve(pi3_scenario, pi3_report, pi3_neg_scenario,
+                                              pi3_neg_report, resonant_scenario,
+                                              resonant_report):
     # The 1/s-weighted joint fit's two columns are orthogonal, so the odd
     # projection gives its a up to roundoff, and mu_sum and the Richardson
     # spread, which read only q, are untouched.
     lam = np.exp(0.9j)
     grid = np.geomspace(1e-7, 1e-3, 12)
-    gauge = compare(load_scenario(SCENARIOS / "resonant_eps_gauge.json"), mode="eps").eps
-    parts = (pi3_report[0].t, pi3_neg_report[0].t, resonant_report[0].eps, gauge)
-    cases = [(part.track, part.lambda0) for part in parts]
+    gauge_scenario = load_scenario(SCENARIOS / "resonant_eps_gauge.json")
+    gauge = compare(gauge_scenario, mode="eps").eps
+    parts = ((pi3_scenario, "t", pi3_report[0].t), (pi3_neg_scenario, "t", pi3_neg_report[0].t),
+             (resonant_scenario, "eps", resonant_report[0].eps), (gauge_scenario, "eps", gauge))
+    cases = [(grid_track(*args), args[2].lambda0) for args in parts]
     cases += [(synthetic_track(lam, 1.0 + 0.0j, 0.5j, grid), lam),
               (synthetic_track(lam, 1.0 + 0.0j, 0.5j, grid, extra=lambda s: 0.8 * s ** 1.5), lam)]
     for tr, lam0 in cases:
@@ -216,8 +222,8 @@ def test_fit_needs_four_points():
 def test_reference_scenario_oracle_agreement(pi3_report):
     report, elapsed = pi3_report
     part = report.t
-    assert part.relative_errors["kappa"] <= 1e-5
-    assert part.relative_errors["sum_derivative"] <= 1e-4
+    assert part.relative_errors["kappa"] <= 1e-12
+    assert part.relative_errors["sum_derivative"] <= 1e-11
     assert abs(part.sqrt_ratio - 0.5) <= 0.025
     assert abs(part.quotient_growth - 2.0) <= 0.2
     assert report.stability is not None and report.stability.passed
@@ -229,7 +235,7 @@ def test_reference_scenario_oracle_agreement(pi3_report):
 def test_flipped_scenario_positive_rate(pi3_neg_report):
     report, _ = pi3_neg_report
     assert report.t.kappa_predicted > 0
-    assert report.t.relative_errors["kappa"] <= 1e-4
+    assert report.t.relative_errors["kappa"] <= 1e-12
     assert report.stability.passed
 
 
@@ -237,8 +243,8 @@ def test_eps_scenario_oracle_agreement(resonant_report):
     report, elapsed = resonant_report
     part = report.eps
     assert part is not None
-    assert part.relative_errors["kappa"] <= 1e-4
-    assert part.relative_errors["sum_derivative"] <= 1e-4
+    assert part.relative_errors["kappa"] <= 1e-12
+    assert part.relative_errors["sum_derivative"] <= 1e-11
     assert abs(part.sqrt_ratio - 0.5) <= 0.025
     assert report.t is None
     assert elapsed < 30.0
@@ -246,13 +252,13 @@ def test_eps_scenario_oracle_agreement(resonant_report):
 
 def test_sum_derivative_oracle_error_below_roundoff_growth(pi3_report, pi3_neg_report,
                                                           resonant_report):
-    # The flow engine composes step increments without forming I + D, and
-    # the default t-family flows fit in one chunk, so roundoff in G no
-    # longer swamps the second-order coefficient (about 2e-9 on the t
-    # anchors).
-    assert pi3_report[0].t.relative_errors["sum_derivative"] <= 1e-8
-    assert pi3_neg_report[0].t.relative_errors["sum_derivative"] <= 1e-8
-    assert resonant_report[0].eps.relative_errors["sum_derivative"] <= 1e-7
+    # The flow engine composes step increments without forming I + D, the
+    # default t-family flows fit in one chunk, and the oracle fits the
+    # pair's sum recentred at lambda0, so roundoff swamps neither G nor the
+    # second-order coefficient (8.5e-14 to 6.2e-13 on the anchors).
+    assert pi3_report[0].t.relative_errors["sum_derivative"] <= 1e-11
+    assert pi3_neg_report[0].t.relative_errors["sum_derivative"] <= 1e-11
+    assert resonant_report[0].eps.relative_errors["sum_derivative"] <= 1e-11
 
 
 def test_eps_family_sizes_its_steps_once(resonant_scenario, monkeypatch):
@@ -315,11 +321,11 @@ def test_predicted_branches_match_oracle(pi3_scenario, pi3_report):
     g0 = pi3_scenario.gamma0
     pair = jordan_pair(g0, part.lambda0)
     coeffs = expansion_t(pair, pi3_scenario.curve.eval_matrix(0.0, 0.0))
-    grid = part.track.grid
+    tr = grid_track(pi3_scenario, "t", part)
     errors = []
-    for i, s in enumerate(grid):
+    for i, s in enumerate(tr.grid):
         p1, p2 = predict_branches(coeffs, part.lambda0, float(s))
-        tracked = {part.track.branch1[i], part.track.branch2[i]}
+        tracked = {tr.branch1[i], tr.branch2[i]}
         err = min(max(abs(p1 - x), abs(p2 - y))
                   for x in tracked for y in tracked if x != y or len(tracked) == 1)
         errors.append(err / s ** 1.5)
@@ -421,8 +427,8 @@ def test_refined_steps_past_the_cap_stop_before_that_flow(tmp_path, monkeypatch)
     # The k = 8 gauge starts at 136 steps and is refined to 340; under a cap
     # of 300 the refinement is an input error, and only the first flow ran.
     counts = []
-    flows = verify.integrate
-    monkeypatch.setattr(verify, "integrate",
+    flows = verify.integrate_batch
+    monkeypatch.setattr(verify, "integrate_batch",
                         lambda curve, g, T, steps, *rest: counts.append(steps)
                         or flows(curve, g, T, steps, *rest))
     monkeypatch.setattr(verify, "MAX_STEPS", 300)
@@ -454,3 +460,76 @@ def test_base_without_double_multiplier_is_reported_as_such(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: NoDoubleMultiplierError: endpoint at eps = 0 has no "
                           "double unit-circle multiplier pair")
+
+
+@pytest.mark.parametrize("name, mode", [
+    ("jordan_pi3", "t"), ("jordan_pi3_neg", "t"),
+    ("resonant_eps", "eps"), ("resonant_eps_gauge", "eps"),
+])
+def test_root_free_oracle_agrees_with_the_symmetric_fit(name, mode):
+    # Two oracles that share only the endpoint batch: the traces' fit of
+    # Delta and e1 (no root) and the roots' fit of (z1 - z2)^2 and z1 + z2.
+    scenario = load_scenario(SCENARIOS / f"{name}.json")
+    part = getattr(compare(scenario, mode=mode), mode)
+    kappa, sum_derivative = discriminant_oracle(scenario, mode, part.lambda0)
+    assert abs(kappa - part.kappa_empirical) <= 1e-11 * abs(part.kappa_empirical)
+    assert (abs(sum_derivative - part.sum_derivative_empirical)
+            <= 1e-11 * abs(part.sum_derivative_empirical))
+
+
+def test_one_engine_call_and_one_quartic_batch_per_family(monkeypatch, capsys):
+    # verify makes one flow._flows call per family (the eps family's base
+    # rides in it) and solves 10 quartics for t (8 points, 2 probes) and 8
+    # for eps; sweep --mode eps flows its base and grid in one call too.
+    calls = {"flows": 0, "roots": 0}
+    flows, roots = flow._flows, verify.quartic_roots
+
+    def counted_flows(*args, **kwargs):
+        calls["flows"] += 1
+        return flows(*args, **kwargs)
+
+    def counted_roots(*args):
+        calls["roots"] += 1
+        return roots(*args)
+
+    monkeypatch.setattr(flow, "_flows", counted_flows)
+    monkeypatch.setattr(verify, "quartic_roots", counted_roots)
+    for argv, want in ((["verify", "jordan_pi3.json", "--mode", "t"], {"flows": 1, "roots": 10}),
+                       (["verify", "resonant_eps.json", "--mode", "eps"], {"flows": 1, "roots": 8}),
+                       (["sweep", "resonant_eps.json", "--mode", "eps"], {"flows": 1, "roots": 0})):
+        calls.update(flows=0, roots=0)
+        assert main([argv[0], str(SCENARIOS / argv[1]), *argv[2:]]) == 0
+        assert calls == want, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("grid", ["1e-300,1e-299,4", "1e-20,1e-18,4"])
+def test_grid_too_small_to_resolve_the_pair_is_an_ill_conditioned_fit(grid, capsys):
+    # At s = 1e-299 the flows' endpoints round to the initial matrix; at
+    # 1e-18 (z1 - z2)^2 still shows the splitting but z1 + z2 - 2 lambda0
+    # does not rise above roundoff.  Both are one typed error, without a
+    # numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["verify", str(SCENARIOS / "jordan_pi3.json"), "--mode", "t", "--grid", grid])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: IllConditionedFitError: ") and err.count("\n") == 1
+    assert "too small to resolve the pair" in err
+
+
+def test_ambiguity_messages_print_plain_floats(capsys):
+    # At eps up to 100 a third multiplier crowds the pair; the parameter is
+    # printed as a float, not as a numpy repr, by the oracle and by track.
+    assert main(["verify", str(SCENARIOS / "resonant_eps.json"), "--mode", "eps",
+                 "--grid", "1e-7,100,16"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: TrackingAmbiguityError: ") and "np.float64(" not in err
+    assert err.rstrip().endswith("at parameter 50.0")
+    lam = np.exp(1j * np.pi / 3)
+    crowded = np.diag([lam + 1e-3, lam - 1e-3, lam + 1.9e-3, np.conj(lam)])
+    with pytest.raises(TrackingAmbiguityError) as info:
+        track(*spectra(crowded[None], lam), lam, np.array([1e-6]))
+    assert "np.float64(" not in str(info.value)
+    assert str(info.value).endswith("at parameter 1e-06")
