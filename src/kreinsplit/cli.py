@@ -4,7 +4,7 @@ linear Hamiltonian flows.
 Commands:
 
     analyze   closed-form expansion data for a scenario (JSON on stdout)
-    verify    predictions vs the tracking oracle (JSON on stdout, CSV
+    verify    predictions vs the eigenvalue oracle (JSON on stdout, CSV
               tracks under --out), exit 3 when errors exceed --tol
     sweep     raw eigenvalue trajectories over the grid as CSV
     classify  one-line strong-stability verdict

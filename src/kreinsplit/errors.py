@@ -133,8 +133,9 @@ class TrackingAmbiguityError(AnalysisError):
 
 
 class IllConditionedFitError(AnalysisError):
-    """The Puiseux fit is ill-posed: fewer than four grid points, or a
-    rank-deficient line through the three smallest parameters."""
+    """The oracle's fit cannot resolve the pair above roundoff: a fitted
+    symmetric function's intercept at s = 0 is not below
+    ``verify._INTERCEPT_TOL`` times its least |value| at s = +-max(grid)/4."""
 
 
 class CorruptedSolutionError(AnalysisError):

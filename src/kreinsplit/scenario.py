@@ -57,7 +57,7 @@ class Tolerances:
     and steps_eps are the step counts of the sixth-order Magnus flows of
     the time family (flow.endpoints) and of the eps family (one
     flow.integrate_batch over [0, T] for the eps = 0 base and the family),
-    at most MAX_STEPS; probe is the |t| of the stability dichotomy check.
+    at most MAX_STEPS.
 
     A Magnus step is exact where A is constant, and its error over [0, s]
     falls like steps^-6 with the variation of B = J4 A over the step
@@ -75,7 +75,6 @@ class Tolerances:
     drift: float = 1e-8
     steps_t: int = 4
     steps_eps: int | None = None
-    probe: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -179,10 +178,9 @@ def parse_grid(obj, path):
 
 
 def _tolerances(obj, path):
-    allowed = {"cluster", "circle", "drift", "steps_t", "steps_eps", "probe"}
-    _require_keys(obj, allowed, (), path)
+    _require_keys(obj, {"cluster", "circle", "drift", "steps_t", "steps_eps"}, (), path)
     kwargs = {}
-    for key in ("cluster", "circle", "drift", "probe"):
+    for key in ("cluster", "circle", "drift"):
         if key in obj:
             kwargs[key] = _number(obj[key], f"{path}/{key}", positive=True)
     for key in ("steps_t", "steps_eps"):

@@ -132,11 +132,12 @@ class ModeComparison:
 
 @dataclass(frozen=True)
 class StabilityProbe:
-    """Numerical check of the strong-stability dichotomy at +-probe.
+    """Numerical check of the strong-stability dichotomy on the oracle's rows.
 
-    For positive first-order rate the forward side must have a multiplier
-    off the unit circle while the backward side shows four distinct
-    multipliers on it; a negative rate mirrors the two sides.
+    The side of s = 0 where sign(s) = sign(kappa) (+ for kappa = 0) must
+    have a multiplier off the unit circle in every row, the other side
+    four distinct multipliers on it in every row.  ``probe`` is the least
+    |s| judged, max(grid) / 4.
     """
 
     kappa: float
@@ -153,27 +154,28 @@ def _relative_error(emp, pred):
     return abs(emp - pred) / max(abs(pred), 1e-12)
 
 
-# The stability probe's judgments of the multipliers at +-probe.
+# The stability probe's judgments of the multipliers of the oracle's rows.
 _OFF_TOL = 1e-6  # off the unit circle: some modulus above 1 + _OFF_TOL
 _CIRCLE_TOL = 1e-6  # on it: every modulus within _CIRCLE_TOL of 1,
 _SEP_TOL = 1e-3  # and every two multipliers more than _SEP_TOL apart
 
 
-def _stability_probe(evs_f, evs_b, kappa, probe):
-    """Judge the dichotomy from the multipliers of the flow's endpoints at
-    +probe (``evs_f``) and -probe (``evs_b``)."""
-    if kappa < 0:
-        evs_f, evs_b = evs_b, evs_f
-    # "forward" now means the side the dichotomy claims unstable.
-    fwd_max = float(np.max(np.abs(evs_f)))
+def _stability_probe(roots, s, kappa):
+    """Judge the dichotomy from the multipliers ``roots`` of the flow's
+    endpoints at the parameters ``s``, one row of four per parameter."""
+    roots, s = np.asarray(roots), np.asarray(s)
+    unstable = (s > 0) == (kappa >= 0)
+    # "forward" means the side the dichotomy claims unstable.
+    fwd_max = float(np.abs(roots[unstable]).max(axis=1).min())
     off_circle = fwd_max > 1.0 + _OFF_TOL
-    bwd_dev = float(np.max(np.abs(np.abs(evs_b) - 1.0)))
-    seps = [abs(evs_b[i] - evs_b[j]) for i in range(4) for j in range(i + 1, 4)]
-    min_sep = float(min(seps))
+    stable = roots[~unstable]
+    bwd_dev = float(np.abs(np.abs(stable) - 1.0).max())
+    i, j = np.triu_indices(4, 1)
+    min_sep = float(np.abs(stable[:, i] - stable[:, j]).min())
     on_circle_distinct = bwd_dev <= _CIRCLE_TOL and min_sep > _SEP_TOL
     return StabilityProbe(
         kappa=kappa,
-        probe=probe,
+        probe=float(np.abs(s).min()),
         forward_max_modulus=fwd_max,
         forward_off_circle=off_circle,
         backward_max_circle_deviation=bwd_dev,
@@ -204,13 +206,11 @@ class Family:
 
     For the time family the base is the initial matrix and the drive is
     A(0, 0); for the eps family the base is the endpoint G(T) at eps = 0
-    and the drive is the effective perturbation generator B.  ``steps`` is
-    the step count of its flows (:meth:`Scenario.steps`, :func:`eps_base`)
-    and ``ends`` the family's matrices at the parameters :func:`family`
-    was given, shape (len(params), 4, 4).
+    and the drive is the effective perturbation generator B.  ``ends`` are
+    the family's matrices at the parameters :func:`family` was given,
+    shape (len(params), 4, 4).
     """
 
-    steps: int
     base: np.ndarray
     pair: JordanPair
     drive: np.ndarray
@@ -259,18 +259,18 @@ def family(scenario, mode, params=()):
     curve = scenario.curve
     scenario.require(mode)
     if mode == "eps":
-        steps, sol0, ends = eps_base(scenario, params)
+        _, sol0, ends = eps_base(scenario, params)
         base, where = endpoint(sol0), "endpoint at eps = 0"
     else:
-        steps, base, where = scenario.steps(mode), scenario.gamma0, "initial matrix"
+        base, where = scenario.gamma0, "initial matrix"
     lam = detect_double_unitary(base, tol.cluster, tol.circle)
     if lam is None:
         _near_one(base, tol, where)
         if mode == "eps" and tol.steps_eps is not None:
-            finer, _ = endpoints(curve, np.eye(4), scenario.T, 2 * steps, 0.0, tol.drift)
+            finer, _ = endpoints(curve, np.eye(4), scenario.T, 2 * tol.steps_eps, 0.0, tol.drift)
             if abs(discriminant(base)) >= 16.0 * abs(discriminant(finer[0])):
                 raise NoDoubleMultiplierError(
-                    f"{where} is not resolved at steps_eps = {steps}; raise steps_eps")
+                    f"{where} is not resolved at steps_eps = {tol.steps_eps}; raise steps_eps")
         raise NoDoubleMultiplierError(f"{where} has no double unit-circle multiplier pair")
     pair = jordan_pair(base, lam)
     if mode == "eps":
@@ -280,7 +280,7 @@ def family(scenario, mode, params=()):
         drive = curve.eval_matrix(0.0, 0.0)
         coeffs = expansion_t(pair, drive)
         ends = family_endpoints(scenario, mode, params) if len(params) else np.empty((0, 4, 4))
-    return Family(steps=steps, base=base, pair=pair, drive=drive, coeffs=coeffs, ends=ends)
+    return Family(base=base, pair=pair, drive=drive, coeffs=coeffs, ends=ends)
 
 
 def _near_one(base, tol, where):
@@ -320,22 +320,21 @@ _INTERCEPT_TOL = 1e-3
 def _oracle(scenario, mode):
     """Closed forms and oracle for one family.
 
-    One engine call flows the family to s = max(grid) x for x in _X and,
-    for the t family, to the stability probes at +-probe; one batch of
-    quartics recentred at lambda0 and one root solve each follow.  In
-    each of the eight rows the two roots z1, z2 nearest lambda0 give the
+    One engine call flows the family to s = max(grid) x for x in _X; one
+    batch of quartics recentred at lambda0 and one root solve each follow.
+    In each of the eight rows the two roots z1, z2 nearest lambda0 give the
     pair's symmetric functions (z1 - z2)^2 = 4 a^2 s + ... and
     z1 + z2 - 2 lambda0 = 2 mu s + ..., fitted by one least-squares solve
     in x.  The slopes give kappa = Re(a^2 / lambda0^2) and the sum
     derivative 2 mu.  Raises IllConditionedFitError when an intercept is
     not small against the smallest |s|'s values (_INTERCEPT_TOL): the
     grid is too small to resolve the pair above roundoff.  Returns the
-    ModeComparison and the StabilityProbe (None for the eps family).
+    ModeComparison and, for the t family, the StabilityProbe of the same
+    rows (else None).
     """
-    probe = scenario.tolerances.probe
     top = float(np.max(scenario.grid(mode)))
     s = top * _X
-    fam = family(scenario, mode, np.concatenate([s, [probe, -probe]]) if mode == "t" else s)
+    fam = family(scenario, mode, s)
     lam, coeffs = fam.pair.lambda0, fam.coeffs
     polys = charpoly(fam.ends, lam)
     roots = [quartic_roots(p, lam) for p in polys]
@@ -376,10 +375,7 @@ def _oracle(scenario, mode):
         sqrt_ratio=ratio,
         quotient_growth=4.0 * ratio,
     )
-    stability = None
-    if mode == "t":
-        stability = _stability_probe(roots[-2], roots[-1], coeffs.kappa, probe)
-    return part, stability
+    return part, _stability_probe(roots, s, coeffs.kappa) if mode == "t" else None
 
 
 def compare(scenario, mode="both"):
@@ -388,8 +384,8 @@ def compare(scenario, mode="both"):
     ``mode`` selects the time family ("t"), the endpoint-in-eps family
     ("eps"), or "both", where the eps family runs only when the curve
     mentions eps.  The grids are the scenario's (change them with
-    ``dataclasses.replace``), and the t family always runs the stability
-    probes.  Returns an OracleReport; tolerance judgments belong to the
+    ``dataclasses.replace``), and the t family's rows also judge the
+    stability dichotomy.  Returns an OracleReport; tolerance judgments belong to the
     caller.
     """
     if mode not in ("t", "eps", "both"):

@@ -215,6 +215,17 @@ def _one_error_line(capsys, starts):
     assert "Traceback" not in captured.err
 
 
+def test_probe_tolerance_is_an_unknown_key(tmp_path, capsys):
+    # The stability dichotomy is judged on the oracle's own rows; no
+    # tolerance sets an offset for it.
+    doc = json.loads((SCENARIOS / "jordan_pi3.json").read_text())
+    doc["tolerances"] = {"probe": 1e-4}
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--mode", "t"]) == 1
+    _one_error_line(capsys, "/tolerances/probe: unknown key")
+
+
 def _entry_3_3(text):
     return lambda doc: doc["curve"]["entries"].update({"3,3": text})
 

@@ -145,18 +145,16 @@ def test_tracked_quartet_mirrors_conjugate_cluster(pi3_scenario):
 
 def test_shared_quartic_batch_equals_separate_calls(pi3_scenario, pi3_report):
     # The oracle solves one batch of quartics for its eight points
-    # s = max(grid) (+-1/4, +-2/4, +-3/4, +-1) and the two stability
-    # probes.  Its roots equal separate charpoly and quartic_roots calls on
-    # the same endpoints bit for bit; sqrt_ratio is the pair's mean distance
-    # from lambda0 at max/4 over that at max, and the probes' multipliers
-    # give the stability block.
+    # s = max(grid) (+-1/4, +-2/4, +-3/4, +-1).  Its roots equal separate
+    # charpoly and quartic_roots calls on the same endpoints bit for bit;
+    # sqrt_ratio is the pair's mean distance from lambda0 at max/4 over that
+    # at max, and the same eight rows give the stability block.
     report, _ = pi3_report
     part = report.t
     lam = part.lambda0
-    probe = pi3_scenario.tolerances.probe
     top = pi3_scenario.t_grid.points().max()
     x = np.array([1.0, 2.0, 3.0, 4.0, -1.0, -2.0, -3.0, -4.0]) / 4.0
-    ends = family_endpoints(pi3_scenario, "t", np.concatenate([top * x, [probe, -probe]]))
+    ends = family_endpoints(pi3_scenario, "t", top * x)
 
     evs = [quartic_roots(charpoly(M, lam), lam) for M in ends]
     for got, want in zip(spectra(ends, lam)[1], evs):
@@ -164,7 +162,20 @@ def test_shared_quartic_batch_equals_separate_calls(pi3_scenario, pi3_report):
     dev = [np.mean(sorted(np.abs(z - lam))[:2]) for z in evs[:4]]
     assert part.sqrt_ratio == float(dev[0] / dev[3])
     assert part.quotient_growth == 4.0 * part.sqrt_ratio
-    assert report.stability == _stability_probe(evs[8], evs[9], part.kappa_predicted, probe)
+    assert report.stability == _stability_probe(evs, top * x, part.kappa_predicted)
+    # Given -kappa, the probe judges the sides the other way round, and fails.
+    flipped = _stability_probe(evs, top * x, -part.kappa_predicted)
+    assert not flipped.forward_off_circle and not flipped.backward_on_circle_distinct
+    assert not flipped.passed
+
+
+def test_stability_probe_reports_the_least_judged_parameter(pi3_scenario, pi3_report,
+                                                            pi3_neg_scenario, pi3_neg_report):
+    # The dichotomy is judged on the eight rows at s = max(grid) (+-1/4, ..., +-1),
+    # the nearest to s = 0 at max(grid) / 4.
+    for scenario, (report, _) in ((pi3_scenario, pi3_report), (pi3_neg_scenario, pi3_neg_report)):
+        assert report.stability.probe == scenario.t_grid.points().max() / 4
+        assert report.stability.passed
 
 
 def test_fit_recovers_exact_model():
@@ -406,7 +417,7 @@ def test_fast_gauge_passes_at_the_sized_step_count(tmp_path, capsys):
     # law refines it once, to 932.
     path = _gauge_scenario(tmp_path, 4.0)
     assert load_scenario(path).steps("eps") == 888
-    assert family(load_scenario(path), "eps").steps == 932
+    assert verify.eps_base(load_scenario(path))[0] == 932
     assert main(["verify", str(path), "--mode", "eps"]) == 0
     capsys.readouterr()
 
@@ -418,7 +429,7 @@ def test_gauge_at_high_frequency_is_refined_until_resolved(k, c, steps, tmp_path
     # the base needs more steps to resolve its double multiplier; the
     # discriminant check finds that without a steps_eps in the file.
     path = _gauge_scenario(tmp_path, c, k=k)
-    assert family(load_scenario(path), "eps").steps == steps
+    assert verify.eps_base(load_scenario(path))[0] == steps
     assert main(["verify", str(path), "--mode", "eps"]) == 0
     assert json.loads(capsys.readouterr().out)["max_relative_error"] < 1e-5
 
@@ -479,14 +490,17 @@ def test_root_free_oracle_agrees_with_the_symmetric_fit(name, mode):
 
 def test_one_engine_call_and_one_quartic_batch_per_family(monkeypatch, capsys):
     # verify makes one flow._flows call per family (the eps family's base
-    # rides in it) and solves 10 quartics for t (8 points, 2 probes) and 8
-    # for eps; sweep --mode eps flows its base and grid in one call too.
+    # rides in it) over the eight points of _X, and solves 8 quartics for
+    # each family; sweep --mode eps flows its base and grid in one call too.
     calls = {"flows": 0, "roots": 0}
     flows, roots = flow._flows, verify.quartic_roots
+    sizes = []
 
     def counted_flows(*args, **kwargs):
         calls["flows"] += 1
-        return flows(*args, **kwargs)
+        out = flows(*args, **kwargs)
+        sizes.append(len(out[1]))
+        return out
 
     def counted_roots(*args):
         calls["roots"] += 1
@@ -494,12 +508,14 @@ def test_one_engine_call_and_one_quartic_batch_per_family(monkeypatch, capsys):
 
     monkeypatch.setattr(flow, "_flows", counted_flows)
     monkeypatch.setattr(verify, "quartic_roots", counted_roots)
-    for argv, want in ((["verify", "jordan_pi3.json", "--mode", "t"], {"flows": 1, "roots": 10}),
+    for argv, want in ((["verify", "jordan_pi3.json", "--mode", "t"], {"flows": 1, "roots": 8}),
                        (["verify", "resonant_eps.json", "--mode", "eps"], {"flows": 1, "roots": 8}),
                        (["sweep", "resonant_eps.json", "--mode", "eps"], {"flows": 1, "roots": 0})):
         calls.update(flows=0, roots=0)
         assert main([argv[0], str(SCENARIOS / argv[1]), *argv[2:]]) == 0
         assert calls == want, argv
+    # 8 endpoints for t; the eps = 0 base and 8 for eps; the base and 16 for sweep.
+    assert sizes == [8, 9, 17]
     capsys.readouterr()
 
 
