@@ -20,8 +20,9 @@ from .expr import SymmetricCurve
 from .linalg import is_symplectic
 from .spectral import make_jordan_symplectic
 
-# Caps on a grid's points and a flow's steps.  A grid point is one flow of the
-# endpoint batch (128 KiB of chunk workspace); the eps = 0 base keeps 128 B a step.
+# Caps on a grid's points and a flow's steps: steps_t, and the eps family's count
+# as sized and refined.  A grid point is one flow of the endpoint batch (128 KiB
+# of chunk workspace); the eps = 0 base keeps 128 B a step.
 MAX_GRID_COUNT = 1024
 MAX_STEPS = 1_000_000
 
@@ -53,28 +54,28 @@ class Tolerances:
 
     cluster bounds the detected double pair's spread and, times 10, its
     distance from +-1; circle bounds max |M^T J4 M - J4|, the reciprocity
-    behind detection's trace rule; drift flags flow solutions; steps_t
-    and steps_eps are the step counts of the sixth-order Magnus flows of
-    the time family (flow.endpoints) and of the eps family (one
-    flow.integrate_batch over [0, T] for the eps = 0 base and the family),
-    at most MAX_STEPS.
+    behind detection's trace rule; drift flags flow solutions; steps_t is
+    the step count, at most MAX_STEPS, of the time family's sixth-order
+    Magnus flows (flow.endpoints).  The eps family's count is sized from
+    the curve (:meth:`Scenario.steps`, :func:`verify.eps_base`).
 
     A Magnus step is exact where A is constant, and its error over [0, s]
     falls like steps^-6 with the variation of B = J4 A over the step
     (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999).  The t family's
     flows are short (s <= 1e-3 on the default grid), so steps_t = 4 keeps
-    that error below roundoff: 128 steps move the fitted coefficients of
-    the shipped t scenarios only at roundoff, also on a grid reaching
-    s = 1e-1.
-    steps_eps = None, the default, sizes the eps family's flows from the
-    curve (:func:`verify.eps_base`); a number, a multiple of 4, is used as given.
+    that error below roundoff.  Measured on jordan_pi3: the eigenvalues
+    of sweep --grid 1e-2,1e-1,4 at 4 steps agree with 1,024 steps to
+    6.4e-15; at s = 1 they are 2.5e-8 off, where 128 steps agree to
+    8.3e-16; at s = 10 the flow stops with NonConformingFlowError (drift
+    4.8e30).  verify --mode t --grid 1e-3,1e-1,4 reads the same errors at
+    4, 16 and 128 steps (kappa 5.9e-9, sum_derivative 1.8e-8).  Raise
+    steps_t for sweeps and tracks beyond s ~ 1e-1.
     """
 
     cluster: float = 1e-6
     circle: float = 1e-6
     drift: float = 1e-8
     steps_t: int = 4
-    steps_eps: int | None = None
 
 
 @dataclass(frozen=True)
@@ -100,22 +101,18 @@ class Scenario:
 
     def steps(self, mode):
         """Step count of the ``mode`` family's flows: ``steps_t`` for "t";
-        for "eps", ``steps_eps`` when given, else the least multiple of 4 at
-        least max(16, T beta / 0.03), beta the largest row sum of |A(t, 0)| at
-        17 equally spaced t in [0, T]: h beta <= 0.03, 52 steps on
-        resonant_eps; past MAX_STEPS or infinite, InputError.
-        verify.eps_base refines it."""
-        tol = self.tolerances
+        for "eps", the least multiple of 4 at least max(16, T beta / 0.03),
+        beta the largest row sum of |A(t, 0)| at 17 equally spaced t in
+        [0, T]: h beta <= 0.03, 52 steps on resonant_eps; past MAX_STEPS or
+        infinite, InputError.  verify.eps_base refines it."""
         if mode == "t":
-            return tol.steps_t
-        if tol.steps_eps is not None:
-            return tol.steps_eps
+            return self.tolerances.steps_t
         A = self.curve.eval_matrix_batch(np.linspace(0.0, self.T, 17), 0.0)
         beta = float(np.abs(A).sum(axis=-1).max())
         size = max(16.0, self.T * beta / 0.03)
         steps = 4 * math.ceil(size / 4) if math.isfinite(size) else size
         if steps > MAX_STEPS:
-            raise InputError(f"T = {self.T!r} sizes steps_eps at {steps} steps, "
+            raise InputError(f"T = {self.T!r} sizes the eps flows at {steps} steps, "
                              f"above the cap of {MAX_STEPS}")
         return steps
 
@@ -178,21 +175,18 @@ def parse_grid(obj, path):
 
 
 def _tolerances(obj, path):
-    _require_keys(obj, {"cluster", "circle", "drift", "steps_t", "steps_eps"}, (), path)
+    _require_keys(obj, {"cluster", "circle", "drift", "steps_t"}, (), path)
     kwargs = {}
     for key in ("cluster", "circle", "drift"):
         if key in obj:
             kwargs[key] = _number(obj[key], f"{path}/{key}", positive=True)
-    for key in ("steps_t", "steps_eps"):
-        if key in obj:
-            v = obj[key]
-            if isinstance(v, bool) or not isinstance(v, int) or v < 2:
-                raise SchemaError(f"{path}/{key}", "must be an integer >= 2")
-            if v > MAX_STEPS:
-                raise SchemaError(f"{path}/{key}", f"must be at most {MAX_STEPS}")
-            if key == "steps_eps" and v % 4:
-                raise SchemaError(f"{path}/{key}", "must be a multiple of 4 (Boole's panels)")
-            kwargs[key] = v
+    if "steps_t" in obj:
+        v = obj["steps_t"]
+        if isinstance(v, bool) or not isinstance(v, int) or v < 2:
+            raise SchemaError(f"{path}/steps_t", "must be an integer >= 2")
+        if v > MAX_STEPS:
+            raise SchemaError(f"{path}/steps_t", f"must be at most {MAX_STEPS}")
+        kwargs["steps_t"] = v
     return Tolerances(**kwargs)
 
 

@@ -221,19 +221,19 @@ class Family:
 def eps_base(scenario, params=()):
     """Step count of the eps family, its flow at eps = 0 (every state kept,
     for B's quadrature) and its endpoints at ``params``, from one engine
-    call over eps in [0, *params].  A scenario's own steps_eps is used as
-    given.  Else the count starts at :meth:`Scenario.steps`; while the
-    base's |discriminant| is above cluster^2/4, the whole batch reruns at
-    the count that Delta's steps^-6 law predicts, a multiple of 4, at most
-    8 times the last and at most MAX_STEPS (else InputError), unless Delta
-    fell by less than 16x per doubling: then no double multiplier is there
-    to converge to."""
+    call over eps in [0, *params].  The count starts at
+    :meth:`Scenario.steps`; while the base's |discriminant| is above
+    cluster^2/4, the whole batch reruns at the count that Delta's steps^-6
+    law predicts, a multiple of 4, at most 8 times the last and at most
+    MAX_STEPS (else InputError), unless Delta fell by less than 16x per
+    doubling: then no double multiplier is there to converge to, and
+    :func:`family` reports none."""
     tol = scenario.tolerances
     eps = np.concatenate([[0.0], params])
     steps = scenario.steps("eps")
     sol, ends = integrate_batch(scenario.curve, np.eye(4), scenario.T, steps, eps, tol.drift)
     delta, bound = abs(discriminant(ends[0])), tol.cluster ** 2 / 4.0
-    while tol.steps_eps is None and delta > bound:
+    while delta > bound:
         finer = min(8 * steps, 4 * math.ceil(steps * (delta / bound) ** (1 / 6) / 4))
         if finer > MAX_STEPS:
             raise InputError(f"the endpoint at eps = 0 needs {finer} steps to resolve its "
@@ -251,10 +251,8 @@ def family(scenario, mode, params=()):
     """Detect the double multiplier of the ``mode`` family, extract its chain
     and expand the splitting, for the predictions and the oracle, and flow
     the family to ``params`` (the eps family in the same engine call as its
-    base).  When a scenario's steps_eps leaves the eps = 0 endpoint without
-    a double pair, but its discriminant falls 16x or more at twice the
-    steps, the error says to raise steps_eps; a pair within 10 * cluster of
-    +-1 is an ExcludedCaseError."""
+    base).  A base without a double pair is a NoDoubleMultiplierError,
+    one within 10 * cluster of +-1 an ExcludedCaseError."""
     tol = scenario.tolerances
     curve = scenario.curve
     scenario.require(mode)
@@ -266,11 +264,6 @@ def family(scenario, mode, params=()):
     lam = detect_double_unitary(base, tol.cluster, tol.circle)
     if lam is None:
         _near_one(base, tol, where)
-        if mode == "eps" and tol.steps_eps is not None:
-            finer, _ = endpoints(curve, np.eye(4), scenario.T, 2 * tol.steps_eps, 0.0, tol.drift)
-            if abs(discriminant(base)) >= 16.0 * abs(discriminant(finer[0])):
-                raise NoDoubleMultiplierError(
-                    f"{where} is not resolved at steps_eps = {tol.steps_eps}; raise steps_eps")
         raise NoDoubleMultiplierError(f"{where} has no double unit-circle multiplier pair")
     pair = jordan_pair(base, lam)
     if mode == "eps":

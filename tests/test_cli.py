@@ -502,7 +502,7 @@ def test_grid_count_is_capped(tmp_path, capsys):
     _one_error_line(capsys, f"/grids/t/count: count must be at most {MAX_GRID_COUNT}")
 
 
-@pytest.mark.parametrize("key", ["steps_t", "steps_eps"])
+@pytest.mark.parametrize("key", ["steps_t"])
 def test_step_counts_are_capped(key):
     doc = {"gamma0": {"generator": {"theta0": 1.0, "C": [[1, 0], [0, 1]]}},
            "curve": {"entries": {}}, "tolerances": {key: MAX_STEPS}}
@@ -512,16 +512,17 @@ def test_step_counts_are_capped(key):
         parse_scenario(doc)
 
 
-def test_steps_eps_must_be_a_multiple_of_four(tmp_path, capsys):
-    # Boole's rule for B works on panels of four steps.
+def test_steps_eps_is_an_unknown_key(tmp_path, capsys):
+    # The eps family's step count is sized from the curve and refined on the
+    # base's discriminant; no tolerance sets it.
     path = _scenario_copy(tmp_path, SCENARIOS / "resonant_eps.json",
-                          lambda doc: doc.update(tolerances={"steps_eps": 130}))
+                          lambda doc: doc.update(tolerances={"steps_eps": 128}))
     assert main(["verify", path, "--mode", "eps"]) == 1
-    _one_error_line(capsys, "/tolerances/steps_eps: must be a multiple of 4")
+    _one_error_line(capsys, "/tolerances/steps_eps: unknown key")
 
 
 def test_sized_steps_past_the_cap_stop_before_any_flow(tmp_path, capsys, monkeypatch):
-    # resonant_eps at T = 1e6 sizes steps_eps at 48,239,920 steps (T beta /
+    # resonant_eps at T = 1e6 sizes the eps flows at 48,239,920 steps (T beta /
     # 0.03 rounded up to a multiple of 4), a 6.2 GB trajectory; at T = 1e308,
     # T beta / 0.03 overflows to inf.  No flow may start.
     def no_flow(*args, **kwargs):
@@ -534,7 +535,7 @@ def test_sized_steps_past_the_cap_stop_before_any_flow(tmp_path, capsys, monkeyp
         with pytest.raises(InputError, match=f" {count} steps"):
             load_scenario(path).steps("eps")
         assert main(["analyze", path, "--mode", "eps"]) == 1
-        _one_error_line(capsys, f"T = {T!r} sizes steps_eps at {count} steps, "
+        _one_error_line(capsys, f"T = {T!r} sizes the eps flows at {count} steps, "
                                 f"above the cap of {MAX_STEPS}")
 
 
@@ -594,31 +595,29 @@ def test_eps_batch_domain_error_is_located(tmp_path, capsys):
     assert "entry (0,1)" in err and "(t, eps) = " in err
 
 
-@pytest.mark.parametrize("text, steps_eps, reason, where", [
+@pytest.mark.parametrize("text, reason, where", [
     # Finite at eps = 0 and not above 5e-4: the batch of the base and the
     # oracle's eps values, which evaluates A on a column of times against a
     # row of eps, fails at its first Gauss node, t = (1/2 - sqrt(15)/10) / 52,
     # and its first eps above 5e-4, 3/4 of the grid's maximum.
-    ("0.2*eps*t + sqrt(5e-4 - eps)*0", None, "sqrt out of domain",
+    ("0.2*eps*t + sqrt(5e-4 - eps)*0", "sqrt out of domain",
      "(t, eps) = (0.00216733971883189, 0.00075) (subexpression at offset 12)"),
     # No Gauss node of the base flow meets the pole at t = 0.5, but the
-    # sizing of steps_eps samples A(t, 0) at t = 0, 1/16, ..., 1 first.
-    ("1/(t - 0.5 - eps*100)*0", None, "division by zero",
+    # sizing of the eps flows samples A(t, 0) at t = 0, 1/16, ..., 1 first.
+    ("1/(t - 0.5 - eps*100)*0", "division by zero",
      "(t, eps) = (0.5, 0.0) (subexpression at offset 1)"),
-    # With steps_eps given nothing is sampled, and the base flow at eps = 0
-    # meets the domain error at the first Gauss node past t = 0.5.
-    ("sqrt(0.5 - t)*0", 192, "sqrt out of domain",
-     "(t, eps) = (0.500586987840517, 0.0) (subexpression at offset 0)"),
+    # Finite at the 17 sizing samples, which miss (0.51, 0.55), so the base
+    # flow at eps = 0 meets the domain error at its first Gauss node there.
+    ("sqrt((t - 0.51)*(t - 0.55))*0", "sqrt out of domain",
+     "(t, eps) = (0.5213981089496011, 0.0) (subexpression at offset 0)"),
     # A quotient in eps alone, non-finite only at the top of the eps grid.
-    ("0.2*eps*t + (eps - 1e-3)/(eps - 1e-3)*0", None, "division by zero",
+    ("0.2*eps*t + (eps - 1e-3)/(eps - 1e-3)*0", "division by zero",
      "(t, eps) = (0.00216733971883189, 0.001) (subexpression at offset 24)"),
 ], ids=["batch-sqrt", "base-pole", "base-sqrt", "batch-eps-quotient"])
-def test_eps_family_domain_error_names_entry_and_point(tmp_path, capsys, text, steps_eps,
-                                                       reason, where):
+def test_eps_family_domain_error_names_entry_and_point(tmp_path, capsys, text, reason,
+                                                       where):
     def edit(doc):
         doc["curve"]["entries"]["0,1"] = text
-        if steps_eps is not None:
-            doc["tolerances"] = {"steps_eps": steps_eps}
 
     path = _scenario_copy(tmp_path, SCENARIOS / "resonant_eps.json", edit)
     assert main(["verify", path, "--mode", "eps"]) == 2

@@ -273,7 +273,7 @@ def test_sum_derivative_oracle_error_below_roundoff_growth(pi3_report, pi3_neg_r
 
 
 def test_eps_family_sizes_its_steps_once(resonant_scenario, monkeypatch):
-    # Sizing steps_eps evaluates A at 17 points; the family's endpoint
+    # Sizing the eps flows evaluates A at 17 points; the family's endpoint
     # batch reuses the count that family() sized.
     modes = []
     sized = Scenario.steps
@@ -374,19 +374,15 @@ def test_branch_quotient_diverges(pi3_report):
     assert abs(report.t.quotient_growth - 2.0) <= 0.2
 
 
-def _gauge_scenario(tmp_path, c, steps_eps=None, k=1):
+def _gauge_scenario(tmp_path, c, k=1):
     """resonant_eps_gauge.json with the rotation c sin(2 pi k t) in place of
-    0.5 sin(2 pi t), written under ``tmp_path``; ``steps_eps`` is set when
-    given."""
+    0.5 sin(2 pi t), written under ``tmp_path``."""
     text = (SCENARIOS / "resonant_eps_gauge.json").read_text()
     text = text.replace("0.5*sin(", f"{c!r}*sin(")
     text = text.replace("3.141592653589793*cos", f"{2 * np.pi * k * c!r}*cos")
     text = text.replace("6.283185307179586*t", f"{2 * np.pi * k!r}*t")
-    doc = json.loads(text)
-    if steps_eps is not None:
-        doc["tolerances"] = {"steps_eps": steps_eps}
     path = tmp_path / f"gauge_{k}_{c!r}.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(text)
     return path
 
 
@@ -427,7 +423,7 @@ def test_gauge_at_high_frequency_is_refined_until_resolved(k, c, steps, tmp_path
     # A(t, 0) rotates k times over [0, T] with a small amplitude, so its row
     # sums, and the count sized from them (136, 116, 116), stay small while
     # the base needs more steps to resolve its double multiplier; the
-    # discriminant check finds that without a steps_eps in the file.
+    # discriminant check finds that from the base alone.
     path = _gauge_scenario(tmp_path, c, k=k)
     assert verify.eps_base(load_scenario(path))[0] == steps
     assert main(["verify", str(path), "--mode", "eps"]) == 0
@@ -447,17 +443,6 @@ def test_refined_steps_past_the_cap_stop_before_that_flow(tmp_path, monkeypatch)
     with pytest.raises(InputError, match="needs 340 steps .* above the cap of 300$"):
         family(load_scenario(path), "eps")
     assert counts == [136]
-
-
-def test_unresolved_base_asks_for_more_steps(tmp_path, capsys):
-    # At c = 2 and 128 steps the base pair is 1.2e-5 apart, above the
-    # cluster tolerance, and closes 8x at 256 steps: the step count, not
-    # the curve, is at fault.
-    path = _gauge_scenario(tmp_path, 2.0, steps_eps=128)
-    assert main(["verify", str(path), "--mode", "eps"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: NoDoubleMultiplierError: endpoint at eps = 0 is not "
-                          "resolved at steps_eps = 128; raise steps_eps")
 
 
 def test_base_without_double_multiplier_is_reported_as_such(tmp_path, capsys):
