@@ -25,7 +25,7 @@ from .errors import (
     KreinsplitError,
 )
 from .expr import SymmetricCurve, parse
-from .flow import FlowSolution, endpoint, endpoints, integrate, perturbation_hamiltonian
+from .flow import FlowSolution, endpoint, endpoints, integrate
 from .linalg import (
     J4,
     charpoly,
@@ -66,7 +66,6 @@ __all__ = [
     "integrate",
     "endpoint",
     "endpoints",
-    "perturbation_hamiltonian",
     "JordanPair",
     "eigenvalues",
     "detect_double_unitary",

@@ -7,8 +7,7 @@ from h J4 A at the step's three Gauss-Legendre nodes and two nested
 commutators.  Omega_n is Hamiltonian, so the step is symplectic up to
 roundoff, and it is exact when A is constant over the step.  Otherwise
 the global error falls like h^6 with A's variation.  Uniform grids keep
-the (sixth-order Boole) quadrature of the effective perturbation
-generator simple and runs reproducible; no adaptivity, no dense output.
+runs reproducible; no adaptivity, no dense output.
 
 A step is a matrix I + D_n that depends only on A, so no step loop is
 needed.  One chunk engine runs K flows from one initial condition, each
@@ -27,19 +26,25 @@ size.  When all K horizons are equal, A is evaluated on a column of times
 against a row of eps values, so a term in t alone is computed once per
 time rather than once per flow.  A is never evaluated at a grid node, so
 a singularity that falls between Gauss nodes goes unseen.
-``integrate_batch`` also keeps every state of its first flow, which the
-perturbation quadrature needs, and ``integrate`` is its K = 1 case;
-``endpoints`` keeps only the endpoints.  All run the same code, so they
-agree bit for bit.
+
+On request one more slot of the batch, after the K flows, carries
+dG/deps of flow 0: its generator is h J4 dA/deps at flow 0's nodes, every
+matrix product updates it by the product rule (X Y)' = X' Y + X Y', and
+sums, scalings and flow 0's halvings carry it as they stand (dual numbers
+with delta^2 = 0).  Its endpoint is the exact eps-derivative of the
+discrete flow, and it changes no bit of the K flows.
+``integrate_batch`` also keeps every state of its first flow, and
+``integrate`` is its K = 1 case; ``endpoints`` keeps only the endpoints.
+All run the same code, so they agree bit for bit.
 """
 
-import warnings
+import warnings  # noqa: F401  (looked up here by perfbench/spans.py)
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptedSolutionError, NonConformingFlowError, NonSymplecticError
-from .linalg import J4, is_symplectic, max_abs, symplectic_inverse
+from .errors import NonConformingFlowError, NonSymplecticError
+from .linalg import J4, is_symplectic
 
 # Time steps per chunk.  The workspace holds h J4 A at a chunk's 3 _CHUNK
 # points and five stacks of _CHUNK steps, each for all K flows; it is sized
@@ -130,7 +135,23 @@ def _halvings(W, X):
     return np.maximum(np.frexp(X.sum(axis=-1).max(axis=-1) * 16.0)[1], 0)
 
 
-def _expm1(W, D, W2, W3, X):
+def _product_rule(scratch):
+    """A matmul for stacks whose last flow is the derivative slot of flow 0,
+    shape (..., K + 1, 4, 4): the K flows multiply as they stand, and the
+    slot by the product rule (X Y)' = X' Y + X Y', with X Y' formed in
+    ``scratch``, shape (m, 4, 4) for m at least the stack's length.  Sums
+    and scalings need no rule: they carry the slot as they stand."""
+    def matmul(X, Y, out):
+        np.matmul(X[..., :-1, :, :], Y[..., :-1, :, :], out=out[..., :-1, :, :])
+        d = out[..., -1, :, :]
+        np.matmul(X[..., -1, :, :], Y[..., 0, :, :], out=d)
+        d += np.matmul(X[..., 0, :, :], Y[..., -1, :, :], out=scratch[:len(d)])
+        return out
+
+    return matmul
+
+
+def _expm1(W, D, W2, W3, X, matmul=np.matmul):
     """D = exp(W) - I for a stack of matrices W, shape (n, K, 4, 4), from the
     degree-9 Taylor series by Paterson & Stockmeyer (SIAM J. Comput. 2,
     1973) in 4 matrix products, never forming I: with W2 = W W, W3 = W2 W,
@@ -140,13 +161,17 @@ def _expm1(W, D, W2, W3, X):
     (:func:`_halvings`), and D squared back s times as 2 D + D^2, the
     increment of (I + D)^2.  Below 1/16 the truncated terms are below
     2.6e-19.  ``W`` is overwritten; ``W2``, ``W3`` and ``X`` are scratch of
-    its shape."""
-    halvings = _halvings(W, X)
+    its shape.  With a ``matmul`` from :func:`_product_rule`, the last flow
+    is flow 0's derivative slot, halved and squared as flow 0 is."""
+    slot = matmul is not np.matmul
+    halvings = _halvings(W[:, :-1], X[:, :-1]) if slot else _halvings(W, X)
     squarings = int(np.max(halvings))
     if squarings:
+        if slot:
+            halvings = np.concatenate([halvings, halvings[:, :1]], axis=1)
         np.ldexp(W, -halvings[..., None, None], out=W)
-    np.matmul(W, W, out=W2)
-    np.matmul(W2, W, out=W3)
+    matmul(W, W, out=W2)
+    matmul(W2, W, out=W3)
     # Smallest terms first, so that only the last addition, of W, rounds
     # at the scale of D.
     np.multiply(W3, 1 / 362880, out=D)
@@ -154,30 +179,30 @@ def _expm1(W, D, W2, W3, X):
     D += X
     np.multiply(W, 1 / 5040, out=X)
     D += X                        # B2
-    np.matmul(W3, D, out=X)
+    matmul(W3, D, out=X)
     np.multiply(W3, 1 / 720, out=D)
     X += D
     np.multiply(W2, 1 / 120, out=D)
     X += D
     np.multiply(W, 1 / 24, out=D)
     X += D                        # B1 + W3 B2
-    np.matmul(W3, X, out=D)
+    matmul(W3, X, out=D)
     W3 *= 1 / 6
     D += W3
     W2 *= 0.5
     D += W2
     D += W                        # B0 + W3 (B1 + W3 B2)
     for j in range(squarings):
-        np.matmul(D, D, out=X)
+        matmul(D, D, out=X)
         X += D
         X += D
         np.copyto(D, X, where=(halvings > j)[..., None, None])
 
 
-def _step_increments(hB, D, P, Q, S, X):
+def _step_increments(hB, D, P, Q, S, X, matmul=np.matmul):
     """D_n = exp(Omega_n) - I for each Magnus step of a chunk, written into
     ``D``, shape (n, K, 4, 4); ``P``, ``Q``, ``S`` and ``X`` are scratch of
-    the same shape.
+    the same shape, and ``matmul`` is np.matmul or a :func:`_product_rule`.
 
     ``hB`` holds B = h J4 A at the chunk's first Gauss nodes, then its
     midpoints, then its last Gauss nodes: three stacks B1, B2, B3 of n
@@ -196,13 +221,13 @@ def _step_increments(hB, D, P, Q, S, X):
     np.multiply(B2, 2.0, out=X)
     Q -= X
     Q *= 10.0 / 3.0               # a3
-    np.matmul(B2, P, out=S)
-    np.matmul(P, B2, out=X)
+    matmul(B2, P, out=S)
+    matmul(P, B2, out=X)
     S -= X                        # C1
     np.multiply(Q, 2.0, out=X)
     S += X                        # 2 a3 + C1
-    np.matmul(S, B2, out=D)
-    np.matmul(B2, S, out=X)
+    matmul(S, B2, out=D)
+    matmul(B2, S, out=X)
     D -= X
     D /= 60.0                     # C2
     P += D                        # a2 + C2
@@ -210,14 +235,14 @@ def _step_increments(hB, D, P, Q, S, X):
     S -= X
     np.multiply(B2, 20.0, out=X)
     S -= X                        # -20 a1 - a3 + C1
-    np.matmul(S, P, out=D)
-    np.matmul(P, S, out=X)
+    matmul(S, P, out=D)
+    matmul(P, S, out=X)
     D -= X
     D /= 240.0
     Q /= 12.0
     Q += B2
     Q += D                        # Omega
-    _expm1(Q, D, P, S, X)
+    _expm1(Q, D, P, S, X, matmul)
 
 
 def _times(Ts, steps, positions):
@@ -229,12 +254,13 @@ def _times(Ts, steps, positions):
 
 # An overflowing flow shows as a NaN drift (NonConformingFlowError), not as warnings.
 @np.errstate(over="ignore", invalid="ignore")
-def _flows(curve, gamma_init, horizons, steps, eps_values, drift_tol, keep):
+def _flows(curve, gamma_init, horizons, steps, eps_values, drift_tol, keep, derivative=False):
     """The chunk engine behind ``endpoints``, with its arguments.  Returns
-    the K horizons, the endpoints, the drifts and, when ``keep``, every
-    state of the first flow, shape (steps + 1, 4, 4) (else None).  Raises
-    NonConformingFlowError naming the worst flow when any drift exceeds
-    ``drift_tol`` or is NaN."""
+    the K horizons, the endpoints, the drifts, when ``keep`` every state of
+    the first flow, shape (steps + 1, 4, 4), and when ``derivative`` the
+    derivative slot's endpoint, dG/deps of the first flow (else None for
+    either).  Raises NonConformingFlowError naming the worst flow when any
+    drift exceeds ``drift_tol`` or is NaN; the slot has no drift."""
     G = np.asarray(gamma_init)
     if G.shape != (4, 4):
         raise ValueError("gamma_init must be 4x4")
@@ -253,11 +279,16 @@ def _flows(curve, gamma_init, horizons, steps, eps_values, drift_tol, keep):
     # Equal horizons share their times: a column against the row of eps.
     T_col = Ts[:1] if np.all(Ts == Ts[0]) else Ts
     eps_row = eps[None, :]
-    G = np.repeat(np.real(G).astype(float)[None], K, axis=0)
     m = min(_CHUNK, steps)
-    hB = _hB_workspace(m, h)
-    D, P, Q, S, X = np.empty((5, m, K, 4, 4))
-    drifts = _drift(G[None], (P[:1], Q[:1], D[:1]))
+    # The derivative slot is one more flow after the K, with flow 0's step,
+    # starting from dG/deps = 0 and multiplied by the product rule.
+    h_all = np.append(h, h[0]) if derivative else h
+    matmul = _product_rule(np.empty((m, 4, 4))) if derivative else np.matmul
+    G = np.repeat(np.real(G).astype(float)[None], h_all.size, axis=0)
+    G[K:] = 0.0
+    hB = _hB_workspace(m, h_all)
+    D, P, Q, S, X = np.empty((5, m, h_all.size, 4, 4))
+    drifts = _drift(G[None, :K], (P[:1, :K], Q[:1, :K], D[:1, :K]))
     trajectory = np.empty((steps + 1, 4, 4)) if keep else None
     if keep:
         trajectory[0] = G[0]
@@ -268,30 +299,35 @@ def _flows(curve, gamma_init, horizons, steps, eps_values, drift_tol, keep):
         # matrices at point i.
         mids = start + np.arange(n) + 0.5
         ts = _times(T_col, steps, np.concatenate([mids - _GAUSS, mids, mids + _GAUSS]))
-        _scaled_j4a(hB[:3 * n], curve, ts, eps_row, h)
-        _step_increments(hB[:3 * n], D[:n], P[:n], Q[:n], S[:n], X[:n])
+        _scaled_j4a(hB[:3 * n, :K], curve, ts, eps_row, h)
+        if derivative:
+            # h J4 dA/deps at flow 0's nodes, J4's row swap written out.
+            dA = curve.d_eps_matrix_batch(ts[:, 0], eps[0])
+            np.multiply(dA[:, 2:], h[0], out=hB[:3 * n, K, :2])
+            np.multiply(dA[:, :2], -h[0], out=hB[:3 * n, K, 2:])
+        _step_increments(hB[:3 * n], D[:n], P[:n], Q[:n], S[:n], X[:n], matmul)
         # Inclusive prefix composition: afterwards I + D[i] is the product
         # (I + D_i) ... (I + D_0), built in log2(n) levels from
         # (I + X)(I + Y) = I + (X + Y + X Y), never forming I + D.
         d = 1
         while d < n:
-            XY = np.matmul(D[d:n], D[:n - d], out=P[:n - d])
+            XY = matmul(D[d:n], D[:n - d], out=P[:n - d])
             XY += D[:n - d]
             D[d:n] += XY
             d *= 2
         states = S[:n]
-        np.matmul(D[:n], G, out=states)
+        matmul(D[:n], G, out=states)
         states += G
         if keep:
             trajectory[start + 1:start + n + 1] = states[:, 0]
-        drifts = np.maximum(drifts, _drift(states, (P[:n], Q[:n], D[:n])))
+        drifts = np.maximum(drifts, _drift(states[:, :K], (P[:n, :K], Q[:n, :K], D[:n, :K])))
         G = states[-1].copy()  # the next chunk overwrites S
     worst = int(np.argmax(drifts))  # argmax picks the first NaN, if any
     if not drifts[worst] <= drift_tol:
         raise NonConformingFlowError(
             f"symplectic drift {drifts[worst]:.3e} exceeds {drift_tol:.3e} on the flow "
             f"to T = {float(Ts[worst])!r} at eps = {float(eps[worst])!r}")
-    return Ts, G, drifts, trajectory
+    return Ts, G[:K], drifts, trajectory, G[K] if derivative else None
 
 
 def integrate_batch(curve, gamma_init, T, steps, eps_values, drift_tol=1e-8):
@@ -299,8 +335,8 @@ def integrate_batch(curve, gamma_init, T, steps, eps_values, drift_tol=1e-8):
     array) in one batch: the solution of the first, every state kept, and
     the endpoints of all, shape (K, 4, 4).  Bit for bit what ``integrate``
     and ``endpoints`` return, with their errors."""
-    Ts, ends, drifts, gammas = _flows(curve, gamma_init, T, steps, eps_values, drift_tol,
-                                      keep=True)
+    Ts, ends, drifts, gammas, _ = _flows(curve, gamma_init, T, steps, eps_values, drift_tol,
+                                         keep=True)
     ts = _times(Ts[:1], steps, np.arange(len(gammas)))[:, 0]
     sol = FlowSolution(ts=ts, gammas=gammas, eps=float(np.ravel(eps_values)[0]),
                        drift=float(drifts[0]), drift_tol=float(drift_tol))
@@ -324,7 +360,8 @@ def integrate(curve, gamma_init, T, steps, eps=0.0, drift_tol=1e-8):
     return integrate_batch(curve, gamma_init, T, steps, eps, drift_tol)[0]
 
 
-def endpoints(curve, gamma_init, horizons, steps, eps_values=0.0, drift_tol=1e-8):
+def endpoints(curve, gamma_init, horizons, steps, eps_values=0.0, drift_tol=1e-8,
+              derivative=False):
     """Endpoints of K flows from one initial condition, in one batch.
 
     ``horizons`` and ``eps_values`` (scalars or 1-D arrays) broadcast to
@@ -334,58 +371,19 @@ def endpoints(curve, gamma_init, horizons, steps, eps_values=0.0, drift_tol=1e-8
     Endpoint k and its drift equal those of ``integrate`` with the same
     arguments bit for bit.
 
+    With ``derivative``, one more slot of the batch carries dG/deps of
+    flow 0, the exact eps-derivative of its discrete flow, and its endpoint
+    is returned third, shape (4, 4).  The slot changes no bit of the K
+    endpoints and drifts.
+
     Raises the errors ``integrate`` raises; NonConformingFlowError names
-    the worst flow.
+    the worst flow.  A domain error of dA/deps names "d/deps of entry".
     """
-    _, ends, drifts, _ = _flows(curve, gamma_init, horizons, steps, eps_values, drift_tol,
-                                keep=False)
-    return ends, drifts
+    _, ends, drifts, _, d_end = _flows(curve, gamma_init, horizons, steps, eps_values,
+                                       drift_tol, keep=False, derivative=derivative)
+    return (ends, drifts, d_end) if derivative else (ends, drifts)
 
 
 def endpoint(sol):
     """The final grid matrix G(T)."""
     return sol.gammas[-1].copy()
-
-
-def perturbation_hamiltonian(curve, sol):
-    """Effective symmetric generator of the endpoint's eps-motion.
-
-    For the flow started at the identity, the derivative of the endpoint
-    with respect to eps equals J4 B G(T) where
-
-        B = integral_0^T (G(T)^-1)^T G(t)^T dA/deps(t, eps) G(t) G(T)^-1 dt.
-
-    dA/deps is the curve's symbolic derivative, exact up to rounding,
-    evaluated at every grid time.  Composite Boole quadrature on the
-    solution's grid, whose step count must be a multiple of 4: weights 7,
-    32, 12, 32, 14, ..., 32, 7 times 2h/45, an O(h^6) error like the flow's.
-    The result is symmetrized; the asymmetry it removes measures
-    quadrature error and triggers a warning above 1e-6.
-    """
-    if max_abs(sol.gammas[0] - np.eye(4)) > 1e-12:
-        raise ValueError("perturbation generator needs a flow started at the identity")
-    n = sol.ts.size - 1
-    if n % 4:
-        raise ValueError(f"Boole's rule needs a step count divisible by 4, got {n}")
-
-    Gend = sol.gammas[-1]
-    Ginv = symplectic_inverse(Gend)
-    if max_abs(Gend @ Ginv - np.eye(4)) > 1e-6:
-        raise CorruptedSolutionError("endpoint failed symplectic inversion sanity check")
-
-    Aprime = curve.d_eps_matrix_batch(sol.ts, sol.eps)
-    W = sol.gammas @ Ginv
-    integrand = np.transpose(W, (0, 2, 1)) @ Aprime @ W
-
-    weights = np.full(n + 1, 32.0)
-    weights[2::4] = 12.0
-    weights[4::4] = 14.0
-    weights[[0, n]] = 7.0
-    h = sol.ts[1] - sol.ts[0]
-    B = (2.0 * h / 45.0) * np.tensordot(weights, integrand, axes=(0, 0))
-
-    asym = max_abs(B - B.T)
-    if asym > 1e-6:
-        warnings.warn(f"perturbation generator asymmetry {asym:.3e} exceeds 1e-6; "
-                      "quadrature grid may be too coarse", RuntimeWarning)
-    return (B + B.T) / 2.0

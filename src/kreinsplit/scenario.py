@@ -22,7 +22,8 @@ from .spectral import make_jordan_symplectic
 
 # Caps on a grid's points and a flow's steps: steps_t, and the eps family's count
 # as sized and refined.  A grid point is one flow of the endpoint batch (128 KiB
-# of chunk workspace); the eps = 0 base keeps 128 B a step.
+# of chunk workspace); the commands keep no flow's states, so memory does not
+# grow with the steps.
 MAX_GRID_COUNT = 1024
 MAX_STEPS = 1_000_000
 
@@ -57,7 +58,10 @@ class Tolerances:
     behind detection's trace rule; drift flags flow solutions; steps_t is
     the step count, at most MAX_STEPS, of the time family's sixth-order
     Magnus flows (flow.endpoints).  The eps family's count is sized from
-    the curve (:meth:`Scenario.steps`, :func:`verify.eps_base`).
+    the curve, at h beta <= 0.12 where A(t, 0) is constant and 0.03
+    elsewhere, and refined on its base (:meth:`Scenario.steps`,
+    :func:`verify.eps_base`); its B is the eps-derivative of the discrete
+    flow, from the engine's derivative slot.
 
     A Magnus step is exact where A is constant, and its error over [0, s]
     falls like steps^-6 with the variation of B = J4 A over the step
@@ -101,16 +105,23 @@ class Scenario:
 
     def steps(self, mode):
         """Step count of the ``mode`` family's flows: ``steps_t`` for "t";
-        for "eps", the least multiple of 4 at least max(16, T beta / 0.03),
-        beta the largest row sum of |A(t, 0)| at 17 equally spaced t in
-        [0, T]: h beta <= 0.03, 52 steps on resonant_eps; past MAX_STEPS or
-        infinite, InputError.  verify.eps_base refines it."""
+        for "eps", the least integer at least max(16, T beta / r), beta the
+        largest row sum of |A(t, 0)| at 17 equally spaced t in [0, T]; past
+        MAX_STEPS or infinite, InputError.  verify.eps_base refines it.
+        r = 0.12 where A(t, 0) is constant (16 steps on resonant_eps): each
+        Magnus step is exact at eps = 0 (Iserles & Norsett, 1999), and B,
+        the eps-derivative of the discrete flow, amounts to leading order to
+        a 3-node Gauss-Legendre rule per step, error constant
+        h^6 / 2,016,000, 4,267 times below Boole's 2 h^6 / 945, which B was
+        taken from at r = 0.03.  Elsewhere r = 0.03: sizing from A(t, 0)'s
+        variation left kappa 2.0e-11 off on a periodic anchor."""
         if mode == "t":
             return self.tolerances.steps_t
         A = self.curve.eval_matrix_batch(np.linspace(0.0, self.T, 17), 0.0)
         beta = float(np.abs(A).sum(axis=-1).max())
-        size = max(16.0, self.T * beta / 0.03)
-        steps = 4 * math.ceil(size / 4) if math.isfinite(size) else size
+        rate = 0.12 if self.curve.constant_at_eps0() else 0.03
+        size = max(16.0, self.T * beta / rate)
+        steps = math.ceil(size) if math.isfinite(size) else size
         if steps > MAX_STEPS:
             raise InputError(f"T = {self.T!r} sizes the eps flows at {steps} steps, "
                              f"above the cap of {MAX_STEPS}")

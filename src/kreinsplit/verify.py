@@ -10,8 +10,10 @@ sides of s = 0 (Moro, Burke & Overton, SIMAX 18, 1997), so the fit needs
 no branch labels and no sqrt(s).  Its slopes give kappa and the sum
 derivative, compared against the closed forms.  The oracle reads nothing
 but the roots and lambda0, so it is independent of the prediction
-pipeline.  ``track`` continues labelled branches over a whole grid, for
-the CSV tracks of ``verify --out``.
+pipeline: the eps family's flows at eps = s are full flows, never a
+Taylor polynomial of the derivative slot that gives the prediction its
+B.  ``track`` continues labelled branches over a whole grid, for the CSV
+tracks of ``verify --out``.
 """
 
 import math
@@ -20,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bifurcation import ExpansionCoefficients, expansion_eps, expansion_t
-from .errors import (ExcludedCaseError, IllConditionedFitError, InputError,
-                     NoDoubleMultiplierError, TrackingAmbiguityError)
-from .flow import endpoint, endpoints, integrate_batch, perturbation_hamiltonian
-from .linalg import charpoly, discriminant, is_symplectic, poly_value, quartic_roots
+from .errors import (CorruptedSolutionError, ExcludedCaseError, IllConditionedFitError,
+                     InputError, NoDoubleMultiplierError, TrackingAmbiguityError)
+from .flow import endpoints
+from .linalg import (J4, charpoly, discriminant, is_symplectic, max_abs, poly_value,
+                     quartic_roots, symplectic_inverse)
 from .scenario import MAX_STEPS
 from .spectral import JordanPair, detect_double_unitary, jordan_pair
 
@@ -206,7 +209,9 @@ class Family:
 
     For the time family the base is the initial matrix and the drive is
     A(0, 0); for the eps family the base is the endpoint G(T) at eps = 0
-    and the drive is the effective perturbation generator B.  ``ends`` are
+    and the drive is the effective perturbation generator B, with
+    dG(T)/deps = J4 B G(T) for the exact eps-derivative of the discrete
+    flow (:func:`eps_base`, :func:`_generator`).  ``ends`` are
     the family's matrices at the parameters :func:`family` was given,
     shape (len(params), 4, 4).
     """
@@ -219,32 +224,53 @@ class Family:
 
 
 def eps_base(scenario, params=()):
-    """Step count of the eps family, its flow at eps = 0 (every state kept,
-    for B's quadrature) and its endpoints at ``params``, from one engine
-    call over eps in [0, *params].  The count starts at
+    """Step count of the eps family, its endpoint at eps = 0 with that
+    endpoint's eps-derivative, and its endpoints at ``params``, from one
+    engine call over eps in [0, *params] whose derivative slot follows the
+    eps = 0 flow (:func:`flow.endpoints`).  The count starts at
     :meth:`Scenario.steps`; while the base's |discriminant| is above
     cluster^2/4, the whole batch reruns at the count that Delta's steps^-6
-    law predicts, a multiple of 4, at most 8 times the last and at most
-    MAX_STEPS (else InputError), unless Delta fell by less than 16x per
-    doubling: then no double multiplier is there to converge to, and
-    :func:`family` reports none."""
+    law predicts, at most 8 times the last and at most MAX_STEPS (else
+    InputError), unless Delta fell by less than 16x per doubling: then no
+    double multiplier is there to converge to, and :func:`family` reports
+    none."""
     tol = scenario.tolerances
     eps = np.concatenate([[0.0], params])
     steps = scenario.steps("eps")
-    sol, ends = integrate_batch(scenario.curve, np.eye(4), scenario.T, steps, eps, tol.drift)
+    ends, _, d_base = endpoints(scenario.curve, np.eye(4), scenario.T, steps, eps, tol.drift,
+                                derivative=True)
     delta, bound = abs(discriminant(ends[0])), tol.cluster ** 2 / 4.0
     while delta > bound:
-        finer = min(8 * steps, 4 * math.ceil(steps * (delta / bound) ** (1 / 6) / 4))
+        finer = min(8 * steps, math.ceil(steps * (delta / bound) ** (1 / 6)))
         if finer > MAX_STEPS:
             raise InputError(f"the endpoint at eps = 0 needs {finer} steps to resolve its "
                              f"double multiplier, above the cap of {MAX_STEPS}")
-        finer_sol, finer_ends = integrate_batch(scenario.curve, np.eye(4), scenario.T, finer,
-                                                eps, tol.drift)
+        finer_ends, _, finer_d = endpoints(scenario.curve, np.eye(4), scenario.T, finer, eps,
+                                           tol.drift, derivative=True)
         finer_delta = abs(discriminant(finer_ends[0]))
         if finer_delta * (finer / steps) ** 4 >= delta:
             break
-        steps, sol, ends, delta = finer, finer_sol, finer_ends, finer_delta
-    return steps, sol, ends[1:]
+        steps, ends, d_base, delta = finer, finer_ends, finer_d, finer_delta
+    return steps, ends[0], d_base, ends[1:]
+
+
+# B = J4^-1 dG G^-1 is symmetric up to roundoff (1.2e-16 of max|B| on
+# resonant_eps); an asymmetry above this share of max|B| is a fault.
+_ASYMMETRY_TOL = 1e-6
+
+
+def _generator(base, d_base):
+    """The symmetric generator B of the eps family's motion at eps = 0,
+    d_base = J4 B base, so B = -J4 d_base base^-1, symmetrized.  Raises
+    CorruptedSolutionError when its asymmetry exceeds _ASYMMETRY_TOL times
+    max|B|, or is not finite."""
+    B = -J4 @ d_base @ symplectic_inverse(base)
+    asym, size = max_abs(B - B.T), max_abs(B)
+    if not asym <= _ASYMMETRY_TOL * size:
+        raise CorruptedSolutionError(
+            f"the eps-derivative generator's asymmetry {asym:.3e} exceeds "
+            f"{_ASYMMETRY_TOL:g} times its largest entry {size:.3e}")
+    return (B + B.T) / 2.0
 
 
 def family(scenario, mode, params=()):
@@ -254,11 +280,10 @@ def family(scenario, mode, params=()):
     base).  A base without a double pair is a NoDoubleMultiplierError,
     one within 10 * cluster of +-1 an ExcludedCaseError."""
     tol = scenario.tolerances
-    curve = scenario.curve
     scenario.require(mode)
     if mode == "eps":
-        _, sol0, ends = eps_base(scenario, params)
-        base, where = endpoint(sol0), "endpoint at eps = 0"
+        _, base, d_base, ends = eps_base(scenario, params)
+        where = "endpoint at eps = 0"
     else:
         base, where = scenario.gamma0, "initial matrix"
     lam = detect_double_unitary(base, tol.cluster, tol.circle)
@@ -267,10 +292,10 @@ def family(scenario, mode, params=()):
         raise NoDoubleMultiplierError(f"{where} has no double unit-circle multiplier pair")
     pair = jordan_pair(base, lam)
     if mode == "eps":
-        drive = perturbation_hamiltonian(curve, sol0)
+        drive = _generator(base, d_base)
         coeffs = expansion_eps(pair, drive)
     else:
-        drive = curve.eval_matrix(0.0, 0.0)
+        drive = scenario.curve.eval_matrix(0.0, 0.0)
         coeffs = expansion_t(pair, drive)
         ends = family_endpoints(scenario, mode, params) if len(params) else np.empty((0, 4, 4))
     return Family(base=base, pair=pair, drive=drive, coeffs=coeffs, ends=ends)
@@ -295,7 +320,7 @@ def family_endpoints(scenario, mode, params):
     batched with the eps = 0 base that sizes its steps (:func:`eps_base`).
     Shape (len(params), 4, 4)."""
     if mode == "eps":
-        return eps_base(scenario, params)[2]
+        return eps_base(scenario, params)[3]
     ends, _ = endpoints(scenario.curve, scenario.gamma0, params, scenario.steps(mode), 0.0,
                         scenario.tolerances.drift)
     return ends

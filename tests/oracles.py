@@ -39,6 +39,11 @@ are kept verbatim as ``parse_reference``, the reference of the flat
 
 ``discriminant_oracle`` is a second, root-free oracle: it reads kappa and
 the sum derivative from the traces of the oracle's endpoint batch alone.
+``perturbation_hamiltonian``, the composite Boole quadrature of the
+eps-motion's generator B over every state of the eps = 0 flow, which the
+package used before B became the derivative slot of the flow batch, is
+kept verbatim as the reference of that slot; ``boole_eps_coefficients``
+expands the eps family with it.
 
 The rest are helpers that only tests read: the inner-product closed forms
 of the ladder's mixed coefficients (``ladder_closed_forms``, which computes
@@ -50,6 +55,7 @@ package values (``pretty``, ``magnitude``, ``to_absolute``, ``separations``,
 
 import math
 import operator
+import warnings
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from itertools import combinations, permutations
@@ -57,8 +63,9 @@ from math import comb
 
 import numpy as np
 
-from kreinsplit.bifurcation import UNSTABLE_FORWARD
+from kreinsplit.bifurcation import UNSTABLE_FORWARD, expansion_eps
 from kreinsplit.errors import (
+    CorruptedSolutionError,
     ExprDepthError,
     ExprDomainError,
     ExprSyntaxError,
@@ -80,9 +87,17 @@ from kreinsplit.expr import (
     Sub,
     Var,
 )
-from kreinsplit.flow import _CHUNK
-from kreinsplit.linalg import J4, charpoly, is_symplectic, quartic_roots, symplectic_form
-from kreinsplit.spectral import pair_from_vectors
+from kreinsplit.flow import _CHUNK, endpoint, integrate
+from kreinsplit.linalg import (
+    J4,
+    charpoly,
+    is_symplectic,
+    max_abs,
+    quartic_roots,
+    symplectic_form,
+    symplectic_inverse,
+)
+from kreinsplit.spectral import detect_double_unitary, jordan_pair, pair_from_vectors
 from kreinsplit.verify import family_endpoints
 
 
@@ -859,6 +874,63 @@ def discriminant_oracle(scenario, mode, lambda0):
     first = 0.5 - 0.5j * cos0 / sin0
     second = -0.25j / sin0 ** 3
     return -d1 / (16.0 * sin0 ** 2), complex(first * e11 + second * d1 / 4.0)
+
+
+def perturbation_hamiltonian(curve, sol):
+    """Effective symmetric generator of the endpoint's eps-motion.
+
+    For the flow started at the identity, the derivative of the endpoint
+    with respect to eps equals J4 B G(T) where
+
+        B = integral_0^T (G(T)^-1)^T G(t)^T dA/deps(t, eps) G(t) G(T)^-1 dt.
+
+    dA/deps is the curve's symbolic derivative, exact up to rounding,
+    evaluated at every grid time.  Composite Boole quadrature on the
+    solution's grid, whose step count must be a multiple of 4: weights 7,
+    32, 12, 32, 14, ..., 32, 7 times 2h/45, an O(h^6) error like the flow's.
+    The result is symmetrized; the asymmetry it removes measures
+    quadrature error and triggers a warning above 1e-6.
+    """
+    if max_abs(sol.gammas[0] - np.eye(4)) > 1e-12:
+        raise ValueError("perturbation generator needs a flow started at the identity")
+    n = sol.ts.size - 1
+    if n % 4:
+        raise ValueError(f"Boole's rule needs a step count divisible by 4, got {n}")
+
+    Gend = sol.gammas[-1]
+    Ginv = symplectic_inverse(Gend)
+    if max_abs(Gend @ Ginv - np.eye(4)) > 1e-6:
+        raise CorruptedSolutionError("endpoint failed symplectic inversion sanity check")
+
+    Aprime = curve.d_eps_matrix_batch(sol.ts, sol.eps)
+    W = sol.gammas @ Ginv
+    integrand = np.transpose(W, (0, 2, 1)) @ Aprime @ W
+
+    weights = np.full(n + 1, 32.0)
+    weights[2::4] = 12.0
+    weights[4::4] = 14.0
+    weights[[0, n]] = 7.0
+    h = sol.ts[1] - sol.ts[0]
+    B = (2.0 * h / 45.0) * np.tensordot(weights, integrand, axes=(0, 0))
+
+    asym = max_abs(B - B.T)
+    if asym > 1e-6:
+        warnings.warn(f"perturbation generator asymmetry {asym:.3e} exceeds 1e-6; "
+                      "quadrature grid may be too coarse", RuntimeWarning)
+    return (B + B.T) / 2.0
+
+
+def boole_eps_coefficients(scenario, steps):
+    """The eps family's closed-form expansion with B from
+    ``perturbation_hamiltonian``: Boole's rule over every state of the
+    eps = 0 flow of ``steps`` steps (a multiple of 4), the chain from its
+    endpoint.  Shares with the package's eps family only the flow engine
+    and ``expansion_eps``, not the derivative slot."""
+    sol = integrate(scenario.curve, np.eye(4), scenario.T, steps, 0.0)
+    base = endpoint(sol)
+    tol = scenario.tolerances
+    pair = jordan_pair(base, detect_double_unitary(base, tol.cluster, tol.circle))
+    return expansion_eps(pair, perturbation_hamiltonian(scenario.curve, sol))
 
 
 def ladder_closed_forms(pair, A0):

@@ -24,7 +24,6 @@ from kreinsplit import (
     ladder,
     make_jordan_symplectic,
     pair_from_vectors,
-    perturbation_hamiltonian,
     quartic_roots,
 )
 from kreinsplit.errors import NotAJordanBlockError
@@ -36,6 +35,7 @@ from oracles import (
     krein_pairings,
     krein_pairings_ok,
     ladder_closed_forms,
+    perturbation_hamiltonian,
     random_symmetric2,
     random_symmetric4,
     to_absolute,
@@ -147,12 +147,12 @@ def test_criterion_5_eps_family_end_to_end(resonant_scenario, resonant_report):
     part = report.eps
     kappa_err = part.relative_errors["kappa"]
 
-    # Bilinear identities between the effective generator and the
-    # transported chain.  The right-hand sides use a separate flow
-    # solution on a different (odd) grid, so the two quadrature routes
-    # share no arithmetic.
+    # Bilinear identities between the effective generator, from Boole's rule
+    # at a fixed 52 steps, and the transported chain.  The right-hand sides
+    # use a separate flow solution on a different (odd) grid, so the two
+    # quadrature routes share no arithmetic.
     curve = resonant_scenario.curve
-    sol0 = integrate(curve, np.eye(4), resonant_scenario.T, resonant_scenario.steps("eps"), 0.0)
+    sol0 = integrate(curve, np.eye(4), resonant_scenario.T, 52, 0.0)
     G_T = endpoint(sol0)
     pair = jordan_pair(G_T, detect_double_unitary(G_T))
     B = perturbation_hamiltonian(curve, sol0)

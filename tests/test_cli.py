@@ -522,14 +522,14 @@ def test_steps_eps_is_an_unknown_key(tmp_path, capsys):
 
 
 def test_sized_steps_past_the_cap_stop_before_any_flow(tmp_path, capsys, monkeypatch):
-    # resonant_eps at T = 1e6 sizes the eps flows at 48,239,920 steps (T beta /
-    # 0.03 rounded up to a multiple of 4), a 6.2 GB trajectory; at T = 1e308,
-    # T beta / 0.03 overflows to inf.  No flow may start.
+    # resonant_eps at T = 1e6 sizes the eps flows at 12,059,980 steps (T beta /
+    # 0.12 rounded up, A(t, 0) being constant); at T = 1e308, T beta / 0.12
+    # overflows to inf.  No flow may start.
     def no_flow(*args, **kwargs):
         raise AssertionError("a flow ran")
 
     monkeypatch.setattr(flow, "_flows", no_flow)
-    for T, count in ((1e6, "48239920"), (1e308, "inf")):
+    for T, count in ((1e6, "12059980"), (1e308, "inf")):
         path = _scenario_copy(tmp_path, SCENARIOS / "resonant_eps.json",
                               lambda doc: doc.update(T=T))
         with pytest.raises(InputError, match=f" {count} steps"):
@@ -598,21 +598,24 @@ def test_eps_batch_domain_error_is_located(tmp_path, capsys):
 @pytest.mark.parametrize("text, reason, where", [
     # Finite at eps = 0 and not above 5e-4: the batch of the base and the
     # oracle's eps values, which evaluates A on a column of times against a
-    # row of eps, fails at its first Gauss node, t = (1/2 - sqrt(15)/10) / 52,
+    # row of eps, fails at its first Gauss node, t = (1/2 - sqrt(15)/10) / 16,
     # and its first eps above 5e-4, 3/4 of the grid's maximum.
     ("0.2*eps*t + sqrt(5e-4 - eps)*0", "sqrt out of domain",
-     "(t, eps) = (0.00216733971883189, 0.00075) (subexpression at offset 12)"),
+     "(t, eps) = (0.007043854086203644, 0.00075) (subexpression at offset 12)"),
     # No Gauss node of the base flow meets the pole at t = 0.5, but the
     # sizing of the eps flows samples A(t, 0) at t = 0, 1/16, ..., 1 first.
     ("1/(t - 0.5 - eps*100)*0", "division by zero",
      "(t, eps) = (0.5, 0.0) (subexpression at offset 1)"),
     # Finite at the 17 sizing samples, which miss (0.51, 0.55), so the base
-    # flow at eps = 0 meets the domain error at its first Gauss node there.
+    # flow at eps = 0 meets the domain error at the first of its Gauss nodes
+    # there in the engine's order (first nodes, midpoints, last nodes): the
+    # midpoint 0.53125 of the ninth of 16 steps.  The product with 0 leaves
+    # A(t, 0) constant, which sizes 16 steps.
     ("sqrt((t - 0.51)*(t - 0.55))*0", "sqrt out of domain",
-     "(t, eps) = (0.5213981089496011, 0.0) (subexpression at offset 0)"),
+     "(t, eps) = (0.53125, 0.0) (subexpression at offset 0)"),
     # A quotient in eps alone, non-finite only at the top of the eps grid.
     ("0.2*eps*t + (eps - 1e-3)/(eps - 1e-3)*0", "division by zero",
-     "(t, eps) = (0.00216733971883189, 0.001) (subexpression at offset 24)"),
+     "(t, eps) = (0.007043854086203644, 0.001) (subexpression at offset 24)"),
 ], ids=["batch-sqrt", "base-pole", "base-sqrt", "batch-eps-quotient"])
 def test_eps_family_domain_error_names_entry_and_point(tmp_path, capsys, text, reason,
                                                        where):
@@ -628,7 +631,8 @@ def test_eps_family_domain_error_names_entry_and_point(tmp_path, capsys, text, r
 
 def test_eps_derivative_domain_error_is_located_on_the_family(tmp_path, capsys):
     # sqrt(eps) is finite on the family but its eps-derivative is not at
-    # eps = 0, where the quadrature evaluates it.
+    # eps = 0, where the derivative slot of the flow batch evaluates it, at
+    # the first Gauss node of 16 steps.
     def edit(doc):
         doc["curve"]["entries"]["0,1"] += " + 0.01*sqrt(eps)"
 
@@ -638,7 +642,8 @@ def test_eps_derivative_domain_error_is_located_on_the_family(tmp_path, capsys):
     assert "ExprDomainError" in err and "entry (0,1)" in err
     offset = "0.2*eps*t + 0.01*sqrt(eps)".index("sqrt")
     assert f"(subexpression at offset {offset})" in err
-    assert "(t, eps) = (0.0, 0.0)" in err
+    assert err.startswith("error: ExprDomainError: d/deps of entry (0,1): division by zero ")
+    assert "(t, eps) = (0.007043854086203644, 0.0)" in err
 
 
 def test_classify_verdicts(capsys):

@@ -8,7 +8,6 @@ from kreinsplit import (
     integrate,
     is_symplectic,
     make_jordan_symplectic,
-    perturbation_hamiltonian,
 )
 from kreinsplit.errors import (
     CorruptedSolutionError,
@@ -36,6 +35,7 @@ from oracles import (
     expm_taylor,
     flows_allocating,
     magnus_reference,
+    perturbation_hamiltonian,
     random_symmetric4,
     rk4_reference,
 )
@@ -237,10 +237,29 @@ def test_perturbation_generator_is_sixth_order(resonant_scenario):
     assert 48.0 <= e32 / e64 <= 80.0
 
 
-def test_perturbation_generator_is_sharp_at_the_sized_count(resonant_scenario):
-    # 52 steps, the count sized for resonant_eps, give 2.5e-12.
-    assert resonant_scenario.steps("eps") == 52
-    assert _generator_error(resonant_scenario, 52) <= 1e-11
+def _slot_generator_error(scenario, steps, ref_steps=4096):
+    """Largest entry of |B - B_ref| over that of |B_ref|, with B from the
+    derivative slot of ``steps`` steps and B_ref from Boole's rule at
+    ``ref_steps`` steps."""
+    ends, _, d_end = endpoints(scenario.curve, np.eye(4), scenario.T, steps, 0.0,
+                               derivative=True)
+    B = -J4 @ d_end @ np.linalg.inv(ends[0])
+    ref = perturbation_hamiltonian(
+        scenario.curve, integrate(scenario.curve, np.eye(4), scenario.T, ref_steps, 0.0))
+    return np.max(np.abs(B - ref)) / np.max(np.abs(ref))
+
+
+def test_slot_generator_is_sixth_order_from_the_sized_count(resonant_scenario):
+    # resonant_eps's A(t, 0) is constant, so its eps flows are sized at
+    # h beta <= 0.12, 16 steps.  From there the slot's B, the eps-derivative
+    # of the discrete flow, converges like the steps: halving the step
+    # divides its error by about 64 (measured 5.8e-10, 9.1e-12 and 1.4e-13
+    # at 8, 16 and 32 steps).
+    assert resonant_scenario.steps("eps") == 16
+    e8, e16, e32 = (_slot_generator_error(resonant_scenario, n) for n in (8, 16, 32))
+    assert 48.0 <= e8 / e16 <= 80.0
+    assert 48.0 <= e16 / e32 <= 80.0
+    assert e16 <= 1e-11
 
 
 # --- batched endpoints ----------------------------------------------------------
@@ -277,6 +296,55 @@ def test_endpoints_bitwise_equal_integrate(case, steps):
 
 def _bits(a):
     return np.ascontiguousarray(a).tobytes()
+
+
+EPS_CASES = sorted(k for k, v in ENDPOINT_CASES.items() if v[2] != 0.0)
+
+
+@pytest.mark.parametrize("steps", [2, 50, 3 * _CHUNK + 7])
+@pytest.mark.parametrize("case", EPS_CASES)
+def test_derivative_slot_leaves_the_endpoints_bitwise_equal(case, steps):
+    # The slot rides in the batch after the K flows and changes no bit of
+    # their endpoints or drifts, in one chunk or several, halved or not.
+    entries, horizons, eps_values = ENDPOINT_CASES[case]
+    curve = SymmetricCurve.from_strings(entries)
+    g0 = make_jordan_symplectic(np.pi / 3, np.eye(2))
+    ends, drifts = endpoints(curve, g0, horizons, steps, eps_values, drift_tol=1.0)
+    with_slot, slot_drifts, d_end = endpoints(curve, g0, horizons, steps, eps_values,
+                                              drift_tol=1.0, derivative=True)
+    assert _bits(with_slot) == _bits(ends)
+    assert _bits(slot_drifts) == _bits(drifts)
+    assert d_end.shape == (4, 4)
+
+
+@pytest.mark.parametrize("steps, T", [(2, 3.0), (50, 1.0), (3 * _CHUNK + 7, 1.0)])
+def test_derivative_slot_matches_a_difference_quotient(steps, T):
+    # dG/deps of flow 0 against the fourth-order central difference of the
+    # plain engine's endpoints at eps0 +- delta, +- 2 delta, on the same
+    # step count: the slot differentiates the discrete flow, through the
+    # halving branch (2 steps to T = 3) and across chunks.  Measured at most
+    # 1.3e-11 relative, the difference quotient's own error.
+    curve = SymmetricCurve.from_strings(NONLINEAR_EPS_ENTRIES)
+    g0 = make_jordan_symplectic(np.pi / 3, np.eye(2))
+    eps0, delta = 0.1, 1e-5
+    _, _, d_end = endpoints(curve, g0, T, steps, [eps0, -0.05], drift_tol=np.inf,
+                            derivative=True)
+    e = endpoints(curve, g0, T, steps, eps0 + delta * np.array([1.0, -1.0, 2.0, -2.0]),
+                  drift_tol=np.inf)[0]
+    quotient = (8.0 * (e[0] - e[1]) - (e[2] - e[3])) / (12.0 * delta)
+    assert np.max(np.abs(d_end - quotient)) <= 1e-10 * np.max(np.abs(d_end))
+
+
+def test_derivative_slot_names_a_domain_error_of_the_derivative():
+    # sqrt(eps) is finite at eps = 0, its eps-derivative is not; the slot
+    # meets it at flow 0's first Gauss node and names the derivative.
+    curve = SymmetricCurve.from_strings({**SMOOTH_ENTRIES, "2,3": "eps + sqrt(eps)"})
+    endpoints(curve, np.eye(4), 1.0, 100, [0.0, 0.1])
+    with pytest.raises(ExprDomainError) as err:
+        endpoints(curve, np.eye(4), 1.0, 100, [0.0, 0.1], derivative=True)
+    first = float((0.5 - _GAUSS) / 100)
+    assert str(err.value).startswith("d/deps of entry (2,3): division by zero at (t, eps) = "
+                                     f"({first!r}, 0.0)")
 
 
 @pytest.mark.parametrize("steps", [2, 50, _CHUNK, 3 * _CHUNK + 7])

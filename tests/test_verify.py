@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -24,9 +26,15 @@ from kreinsplit.errors import (
 )
 from kreinsplit import flow, verify
 from kreinsplit.cli import main
-from kreinsplit.scenario import GridSpec, Scenario, load_scenario
+from kreinsplit.scenario import GridSpec, Scenario, load_scenario, parse_scenario
 from kreinsplit.verify import BranchTrack, _stability_probe, family, family_endpoints
-from oracles import discriminant_oracle, fit_joint, fit_puiseux, separations
+from oracles import (
+    boole_eps_coefficients,
+    discriminant_oracle,
+    fit_joint,
+    fit_puiseux,
+    separations,
+)
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -408,20 +416,21 @@ def test_gauge_rotated_resonant_scenario_keeps_predictions_and_passes(
 
 
 def test_fast_gauge_passes_at_the_sized_step_count(tmp_path, capsys):
-    # At c = 4 the count sized from A(t, 0) is 888, where the base's
+    # At c = 4 the count sized from A(t, 0) is 886, where the base's
     # discriminant, 3.3e-13, is above cluster^2/4 = 2.5e-13; the steps^-6
-    # law refines it once, to 932.
+    # law predicts 927, which leaves 2.53e-13, and a second rerun lands at
+    # 929.
     path = _gauge_scenario(tmp_path, 4.0)
-    assert load_scenario(path).steps("eps") == 888
-    assert verify.eps_base(load_scenario(path))[0] == 932
+    assert load_scenario(path).steps("eps") == 886
+    assert verify.eps_base(load_scenario(path))[0] == 929
     assert main(["verify", str(path), "--mode", "eps"]) == 0
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("k, c, steps", [(8, 0.05, 340), (16, 0.02, 512), (32, 0.01, 812)])
+@pytest.mark.parametrize("k, c, steps", [(8, 0.05, 340), (16, 0.02, 512), (32, 0.01, 814)])
 def test_gauge_at_high_frequency_is_refined_until_resolved(k, c, steps, tmp_path, capsys):
     # A(t, 0) rotates k times over [0, T] with a small amplitude, so its row
-    # sums, and the count sized from them (136, 116, 116), stay small while
+    # sums, and the count sized from them (133, 116, 116), stay small while
     # the base needs more steps to resolve its double multiplier; the
     # discriminant check finds that from the base alone.
     path = _gauge_scenario(tmp_path, c, k=k)
@@ -431,18 +440,137 @@ def test_gauge_at_high_frequency_is_refined_until_resolved(k, c, steps, tmp_path
 
 
 def test_refined_steps_past_the_cap_stop_before_that_flow(tmp_path, monkeypatch):
-    # The k = 8 gauge starts at 136 steps and is refined to 340; under a cap
+    # The k = 8 gauge starts at 133 steps and is refined to 340; under a cap
     # of 300 the refinement is an input error, and only the first flow ran.
     counts = []
-    flows = verify.integrate_batch
-    monkeypatch.setattr(verify, "integrate_batch",
-                        lambda curve, g, T, steps, *rest: counts.append(steps)
-                        or flows(curve, g, T, steps, *rest))
+    flows = verify.endpoints
+    monkeypatch.setattr(verify, "endpoints",
+                        lambda curve, g, T, steps, *rest, **kw: counts.append(steps)
+                        or flows(curve, g, T, steps, *rest, **kw))
     monkeypatch.setattr(verify, "MAX_STEPS", 300)
     path = _gauge_scenario(tmp_path, 0.05, k=8)
     with pytest.raises(InputError, match="needs 340 steps .* above the cap of 300$"):
         family(load_scenario(path), "eps")
-    assert counts == [136]
+    assert counts == [133]
+
+
+# The oracle_eps benchmark pool's recipe: resonant_eps's base with a definite
+# coupling D, either eps (D + 0.3 sin t) or sin(eps D) (1 + 0.3 cos t).
+_RESONANT_BASE = {(0, 0): "0.4", (1, 1): "0.4", (0, 3): "1.0471975511965976",
+                  (1, 2): "-1.0471975511965976"}
+
+
+def _pool_scenario(seed, linear):
+    rng = random.Random(seed)
+    sign = rng.choice((-1.0, 1.0))
+    entries = {}
+    for i in range(4):
+        for j in range(i, 4):
+            d = round(sign * rng.uniform(0.5, 1.5) if i == j else rng.uniform(-0.15, 0.15), 6)
+            text = (f"eps*({d!r} + 0.3*sin(t))" if linear
+                    else f"sin(eps*({d!r}))*(1 + 0.3*cos(t))")
+            base = _RESONANT_BASE.get((i, j))
+            entries[f"{i},{j}"] = text if base is None else f"{base} + {text}"
+    doc = json.loads((SCENARIOS / "resonant_eps.json").read_text())
+    doc["curve"]["entries"] = entries
+    return parse_scenario(doc)
+
+
+def _boole_reference(scenario):
+    """Boole's expansion of the eps family at a multiple of 4 at least 32
+    times the family's own step count."""
+    return boole_eps_coefficients(scenario, 4 * math.ceil(32 * verify.eps_base(scenario)[0] / 4))
+
+
+@pytest.mark.parametrize("name", ["resonant_eps", "resonant_eps_gauge", "pool-linear-1",
+                                  "pool-nonlinear-2", "pool-linear-3"])
+def test_eps_predictions_match_boole_at_32_times_the_steps(name):
+    # B from the derivative slot at the sized count (16 steps where A(t, 0)
+    # is constant, 153 on the gauge) against B from Boole's rule at 32 times
+    # the steps: kappa and the sum derivative within 1e-13 (measured 3.3e-15
+    # and 3.5e-15 on resonant_eps, 6.8e-14 and 7.4e-14 on the gauge, at most
+    # 7.3e-15 on the pool curves; Boole's rule at 52 steps read 1.3e-14 to
+    # 2.4e-14 on them).
+    if name.startswith("pool"):
+        _, kind, seed = name.split("-")
+        scenario = _pool_scenario(int(seed), kind == "linear")
+    else:
+        scenario = load_scenario(SCENARIOS / f"{name}.json")
+    got = family(scenario, "eps").coeffs
+    want = _boole_reference(scenario)
+    assert abs(got.kappa - want.kappa) <= 1e-13 * abs(want.kappa)
+    assert abs(got.sum_derivative - want.sum_derivative) <= 1e-13 * abs(want.sum_derivative)
+
+
+def test_fast_coupling_no_worse_than_boole_at_the_old_count():
+    # eps (1 + sin(20 t)) on resonant_eps's base varies fast in t, yet
+    # A(t, 0) is constant, so the slot runs 16 steps where Boole's rule ran
+    # 52.  Against Boole at 32 times the steps the slot is off by 5.7e-8,
+    # Boole's rule at 52 steps by 2.1e-7.
+    doc = json.loads((SCENARIOS / "resonant_eps.json").read_text().replace(
+        "eps*(1 + 0.3*sin(t))", "eps*(1 + sin(20*t))"))
+    scenario = parse_scenario(doc)
+    assert scenario.steps("eps") == 16
+    got = family(scenario, "eps").coeffs
+    old = boole_eps_coefficients(scenario, 52)
+    want = _boole_reference(scenario)
+    for attr in ("kappa", "sum_derivative"):
+        ref = getattr(want, attr)
+        assert abs(getattr(got, attr) - ref) <= abs(getattr(old, attr) - ref), attr
+
+
+@pytest.mark.parametrize("text, constant", [
+    ("1.0471975511965976", True),
+    ("0.4 + eps*(1 + 0.3*sin(t))", True),
+    ("sin(3*eps)*(1 + 0.3*cos(t))", True),
+    ("0.2*exp(eps*t) - 0.2", True),
+    ("sqrt((t - 0.51)*(t - 0.55))*0", True),
+    ("(0.29382249538221383 + eps)*cos(6.283185307179586*t)", False),
+    ("0*t + t", False),
+])
+def test_constant_at_eps0_is_read_from_the_trees(text, constant):
+    doc = json.loads((SCENARIOS / "resonant_eps.json").read_text())
+    doc["curve"]["entries"]["0,1"] = text
+    scenario = parse_scenario(doc)
+    assert scenario.curve.constant_at_eps0() is constant
+    A = scenario.curve.eval_matrix_batch(np.linspace(0.0, 1.0, 17), 0.0)
+    beta = np.abs(A).sum(axis=-1).max()
+    assert scenario.steps("eps") == math.ceil(max(16.0, beta / (0.12 if constant else 0.03)))
+
+
+def test_sampled_constant_trap_is_sized_at_the_fine_rate():
+    # cos(100.53... t) = cos(32 pi t) takes the value 1 at all 17 sizing
+    # samples t = 0, 1/16, ..., 1.  Sized as constant it would run 16 steps;
+    # at h beta <= 0.03 it runs 82.
+    doc = json.loads((SCENARIOS / "resonant_eps.json").read_text())
+    doc["curve"]["entries"]["0,1"] = "0.2*eps*t + cos(100.53096491487338*t)"
+    scenario = parse_scenario(doc)
+    A = scenario.curve.eval_matrix_batch(np.linspace(0.0, 1.0, 17), 0.0)
+    assert np.ptp(A, axis=0).max() < 1e-12
+    assert not scenario.curve.constant_at_eps0()
+    assert scenario.steps("eps") == 82
+
+
+def test_asymmetric_generator_is_a_corrupted_solution(monkeypatch, capsys):
+    # J4^-1 dG G^-1 is symmetric up to roundoff (1.2e-16 of max|B| on
+    # resonant_eps).  A slot endpoint off by 1e-3 in one entry makes B
+    # asymmetric far beyond 1e-6 of max|B|; a NaN one too.  Each is one typed
+    # error line, exit 2.
+    flows = verify.endpoints
+
+    for bad in (1e-3, np.nan):
+        def corrupted(*args, **kwargs):
+            ends, drifts, d_end = flows(*args, **kwargs)
+            d_end = d_end.copy()
+            d_end[0, 1] += bad
+            return ends, drifts, d_end
+
+        monkeypatch.setattr(verify, "endpoints", corrupted)
+        assert main(["verify", str(SCENARIOS / "resonant_eps.json"), "--mode", "eps"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: CorruptedSolutionError: the eps-derivative generator's "
+                              "asymmetry ")
 
 
 def test_base_without_double_multiplier_is_reported_as_such(tmp_path, capsys):
