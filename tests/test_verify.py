@@ -527,7 +527,8 @@ def test_fast_coupling_no_worse_than_boole_at_the_old_count():
     ("sqrt((t - 0.51)*(t - 0.55))*0", True),
     ("(0.29382249538221383 + eps)*cos(6.283185307179586*t)", False),
     ("0*t + t", False),
-])
+], ids=["number", "linear-in-eps", "sin-of-eps", "exp-of-eps-t", "product-with-0", "periodic",
+        "t-left-after-folding"])
 def test_constant_at_eps0_is_read_from_the_trees(text, constant):
     doc = json.loads((SCENARIOS / "resonant_eps.json").read_text())
     doc["curve"]["entries"]["0,1"] = text
