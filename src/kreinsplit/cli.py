@@ -17,10 +17,10 @@ tolerance exceeded.  All floating-point output is full double precision.
 import argparse
 import csv
 import functools
-import json
 import os
 import sys
 from dataclasses import asdict, fields, replace
+from json.encoder import encode_basestring_ascii as _ascii
 from pathlib import Path
 
 import numpy as np
@@ -39,20 +39,60 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _json_default(obj):
-    """JSON form of the numpy and complex values in a document; complex
-    numbers become {"re": ..., "im": ...} objects."""
+_INF = float("inf")
+
+
+def _float_text(x):
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_text(obj, pad):
+    """``obj`` as ``json.dumps(obj, indent=2)`` writes it, byte for byte, at
+    the nesting whose line break and indent is ``pad``.  Complex numbers
+    become {"re": ..., "im": ...} objects, numpy arrays lists and numpy
+    scalars Python ones; dict keys must be strings.  The common types are
+    tested first."""
+    if isinstance(obj, float):
+        return _float_text(obj)
+    if isinstance(obj, str):
+        return _ascii(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_ascii(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": float(obj.real), "im": float(obj.imag)}
+        return ("{" + inner + '"re": ' + _float_text(float(obj.real)) + "," + inner
+                + '"im": ' + _float_text(float(obj.imag)) + pad + "}")
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _json_text(obj.tolist(), pad)
     if isinstance(obj, np.generic):
-        return obj.item()
+        return _json_text(obj.item(), pad)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit_json(doc):
-    sys.stdout.write(json.dumps(doc, indent=2, default=_json_default) + "\n")
+    sys.stdout.write(_json_text(doc, "\n") + "\n")
 
 
 def _grid_arg(text):

@@ -14,6 +14,7 @@ is not finite.
 """
 
 import operator
+from functools import cached_property
 from math import isfinite
 
 import numpy as np
@@ -459,7 +460,11 @@ class SymmetricCurve:
 
     def __init__(self, entries):
         self._entries = dict(entries)
-        self.has_eps = any(contains_eps(e) for e in self._entries.values())
+
+    @cached_property
+    def has_eps(self):
+        """True when some entry mentions eps; scanned on the first read."""
+        return any(contains_eps(e) for e in self._entries.values())
 
     @classmethod
     def from_strings(cls, mapping):

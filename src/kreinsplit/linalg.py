@@ -106,12 +106,22 @@ def _assignment_table():
 _ASSIGN, _CLASSES = _assignment_table()
 
 
-def _dets(A1, A2, rows):
-    """Determinants of the column matrices of the table rows ``rows``, over
-    the stack axes of A1 and A2, from one stacked det; shape (..., rows)."""
-    choices = np.stack(np.broadcast_arrays(_ID4, A1, A2), axis=-3)
-    # cols[..., r, i, j] = choices[..., _ASSIGN[rows][r, j], i, j]
-    return np.linalg.det(choices[..., _ASSIGN[rows, None, :], np.arange(4)[:, None], np.arange(4)])
+def _gather(rows):
+    """Index arrays that take the column matrices of the table rows
+    ``rows`` from a choice stack (..., 3, 4, 4) of (identity, A1, A2):
+    cols[..., r, i, j] = choices[..., _ASSIGN[rows][r, j], i, j]."""
+    return ..., _ASSIGN[rows, None, :], np.arange(4)[:, None], np.arange(4)
+
+
+def _dets(A1, A2, gather):
+    """Determinants of the column matrices that ``gather`` (:func:`_gather`)
+    takes, over the stack axes of A1 and A2, from one stacked det; shape
+    (..., rows).  A single map and a stack fill one choice stack alike."""
+    choices = np.empty(np.broadcast(A1, A2).shape[:-2] + (3, 4, 4), dtype=complex)
+    choices[..., 0, :, :] = _ID4
+    choices[..., 1, :, :] = A1
+    choices[..., 2, :, :] = A2
+    return np.linalg.det(choices[gather])
 
 
 def _fold(dets):
@@ -135,8 +145,11 @@ def exterior_power(k1, k2, A1, A2=None):
     if A2 is None and k2 > 0:
         raise ValueError("A2 required when k2 > 0")
     A1, A2 = (_ID4 if A is None else as_mat4(A) for A in (A1, A2))
-    total = _fold(_dets(A1, A2, _CLASSES[k1, k2]))
+    total = _fold(_dets(A1, A2, _gather(_CLASSES[k1, k2])))
     return complex(total) if total.ndim == 0 else total
+
+
+_CHARPOLY_GATHER = _gather(slice(0, 16))
 
 
 def charpoly(M, lambda0):
@@ -152,14 +165,14 @@ def charpoly(M, lambda0):
     each matrix.  The leading coefficient is 1.
     """
     K = complex(lambda0) * _ID4 - as_mat4(M)
-    dets = _dets(K, _ID4, slice(0, 16))
+    dets = _dets(K, _ID4, _CHARPOLY_GATHER)
     return np.stack([_fold(dets[..., _CLASSES[4 - k, 0]]) for k in range(5)], axis=-1)
 
 
 # charpoly's 16 rows, then the (3, 1) and (2, 1) classes: the determinants of
 # the coefficient ladder as one stack.
 _C31, _C21 = _CLASSES[3, 1], _CLASSES[2, 1]
-_LADDER_ROWS = np.r_[0:16, _C31, _C21]
+_LADDER_GATHER = _gather(np.r_[0:16, _C31, _C21])
 _SPLIT = 16 + _C31.stop - _C31.start
 
 
@@ -168,7 +181,7 @@ def charpoly_mixed(M, lambda0, A):
     ``exterior_power(2, 1, K, A)`` with K = lambda0*I - M, for one 4x4 M,
     from one stacked determinant; bitwise what those three calls return."""
     K = complex(lambda0) * _ID4 - as_mat4(M)
-    dets = _dets(K, as_mat4(A), _LADDER_ROWS)
+    dets = _dets(K, as_mat4(A), _LADDER_GATHER)
     coeffs = tuple(complex(_fold(dets[_CLASSES[4 - k, 0]])) for k in range(5))
     return coeffs, complex(_fold(dets[16:_SPLIT])), complex(_fold(dets[_SPLIT:]))
 

@@ -25,7 +25,8 @@ from .errors import (
     InconsistentChainError,
     NotAJordanBlockError,
 )
-from .linalg import as_mat4, charpoly, discriminant, is_symplectic, quartic_roots, symplectic_form
+from .linalg import (_ID4, as_mat4, charpoly, discriminant, is_symplectic, quartic_roots,
+                     symplectic_form)
 
 _RANK_RTOL = 1e-8  # sigma below this times sigma_max counts as zero
 _GAUGE_TIE = 1e-9  # entries of eta1 within this relative modulus tie
@@ -139,6 +140,13 @@ def pair_from_vectors(lambda0, eta1, eta2, diagnostics=None):
     )
 
 
+def _norm(v):
+    # np.linalg.norm's own formula for a complex vector, bit for bit,
+    # without its dispatch
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def jordan_pair(M, lambda0):
     """Extract the normalized chain at a detected double multiplier.
 
@@ -158,7 +166,7 @@ def jordan_pair(M, lambda0):
     if abs(lambda0 - 1.0) <= 1e-6 or abs(lambda0 + 1.0) <= 1e-6:
         raise ExcludedCaseError("multiplier at +-1 is outside the covered case")
 
-    K = lambda0 * np.eye(4) - M
+    K = lambda0 * _ID4 - M
     U, s, Vh = np.linalg.svd(K)
     V = Vh.conj().T
     null_mask = s <= _RANK_RTOL * s[0]
@@ -184,8 +192,8 @@ def jordan_pair(M, lambda0):
     w = np.zeros(4, dtype=complex)
     for i in range(3):
         w += (coeffs[i] / s[i]) * V[:, i]
-    residual = float(np.linalg.norm(K @ w - b))
-    scale = float(s[0] * np.linalg.norm(w) + np.linalg.norm(b) + 1.0)
+    residual = _norm(K @ w - b)
+    scale = float(s[0] * _norm(w) + _norm(b) + 1.0)
     if residual > 1e-8 * scale:
         raise InconsistentChainError(
             f"chain equation residual {residual:.3e} exceeds tolerance; "
@@ -196,10 +204,10 @@ def jordan_pair(M, lambda0):
         raise DegeneratePairingError(
             f"|<eta2, J eta1>| = {abs(pair.form_21):.3e} is numerically zero")
 
-    eigvec_res = float(np.linalg.norm(M @ eta1 - lambda0 * eta1))
+    eigvec_res = _norm(M @ eta1 - lambda0 * eta1)
     pair.diagnostics.update(eigvec_residual=eigvec_res, chain_residual=residual)
-    chain_res = float(np.linalg.norm(M @ eta2 - lambda0 * eta2 - lambda0 * eta1))
-    vec_scale = float(np.linalg.norm(eta1) + np.linalg.norm(eta2))
+    chain_res = _norm(M @ eta2 - lambda0 * eta2 - lambda0 * eta1)
+    vec_scale = _norm(eta1) + _norm(eta2)
     if eigvec_res > 1e-8 * vec_scale or chain_res > 1e-8 * vec_scale:
         raise InconsistentChainError(
             "extracted pair does not satisfy the normalization to 1e-8")

@@ -161,6 +161,7 @@ def _relative_error(emp, pred):
 _OFF_TOL = 1e-6  # off the unit circle: some modulus above 1 + _OFF_TOL
 _CIRCLE_TOL = 1e-6  # on it: every modulus within _CIRCLE_TOL of 1,
 _SEP_TOL = 1e-3  # and every two multipliers more than _SEP_TOL apart
+_I, _J = np.triu_indices(4, 1)  # the six pairs of a row's four multipliers
 
 
 def _stability_probe(roots, s, kappa):
@@ -173,8 +174,7 @@ def _stability_probe(roots, s, kappa):
     off_circle = fwd_max > 1.0 + _OFF_TOL
     stable = roots[~unstable]
     bwd_dev = float(np.abs(np.abs(stable) - 1.0).max())
-    i, j = np.triu_indices(4, 1)
-    min_sep = float(np.abs(stable[:, i] - stable[:, j]).min())
+    min_sep = float(np.abs(stable[:, _I] - stable[:, _J]).min())
     on_circle_distinct = bwd_dev <= _CIRCLE_TOL and min_sep > _SEP_TOL
     return StabilityProbe(
         kappa=kappa,
@@ -331,7 +331,7 @@ def family_endpoints(scenario, mode, params):
 # s = 0, so an intercept not below _INTERCEPT_TOL times the function's
 # least |value| at x = +-1/4 is roundoff that the fit cannot see past.
 _X = np.array([1.0, 2.0, 3.0, 4.0, -1.0, -2.0, -3.0, -4.0]) / 4.0
-_DEGREE = 5
+_VANDER = np.vander(_X, 6, increasing=True)
 _INTERCEPT_TOL = 1e-3
 
 
@@ -361,7 +361,7 @@ def _oracle(scenario, mode):
     # the solve's roundoff scales with the offsets, not with |2 lambda0|.
     off = np.array([_nearest_pair(z, lam, x) for z, x in zip(roots, s)]) - lam
     sym = np.stack([(off[:, 0] - off[:, 1]) ** 2, off.sum(axis=1)], axis=1)
-    coef = np.linalg.lstsq(np.vander(_X, _DEGREE + 1, increasing=True), sym, rcond=None)[0]
+    coef = np.linalg.lstsq(_VANDER, sym, rcond=None)[0]
     floor = _INTERCEPT_TOL * np.abs(sym[[0, 4]]).min(axis=0)
     if not np.all(np.abs(coef[0]) < floor):
         raise IllConditionedFitError(

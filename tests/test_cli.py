@@ -10,17 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kreinsplit import flow
+from kreinsplit import cli, expr, flow
 from kreinsplit.cli import (
     _DEFAULT_MODE,
     _emit_json,
-    _json_default,
     apply_grid_override,
     build_parser,
     main,
 )
 from kreinsplit.errors import InputError, NonSymplecticError, SchemaError, SymmetryConflictError
-from kreinsplit.expr import MAX_DEPTH
+from kreinsplit.expr import MAX_DEPTH, SymmetricCurve
 from kreinsplit.scenario import (
     MAX_GRID_COUNT,
     MAX_STEPS,
@@ -692,6 +691,49 @@ class _Writes:
         return len(text)
 
 
+def _json_default(obj):
+    """The reference's JSON form of complex and numpy values: complex
+    numbers as {"re": ..., "im": ...} objects."""
+    if isinstance(obj, (complex, np.complexfloating)):
+        return {"re": float(obj.real), "im": float(obj.imag)}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+class _Printed:
+    """The document that the CLI call ``argv`` hands to ``_emit_json``."""
+
+    def __init__(self, *argv):
+        self.argv = [str(a) for a in argv]
+
+    def __repr__(self):
+        return " ".join([self.argv[0], Path(self.argv[1]).stem, *self.argv[2:]])
+
+    def document(self, monkeypatch):
+        docs = []
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_emit_json", docs.append)
+            main(self.argv)
+        [doc] = docs
+        return doc
+
+
+def _printed():
+    """Every document that analyze (t, and eps where the curve has eps) and
+    verify (--mode t and --mode eps) print for the shipped scenarios and
+    pi3_fast."""
+    for path in [*sorted(SCENARIOS.glob("*.json")), DATA / "pi3_fast.json"]:
+        if path.stem != "resonant_eps":  # its t family is degenerate: exit 2, no document
+            yield _Printed("analyze", path)
+            yield _Printed("verify", path, "--mode", "t")
+        if load_scenario(path).curve.has_eps:
+            yield _Printed("analyze", path, "--mode", "eps")
+            yield _Printed("verify", path, "--mode", "eps")
+
+
 @pytest.mark.parametrize("doc", [
     {"name": "jordan_π3 ψ", "lambda0": 0.5 + 0.8660254037844386j,
      "eta1": np.array([1 + 2j, -0.0, 3.5, 1e-300j]), "kappa": np.float64(-0.25),
@@ -700,8 +742,13 @@ class _Writes:
                      "none": None, "empty": [], "nested": {}}},
     {"matrix": np.arange(16.0).reshape(4, 4), "ints": np.arange(3), "s": "ü\n\"q\""},
     [1.0, np.nan, -np.inf, np.float32(0.1)],
-])
+    {"edges": [-0.0, 5e-324, 1e308, (1, "two", (3.0,), ()), np.int64(-7), np.bool_(False),
+               complex(float("nan"), 1.0), np.complex64(2 - 0.5j), True, False, 0, -12]},
+    *_printed(),
+], ids=lambda doc: repr(doc) if isinstance(doc, _Printed) else None)
 def test_emit_json_is_one_write_of_json_dump(monkeypatch, doc):
+    if isinstance(doc, _Printed):
+        doc = doc.document(monkeypatch)
     want = io.StringIO()
     json.dump(doc, want, indent=2, default=_json_default)
     want.write("\n")
@@ -709,6 +756,42 @@ def test_emit_json_is_one_write_of_json_dump(monkeypatch, doc):
     monkeypatch.setattr("sys.stdout", stdout)
     _emit_json(doc)
     assert stdout.calls == [want.getvalue()]
+
+
+@pytest.mark.parametrize("doc", [{"x": object()}, [1.0, {2.0}], {"kappa": b"bytes"}])
+def test_emit_json_rejects_what_json_cannot_encode(doc):
+    with pytest.raises(TypeError):
+        _emit_json(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", SCENARIOS / "resonant_eps_gauge.json"],
+    ["classify", SCENARIOS / "resonant_eps_gauge.json"],
+    ["verify", SCENARIOS / "resonant_eps_gauge.json", "--mode", "t"],
+    ["analyze", SCENARIOS / "jordan_pi3.json"],
+    ["classify", DATA / "pi3_fast.json"],
+])
+def test_t_commands_make_no_contains_eps_call(monkeypatch, capsys, argv):
+    # has_eps is computed on its first read, and no t-only command reads it
+    calls = []
+    real = expr.contains_eps
+    monkeypatch.setattr(expr, "contains_eps", lambda e: calls.append(e) or real(e))
+    assert main([str(a) for a in argv]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("name, mode", [("resonant_eps_gauge", []),
+                                        ("resonant_eps", ["--mode", "eps"])])
+def test_has_eps_is_scanned_once_per_curve(monkeypatch, capsys, name, mode):
+    # verify's default mode reads has_eps after the t family; on resonant_eps
+    # that family exits 2 first, so its eps family runs alone here
+    scans = []
+    has_eps = SymmetricCurve.__dict__["has_eps"]
+    real = has_eps.func
+    monkeypatch.setattr(has_eps, "func", lambda curve: scans.append(curve) or real(curve))
+    assert main(["verify", str(SCENARIOS / f"{name}.json"), *mode]) == 0
+    assert "eps" in json.loads(capsys.readouterr().out)
+    assert len(scans) == 1
 
 
 def test_closed_stdout_ends_quietly_with_exit_one():
