@@ -5,13 +5,15 @@ Commands:
 
     analyze   closed-form expansion data for a scenario (JSON on stdout)
     verify    predictions vs the eigenvalue oracle (JSON on stdout, CSV
-              tracks under --out), exit 3 when errors exceed --tol
+              tracks under --out), exit 3 when errors exceed --tol or
+              the t family's stability judgment fails
     sweep     raw eigenvalue trajectories over the grid as CSV
     classify  one-line strong-stability verdict
 
 Exit codes: 0 success, 1 malformed input (I/O, schema, expressions,
 flags), 2 mathematical degeneracy or hypothesis failure, 3 verification
-tolerance exceeded.  All floating-point output is full double precision.
+failed (a tolerance exceeded or the stability judgment failed).  All
+floating-point output is full double precision.
 """
 
 import argparse
@@ -207,7 +209,8 @@ def cmd_verify(scenario, args):
     if report.stability is not None:
         doc["stability"] = asdict(report.stability)
     _emit_json(doc)
-    return 0 if report.max_relative_error <= args.tol else 3
+    judged = report.stability is None or report.stability.passed
+    return 0 if report.max_relative_error <= args.tol and judged else 3
 
 
 def cmd_sweep(scenario, args):

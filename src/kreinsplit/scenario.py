@@ -20,10 +20,10 @@ from .expr import SymmetricCurve
 from .linalg import is_symplectic
 from .spectral import make_jordan_symplectic
 
-# Caps on a grid's points and a flow's steps: steps_t, and the eps family's count
-# as sized and refined.  A grid point is one flow of the endpoint batch (128 KiB
-# of chunk workspace); the commands keep no flow's states, so memory does not
-# grow with the steps.
+# Caps on a grid's points and a flow's steps, as sized for either family and
+# as refined for the eps family.  A grid point is one flow of the endpoint
+# batch (128 KiB of chunk workspace); the commands keep no flow's states, so
+# memory does not grow with the steps.
 MAX_GRID_COUNT = 1024
 MAX_STEPS = 1_000_000
 
@@ -55,31 +55,15 @@ class Tolerances:
 
     cluster bounds the detected double pair's spread and, times 10, its
     distance from +-1; circle bounds max |M^T J4 M - J4|, the reciprocity
-    behind detection's trace rule; drift flags flow solutions; steps_t is
-    the step count, at most MAX_STEPS, of the time family's sixth-order
-    Magnus flows (flow.endpoints).  The eps family's count is sized from
-    the curve, at h beta <= 0.12 where A(t, 0) is constant and 0.03
-    elsewhere, and refined on its base (:meth:`Scenario.steps`,
-    :func:`verify.eps_base`); its B is the eps-derivative of the discrete
-    flow, from the engine's derivative slot.
-
-    A Magnus step is exact where A is constant, and its error over [0, s]
-    falls like steps^-6 with the variation of B = J4 A over the step
-    (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999).  The t family's
-    flows are short (s <= 1e-3 on the default grid), so steps_t = 4 keeps
-    that error below roundoff.  Measured on jordan_pi3: the eigenvalues
-    of sweep --grid 1e-2,1e-1,4 at 4 steps agree with 1,024 steps to
-    6.4e-15; at s = 1 they are 2.5e-8 off, where 128 steps agree to
-    8.3e-16; at s = 10 the flow stops with NonConformingFlowError (drift
-    4.8e30).  verify --mode t --grid 1e-3,1e-1,4 reads the same errors at
-    4, 16 and 128 steps (kappa 5.9e-9, sum_derivative 1.8e-8).  Raise
-    steps_t for sweeps and tracks beyond s ~ 1e-1.
+    behind detection's trace rule; drift flags flow solutions.  No key
+    sets a step count: both families size theirs from the curve
+    (:meth:`Scenario.steps`), and the eps family refines its count on its
+    base (:func:`verify.eps_base`).
     """
 
     cluster: float = 1e-6
     circle: float = 1e-6
     drift: float = 1e-8
-    steps_t: int = 4
 
 
 @dataclass(frozen=True)
@@ -104,28 +88,35 @@ class Scenario:
         return getattr(self, f"{mode}_grid").points()
 
     def steps(self, mode):
-        """Step count of the ``mode`` family's flows: ``steps_t`` for "t";
-        for "eps", the least integer at least max(16, T beta / r), beta the
-        largest row sum of |A(t, 0)| at 17 equally spaced t in [0, T]; past
-        MAX_STEPS or infinite, InputError.  verify.eps_base refines it.
-        r = 0.12 where A(t, 0) is constant (16 steps on resonant_eps): each
-        Magnus step is exact at eps = 0 (Iserles & Norsett, 1999), and B,
-        the eps-derivative of the discrete flow, amounts to leading order to
-        a 3-node Gauss-Legendre rule per step, error constant
-        h^6 / 2,016,000, 4,267 times below Boole's 2 h^6 / 945, which B was
-        taken from at r = 0.03.  Elsewhere r = 0.03: sizing from A(t, 0)'s
-        variation left kappa 2.0e-11 off on a periodic anchor."""
-        if mode == "t":
-            return self.tolerances.steps_t
-        A = self.curve.eval_matrix_batch(np.linspace(0.0, self.T, 17), 0.0)
+        """Step count of the ``mode`` family's flows: the least integer at
+        least max(floor, H beta / r), beta the largest row sum of |A(t, 0)|
+        at 17 equally spaced t over the family's time span; past MAX_STEPS
+        or infinite, InputError.  The eps family flows over [0, T]: H = T,
+        floor 16 (verify.eps_base refines its count).  The t family flows
+        from gamma0 to +-s for s up to H = max(t grid): span [-H, H],
+        floor 4.  A Magnus step is exact where A is constant, and its error
+        falls like h^6 with A's variation (Iserles & Norsett, 1999).
+        r = 0.12 where A(t, 0) is constant (16 eps steps on resonant_eps):
+        each step is then exact at eps = 0, and B, the eps-derivative of
+        the discrete flow, amounts to leading order to a 3-node
+        Gauss-Legendre rule per step, error constant h^6 / 2,016,000,
+        4,267 times below Boole's 2 h^6 / 945, which B was taken from at
+        r = 0.03.  Elsewhere r = 0.03: sizing from A(t, 0)'s variation left
+        kappa 2.0e-11 off on a periodic anchor."""
+        if mode == "eps":
+            H, lo, floor, what = self.T, 0.0, 16.0, f"T = {self.T!r}"
+        else:
+            H = float(self.grid("t").max())
+            lo, floor, what = -H, 4.0, f"the t grid's max {H!r}"
+        A = self.curve.eval_matrix_batch(np.linspace(lo, H, 17), 0.0)
         beta = float(np.abs(A).sum(axis=-1).max())
         rate = 0.12 if self.curve.constant_at_eps0() else 0.03
-        size = max(16.0, self.T * beta / rate)
-        steps = math.ceil(size) if math.isfinite(size) else size
-        if steps > MAX_STEPS:
-            raise InputError(f"T = {self.T!r} sizes the eps flows at {steps} steps, "
+        size = max(floor, H * beta / rate)
+        if size > MAX_STEPS:  # a count past 2^53 is shown rounded, or as inf
+            count = math.ceil(size) if size < 2.0 ** 53 else f"{size:.3e}"
+            raise InputError(f"{what} sizes the {mode} flows at {count} steps, "
                              f"above the cap of {MAX_STEPS}")
-        return steps
+        return math.ceil(size)
 
 
 def _require_keys(obj, allowed, required, path):
@@ -186,19 +177,9 @@ def parse_grid(obj, path):
 
 
 def _tolerances(obj, path):
-    _require_keys(obj, {"cluster", "circle", "drift", "steps_t"}, (), path)
-    kwargs = {}
-    for key in ("cluster", "circle", "drift"):
-        if key in obj:
-            kwargs[key] = _number(obj[key], f"{path}/{key}", positive=True)
-    if "steps_t" in obj:
-        v = obj["steps_t"]
-        if isinstance(v, bool) or not isinstance(v, int) or v < 2:
-            raise SchemaError(f"{path}/steps_t", "must be an integer >= 2")
-        if v > MAX_STEPS:
-            raise SchemaError(f"{path}/steps_t", f"must be at most {MAX_STEPS}")
-        kwargs["steps_t"] = v
-    return Tolerances(**kwargs)
+    _require_keys(obj, {"cluster", "circle", "drift"}, (), path)
+    return Tolerances(**{key: _number(value, f"{path}/{key}", positive=True)
+                         for key, value in obj.items()})
 
 
 def parse_scenario(obj, default_name="scenario"):

@@ -315,10 +315,10 @@ def _near_one(base, tol, where):
 
 def family_endpoints(scenario, mode, params):
     """The family's matrix at every parameter in ``params``, in one engine
-    call: the flow of ``steps_t`` steps from the initial matrix to time s
-    ("t"), or the flow from the identity over [0, T] at eps = s ("eps"),
-    batched with the eps = 0 base that sizes its steps (:func:`eps_base`).
-    Shape (len(params), 4, 4)."""
+    call: the flow from the initial matrix to time s ("t"), or the flow
+    from the identity over [0, T] at eps = s ("eps"), batched with the
+    eps = 0 base that refines its steps (:func:`eps_base`), each at the
+    family's count from :meth:`Scenario.steps`.  Shape (len(params), 4, 4)."""
     if mode == "eps":
         return eps_base(scenario, params)[3]
     ends, _ = endpoints(scenario.curve, scenario.gamma0, params, scenario.steps(mode), 0.0,

@@ -2,15 +2,17 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kreinsplit import cli, expr, flow
+from kreinsplit import cli, expr, flow, verify
 from kreinsplit.cli import (
     _DEFAULT_MODE,
     _emit_json,
@@ -24,6 +26,7 @@ from kreinsplit.scenario import (
     MAX_GRID_COUNT,
     MAX_STEPS,
     GridSpec,
+    Scenario,
     load_scenario,
     parse_scenario,
 )
@@ -41,10 +44,10 @@ def test_load_minimal_scenario_fills_defaults():
     assert sc.name == "degenerate_a0"
     assert sc.T == 1.0
     assert sc.t_grid.count == 16
-    # 4 Magnus steps is the t-family default: on the short t flows the
-    # sixth-order step's error stays below roundoff (2 to 128 steps give the
-    # same oracle errors on the shipped t scenarios).
-    assert sc.tolerances.steps_t == 4
+    # The t family's count is sized from the curve over [-1e-3, 1e-3]: its
+    # floor of 4 Magnus steps, at which the sixth-order step's error stays
+    # below roundoff on the short t flows.
+    assert sc.steps("t") == 4
     assert sc.gamma0.tobytes() == make_jordan_symplectic(np.pi / 3, np.eye(2)).tobytes()
 
 
@@ -416,6 +419,18 @@ def test_verify_tight_tolerance_exit_three(capsys):
     capsys.readouterr()
 
 
+def test_failed_stability_judgment_exit_three(capsys, monkeypatch):
+    # A failed judgment of the dichotomy is a failed verification, as a
+    # tolerance miss is, and the JSON keeps its stability block.
+    probe = verify._stability_probe
+    monkeypatch.setattr(verify, "_stability_probe",
+                        lambda *args: replace(probe(*args), passed=False))
+    assert main(["verify", str(SCENARIOS / "jordan_pi3.json"), "--mode", "t"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["stability"]["passed"] is False
+    assert doc["max_relative_error"] <= 1e-3
+
+
 def test_verify_hypothesis_failure_exit_two(capsys):
     rc = main(["verify", str(DATA / "no_double.json")])
     assert rc == 2
@@ -452,6 +467,26 @@ def test_sweep_positive_rate_moduli_straddle_circle(capsys):
         mods = [float(x) for x in row[9:13]]
         assert max(mods) > 1 + 1e-6
         assert min(mods) < 1 - 1e-6
+
+
+def test_sweep_to_s_one_agrees_with_a_fine_reference(capsys, monkeypatch):
+    # Sized from the curve, the t flows to s = 1 on jordan_pi3 take 67 steps
+    # and agree with 1,024 in every eigenvalue's real and imaginary part
+    # (measured 1.6e-15); the 4 steps of the short default grid are 3.0e-8 off.
+    argv = ["sweep", str(SCENARIOS / "jordan_pi3.json"), "--grid", "1e-2,1,4"]
+    grid = GridSpec(lo=1e-2, hi=1.0, count=4)
+    assert apply_grid_override(load_scenario(argv[1]), "t", grid).steps("t") == 67
+
+    def parts(steps):
+        if steps is not None:
+            monkeypatch.setattr(Scenario, "steps", lambda self, mode: steps)
+        assert main(argv) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        return np.array([[float(x) for x in row[1:9]] for row in rows])
+
+    sized, fine, four = parts(None), parts(1024), parts(4)
+    assert np.max(np.abs(sized - fine)) <= 1e-14
+    assert np.max(np.abs(four - fine)) > 1e-9
 
 
 def test_sweep_eps_without_eps_is_usage_error(capsys):
@@ -502,13 +537,14 @@ def test_grid_count_is_capped(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["steps_t"])
-def test_step_counts_are_capped(key):
-    doc = {"gamma0": {"generator": {"theta0": 1.0, "C": [[1, 0], [0, 1]]}},
-           "curve": {"entries": {}}, "tolerances": {key: MAX_STEPS}}
-    assert getattr(parse_scenario(doc).tolerances, key) == MAX_STEPS
-    doc["tolerances"][key] = MAX_STEPS + 1
-    with pytest.raises(SchemaError, match=f"^/tolerances/{key}: must be at most {MAX_STEPS}"):
-        parse_scenario(doc)
+def test_step_counts_are_capped(key, tmp_path, capsys):
+    # No tolerance sets a step count: both families size theirs from the
+    # curve, and only the sized count meets the cap
+    # (test_sized_steps_past_the_cap_stop_before_any_flow).
+    path = _scenario_copy(tmp_path, SCENARIOS / "jordan_pi3.json",
+                          lambda doc: doc.update(tolerances={key: 4}))
+    assert main(["verify", path, "--mode", "t"]) == 1
+    _one_error_line(capsys, f"/tolerances/{key}: unknown key")
 
 
 def test_steps_eps_is_an_unknown_key(tmp_path, capsys):
@@ -522,19 +558,28 @@ def test_steps_eps_is_an_unknown_key(tmp_path, capsys):
 
 def test_sized_steps_past_the_cap_stop_before_any_flow(tmp_path, capsys, monkeypatch):
     # resonant_eps at T = 1e6 sizes the eps flows at 12,059,980 steps (T beta /
-    # 0.12 rounded up, A(t, 0) being constant); at T = 1e308, T beta / 0.12
-    # overflows to inf.  No flow may start.
+    # 0.12 rounded up, A(t, 0) being constant); a count past 2^53 is shown
+    # rounded to 4 digits, not with its 302 digits at T = 1e300; at T = 1e308,
+    # T beta / 0.12 overflows to inf.  jordan_pi3's t flows to +-100 meet
+    # row sums of |A(t, 0)| up to 2,026 (row 2, 0.25 |t| + 1 + 0.2 t^2), and
+    # 100 * 2,026 / 0.03 rounds up to 6,753,334.  No flow may start.
     def no_flow(*args, **kwargs):
         raise AssertionError("a flow ran")
 
     monkeypatch.setattr(flow, "_flows", no_flow)
-    for T, count in ((1e6, "12059980"), (1e308, "inf")):
+    for T, count in ((1e6, "12059980"), (1e300, "1.206e+301"), (1e308, "inf")):
         path = _scenario_copy(tmp_path, SCENARIOS / "resonant_eps.json",
                               lambda doc: doc.update(T=T))
-        with pytest.raises(InputError, match=f" {count} steps"):
+        with pytest.raises(InputError, match=re.escape(f" {count} steps")):
             load_scenario(path).steps("eps")
         assert main(["analyze", path, "--mode", "eps"]) == 1
         _one_error_line(capsys, f"T = {T!r} sizes the eps flows at {count} steps, "
+                                f"above the cap of {MAX_STEPS}")
+    for command in ("sweep", "verify"):
+        argv = [command, str(SCENARIOS / "jordan_pi3.json"), "--mode", "t",
+                "--grid", "1e-2,100,4"]
+        assert main(argv) == 1
+        _one_error_line(capsys, "the t grid's max 100.0 sizes the t flows at 6753334 steps, "
                                 f"above the cap of {MAX_STEPS}")
 
 
@@ -569,13 +614,17 @@ def test_generator_at_multiplier_one_exit_two_at_load(tmp_path, capsys):
 
 
 def test_overflowing_flow_exit_two_without_numpy_warnings(tmp_path, capsys):
+    # A constant A(t) whose J4 A has real eigenvalues: the flows to +-1000,
+    # sized at 1000 * 2 / 0.12 = 16,667 steps, grow past the largest double.
     def edit(doc):
-        doc["curve"]["entries"]["0,0"] = "1 + 1e300*t"
+        doc["curve"]["entries"] = {"0,0": "1", "1,1": "1", "0,2": "1", "2,2": "-1"}
 
     path = _scenario_copy(tmp_path, DATA / "pi3_fast.json", edit)
+    grid = GridSpec(lo=1.0, hi=1000.0, count=4)
+    assert apply_grid_override(load_scenario(path), "t", grid).steps("t") == 16667
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(["verify", path, "--mode", "t"]) == 2
+        assert main(["verify", path, "--mode", "t", "--grid", "1,1000,4"]) == 2
     err = capsys.readouterr().err
     assert "NonConformingFlowError" in err and "nan" in err
     assert "RuntimeWarning" not in err

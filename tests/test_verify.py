@@ -291,11 +291,29 @@ def test_eps_family_sizes_its_steps_once(resonant_scenario, monkeypatch):
     assert modes == ["eps"]
 
 
-def test_default_steps_t_agrees_with_128_times_more(pi3_scenario, pi3_report):
-    # Two-step-count check of the default: 512 Magnus steps (4 chunks)
-    # move neither fitted coefficient by more than 1e-8 relative.
-    tol = replace(pi3_scenario.tolerances, steps_t=128 * pi3_scenario.tolerances.steps_t)
-    fine = compare(replace(pi3_scenario, tolerances=tol), mode="t").t
+def test_t_family_sizes_its_steps_once_over_both_signs(pi3_scenario, monkeypatch):
+    # The oracle's t flows run to +-max(grid), so one count, sized over
+    # [-H, H], serves the batch: exp(-8 t) has its largest row sum, e^8, at
+    # t = -1, and none above 1 at t >= 0.
+    doc = {"gamma0": {"generator": {"theta0": 1.0, "C": [[1, 0], [0, 1]]}},
+           "curve": {"entries": {"0,0": "exp(-8*t)"}},
+           "grids": {"t": {"min": 1e-3, "max": 1.0, "count": 4}}}
+    assert parse_scenario(doc).steps("t") == math.ceil(math.exp(8) / 0.03)
+    modes = []
+    sized = Scenario.steps
+    monkeypatch.setattr(Scenario, "steps",
+                        lambda self, mode: modes.append(mode) or sized(self, mode))
+    compare(pi3_scenario, mode="t")
+    assert modes == ["t"]
+
+
+def test_default_steps_t_agrees_with_128_times_more(pi3_scenario, pi3_report, monkeypatch):
+    # Two-step-count check of the sized count, 4 on the default grid: 512
+    # Magnus steps (4 chunks) move neither fitted coefficient by more than
+    # 1e-8 relative.
+    assert pi3_scenario.steps("t") == 4
+    monkeypatch.setattr(Scenario, "steps", lambda self, mode: 512)
+    fine = compare(pi3_scenario, mode="t").t
     base = pi3_report[0].t
     for name in ("kappa_empirical", "sum_derivative_empirical"):
         ref = getattr(base, name)
@@ -307,17 +325,16 @@ def test_default_steps_t_agrees_with_128_times_more(pi3_scenario, pi3_report):
     ("jordan_pi3_neg", None),
     ("jordan_pi3", GridSpec(lo=1e-7, hi=1e-1, count=16)),
 ], ids=["jordan_pi3", "jordan_pi3_neg", "jordan_pi3-grid-to-1e-1"])
-def test_default_steps_t_matches_128_steps_at_roundoff(name, grid):
-    # The Magnus error at the default 4 steps is below roundoff on the
-    # default grid, so 128 steps move the fitted coefficients only at
-    # roundoff, even on a grid reaching s = 1e-1, and leave the stability
-    # verdict as it is.
+def test_default_steps_t_matches_128_steps_at_roundoff(name, grid, monkeypatch):
+    # The Magnus error at the sized count (4 steps, also on the grid reaching
+    # s = 1e-1) is below roundoff, so 128 steps move the fitted coefficients
+    # only at roundoff and leave the stability verdict as it is.
     scenario = load_scenario(SCENARIOS / f"{name}.json")
     if grid is not None:
         scenario = replace(scenario, t_grid=grid)
     base = compare(scenario, mode="t")
-    tol = replace(scenario.tolerances, steps_t=128)
-    fine = compare(replace(scenario, tolerances=tol), mode="t")
+    monkeypatch.setattr(Scenario, "steps", lambda self, mode: 128)
+    fine = compare(scenario, mode="t")
     for attr, bound in (("kappa_empirical", 1e-14), ("sum_derivative_empirical", 1e-11)):
         ref = getattr(fine.t, attr)
         assert abs(getattr(base.t, attr) - ref) <= bound * abs(ref), attr
