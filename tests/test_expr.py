@@ -129,7 +129,7 @@ def test_pretty_round_trip_corpus():
         assert parse(pretty(tree)) == tree, src
 
 
-def test_compiled_paths_agree_with_evaluate():
+def test_array_walker_agrees_with_evaluate():
     # the walker on arrays of points, alone and as the entries of one checked walk
     rng = np.random.default_rng(21)
     trees = [parse(src) for src in CORPUS]
@@ -152,7 +152,7 @@ def _bitwise_equal(got, want):
         for g, w in zip(got, want))
 
 
-def test_closures_bitwise_equal_generated_source():
+def test_walker_bitwise_equal_generated_source():
     trees = [parse(src) for src in CORPUS]
     for path in sorted(SCENARIOS.glob("*.json")):
         trees += [parse(text) for text in json.loads(path.read_text())["curve"]["entries"].values()]
@@ -188,7 +188,7 @@ def test_depth_limit_is_exact(nest):
         parse(nest(MAX_DEPTH + 1))
 
 
-def test_compiler_rejects_a_deep_tree_without_recursion_error():
+def test_walker_rejects_a_deep_tree_without_recursion_error():
     tree = Var("t")
     for _ in range(5000):
         tree = Neg(tree)
@@ -403,7 +403,7 @@ def test_d_eps_domain_error_is_located_in_the_source():
     assert "(t, eps) = (0.0, 0.0)" in str(err.value)
 
 
-def test_d_eps_compiled_once_and_only_for_eps_entries(monkeypatch):
+def test_d_eps_taken_once_per_call_and_only_for_eps_entries(monkeypatch):
     # d_eps runs once per eps entry per d_eps_matrix_batch call, and never
     # for A itself; calls that d_eps makes on subtrees are not counted
     differentiated = []

@@ -77,7 +77,7 @@ def _fourth_order_difference(f, h):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(TREES, st.floats(0.1, 1.5), st.floats(-0.5, 0.5))
-def test_compiled_d_eps_matches_fourth_order_difference(tree, t, eps):
+def test_d_eps_walk_matches_fourth_order_difference(tree, t, eps):
     dtree = d_eps(tree)
     with np.errstate(all="ignore"):
         exact = float(np.broadcast_to(_value(dtree, np.array([t]), eps), (1,))[0])
@@ -102,7 +102,7 @@ def test_compiled_d_eps_matches_fourth_order_difference(tree, t, eps):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(TREES, st.floats(-2.0, 2.0), st.floats(-0.5, 0.5))
-def test_closures_bitwise_equal_generated_source(tree, t, eps):
+def test_walker_bitwise_equal_generated_source(tree, t, eps):
     ts = np.array([t, t + 0.25, t + 1.0])
     for trees in ([tree], [d_eps(tree)], [tree, d_eps(tree)]):
         for e in (eps, ts * eps):
