@@ -307,7 +307,7 @@ def test_t_family_sizes_its_steps_once_over_both_signs(pi3_scenario, monkeypatch
     assert modes == ["t"]
 
 
-def test_default_steps_t_agrees_with_128_times_more(pi3_scenario, pi3_report, monkeypatch):
+def test_sized_t_steps_agree_with_128_times_more(pi3_scenario, pi3_report, monkeypatch):
     # Two-step-count check of the sized count, 4 on the default grid: 512
     # Magnus steps (4 chunks) move neither fitted coefficient by more than
     # 1e-8 relative.
@@ -325,7 +325,7 @@ def test_default_steps_t_agrees_with_128_times_more(pi3_scenario, pi3_report, mo
     ("jordan_pi3_neg", None),
     ("jordan_pi3", GridSpec(lo=1e-7, hi=1e-1, count=16)),
 ], ids=["jordan_pi3", "jordan_pi3_neg", "jordan_pi3-grid-to-1e-1"])
-def test_default_steps_t_matches_128_steps_at_roundoff(name, grid, monkeypatch):
+def test_sized_t_steps_match_128_steps_at_roundoff(name, grid, monkeypatch):
     # The Magnus error at the sized count (4 steps, also on the grid reaching
     # s = 1e-1) is below roundoff, so 128 steps move the fitted coefficients
     # only at roundoff and leave the stability verdict as it is.
