@@ -37,7 +37,7 @@ from .linalg import (
     symplectic_form,
     symplectic_inverse,
 )
-from .scenario import GridSpec, Scenario, Tolerances, load_scenario, parse_scenario
+from .scenario import GridSpec, Scenario, load_scenario, parse_scenario
 from .spectral import (
     JordanPair,
     detect_double_unitary,
@@ -86,7 +86,6 @@ __all__ = [
     "track",
     "compare",
     "GridSpec",
-    "Tolerances",
     "Scenario",
     "load_scenario",
     "parse_scenario",

@@ -143,5 +143,5 @@ class CorruptedSolutionError(AnalysisError):
 
 
 class NonConformingFlowError(AnalysisError):
-    """A flow's symplectic drift exceeds the scenario's drift tolerance, so
-    its matrices are not trusted as symplectic."""
+    """A flow's symplectic drift exceeds its drift tolerance (1e-8 for the
+    commands), so its matrices are not trusted as symplectic."""

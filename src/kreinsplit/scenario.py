@@ -3,8 +3,9 @@
 A scenario bundles the starting symplectic matrix (explicit or generated
 from a rotation angle and a symmetric coupling block), the coefficient
 curve A(t, eps) as expression text, the horizon T for the eps family,
-parameter grids, and tolerance overrides.  Validation is strict: unknown
-keys are rejected, and every complaint carries a JSON-pointer-style path.
+and parameter grids; no key sets a tolerance or a step count.  Validation
+is strict: unknown keys are rejected, and every complaint carries a
+JSON-pointer-style path.
 """
 
 import json
@@ -50,23 +51,6 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    """Documented defaults, overridable per scenario.
-
-    cluster bounds the detected double pair's spread and, times 10, its
-    distance from +-1; circle bounds max |M^T J4 M - J4|, the reciprocity
-    behind detection's trace rule; drift flags flow solutions.  No key
-    sets a step count: both families size theirs from the curve
-    (:meth:`Scenario.steps`), and the eps family refines its count on its
-    base (:func:`verify.eps_base`).
-    """
-
-    cluster: float = 1e-6
-    circle: float = 1e-6
-    drift: float = 1e-8
-
-
-@dataclass(frozen=True)
 class Scenario:
     name: str
     curve: SymmetricCurve
@@ -74,7 +58,6 @@ class Scenario:
     T: float = 1.0
     t_grid: GridSpec = field(default_factory=GridSpec)
     eps_grid: GridSpec = field(default_factory=GridSpec)
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
     def require(self, mode):
         """Raise InputError unless the scenario has the ``mode`` family:
@@ -176,20 +159,13 @@ def parse_grid(obj, path):
     return grid
 
 
-def _tolerances(obj, path):
-    _require_keys(obj, {"cluster", "circle", "drift"}, (), path)
-    return Tolerances(**{key: _number(value, f"{path}/{key}", positive=True)
-                         for key, value in obj.items()})
-
-
 def parse_scenario(obj, default_name="scenario"):
     """Validate a decoded JSON object into a Scenario.
 
     The initial matrix is resolved last, after every schema check: a
     generator becomes :func:`make_jordan_symplectic`, and an explicit
     matrix that is not symplectic within 1e-8 raises NonSymplecticError."""
-    _require_keys(obj, {"name", "gamma0", "curve", "T", "grids", "tolerances"},
-                  ("gamma0", "curve"), "")
+    _require_keys(obj, {"name", "gamma0", "curve", "T", "grids"}, ("gamma0", "curve"), "")
     name = obj.get("name", default_name)
     if not isinstance(name, str) or not name:
         raise SchemaError("/name", "name must be a non-empty string")
@@ -232,14 +208,12 @@ def parse_scenario(obj, default_name="scenario"):
     _require_keys(grids, {"t", "eps"}, (), "/grids")
     t_grid = parse_grid(grids["t"], "/grids/t") if "t" in grids else GridSpec()
     eps_grid = parse_grid(grids["eps"], "/grids/eps") if "eps" in grids else GridSpec()
-    tolerances = _tolerances(obj.get("tolerances", {}), "/tolerances")
 
     if generator is not None:
         gamma0 = make_jordan_symplectic(*generator)
     elif not is_symplectic(gamma0, 1e-8):
         raise NonSymplecticError("initial condition is not symplectic within 1e-8")
-    return Scenario(name=name, curve=curve, gamma0=gamma0, T=T, t_grid=t_grid,
-                    eps_grid=eps_grid, tolerances=tolerances)
+    return Scenario(name=name, curve=curve, gamma0=gamma0, T=T, t_grid=t_grid, eps_grid=eps_grid)
 
 
 def load_scenario(path):

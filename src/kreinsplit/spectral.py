@@ -31,6 +31,12 @@ from .linalg import (_ID4, as_mat4, charpoly, discriminant, is_symplectic, quart
 _RANK_RTOL = 1e-8  # sigma below this times sigma_max counts as zero
 _GAUGE_TIE = 1e-9  # entries of eta1 within this relative modulus tie
 
+# The double pair's bounds, :func:`detect_double_unitary`'s defaults: the
+# pair's spread (times 10, its least distance from +-1), and its matrix's
+# symplectic defect max |M^T J4 M - J4|.
+CLUSTER = 1e-6
+CIRCLE = 1e-6
+
 
 def eigenvalues(M):
     """All four eigenvalues of M, the roots of its characteristic quartic.
@@ -41,7 +47,13 @@ def eigenvalues(M):
     return np.array(roots).reshape(coeffs.shape[:-1] + (4,))
 
 
-def detect_double_unitary(M, tol_cluster=1e-6, tol_circle=1e-6):
+def near_one(w, tol_cluster=CLUSTER):
+    """Whether a unit-circle pair with w = tr M / 2 in (-2, 2) lies within
+    10 * ``tol_cluster`` of +1 or -1: on the circle |L -+ 1| = sqrt(2 -+ w)."""
+    return 2.0 - abs(w) <= (10.0 * tol_cluster) ** 2
+
+
+def detect_double_unitary(M, tol_cluster=CLUSTER, tol_circle=CIRCLE):
     """Find a double unit-circle multiplier with positive imaginary part
     from two traces, without roots.
 
@@ -64,8 +76,7 @@ def detect_double_unitary(M, tol_cluster=1e-6, tol_circle=1e-6):
     w = float(M.trace()) / 2.0
     if not abs(w) < 2.0:
         return None
-    # On the circle |L -+ 1| = sqrt(2 -+ w).
-    if min(2.0 - w, 2.0 + w) <= (10.0 * tol_cluster) ** 2:
+    if near_one(w, tol_cluster):
         return None
     sin0 = math.sqrt(1.0 - w * w / 4.0)
     delta = discriminant(M)

@@ -28,7 +28,7 @@ from .flow import endpoints
 from .linalg import (J4, charpoly, discriminant, is_symplectic, max_abs, poly_value,
                      quartic_roots, symplectic_inverse)
 from .scenario import MAX_STEPS
-from .spectral import JordanPair, detect_double_unitary, jordan_pair
+from .spectral import CIRCLE, CLUSTER, JordanPair, detect_double_unitary, jordan_pair, near_one
 
 
 def _nearest_pair(z, lambda0, s):
@@ -229,24 +229,22 @@ def eps_base(scenario, params=()):
     engine call over eps in [0, *params] whose derivative slot follows the
     eps = 0 flow (:func:`flow.endpoints`).  The count starts at
     :meth:`Scenario.steps`; while the base's |discriminant| is above
-    cluster^2/4, the whole batch reruns at the count that Delta's steps^-6
+    CLUSTER^2/4, the whole batch reruns at the count that Delta's steps^-6
     law predicts, at most 8 times the last and at most MAX_STEPS (else
     InputError), unless Delta fell by less than 16x per doubling: then no
     double multiplier is there to converge to, and :func:`family` reports
     none."""
-    tol = scenario.tolerances
     eps = np.concatenate([[0.0], params])
     steps = scenario.steps("eps")
-    ends, _, d_base = endpoints(scenario.curve, np.eye(4), scenario.T, steps, eps, tol.drift,
-                                derivative=True)
-    delta, bound = abs(discriminant(ends[0])), tol.cluster ** 2 / 4.0
+    ends, _, d_base = endpoints(scenario.curve, np.eye(4), scenario.T, steps, eps, derivative=True)
+    delta, bound = abs(discriminant(ends[0])), CLUSTER ** 2 / 4.0
     while delta > bound:
         finer = min(8 * steps, math.ceil(steps * (delta / bound) ** (1 / 6)))
         if finer > MAX_STEPS:
             raise InputError(f"the endpoint at eps = 0 needs {finer} steps to resolve its "
                              f"double multiplier, above the cap of {MAX_STEPS}")
         finer_ends, _, finer_d = endpoints(scenario.curve, np.eye(4), scenario.T, finer, eps,
-                                           tol.drift, derivative=True)
+                                           derivative=True)
         finer_delta = abs(discriminant(finer_ends[0]))
         if finer_delta * (finer / steps) ** 4 >= delta:
             break
@@ -278,17 +276,16 @@ def family(scenario, mode, params=()):
     and expand the splitting, for the predictions and the oracle, and flow
     the family to ``params`` (the eps family in the same engine call as its
     base).  A base without a double pair is a NoDoubleMultiplierError,
-    one within 10 * cluster of +-1 an ExcludedCaseError."""
-    tol = scenario.tolerances
+    one within 10 * CLUSTER of +-1 an ExcludedCaseError."""
     scenario.require(mode)
     if mode == "eps":
         _, base, d_base, ends = eps_base(scenario, params)
         where = "endpoint at eps = 0"
     else:
         base, where = scenario.gamma0, "initial matrix"
-    lam = detect_double_unitary(base, tol.cluster, tol.circle)
+    lam = detect_double_unitary(base)
     if lam is None:
-        _near_one(base, tol, where)
+        _near_one(base, where)
         raise NoDoubleMultiplierError(f"{where} has no double unit-circle multiplier pair")
     pair = jordan_pair(base, lam)
     if mode == "eps":
@@ -301,13 +298,12 @@ def family(scenario, mode, params=()):
     return Family(base=base, pair=pair, drive=drive, coeffs=coeffs, ends=ends)
 
 
-def _near_one(base, tol, where):
+def _near_one(base, where):
     """Raise ExcludedCaseError when :func:`detect_double_unitary` turned
-    ``base`` down for its closeness to +-1: symplectic to ``tol.circle``,
-    with w = tr M / 2 inside (-2, 2) and within (10 * cluster)^2 of +-2."""
+    ``base`` down for its closeness to +-1: symplectic to CIRCLE, with
+    w = tr M / 2 inside (-2, 2) and near +-2 by :func:`spectral.near_one`."""
     w = float(np.real(base).trace()) / 2.0
-    near = abs(w) < 2.0 and 2.0 - abs(w) <= (10.0 * tol.cluster) ** 2
-    if near and is_symplectic(base, tol.circle):
+    if abs(w) < 2.0 and near_one(w) and is_symplectic(base, CIRCLE):
         raise ExcludedCaseError(
             f"{where} has a multiplier pair within 10 * cluster of {'+1' if w > 0 else '-1'} "
             f"(tr M / 2 = {w!r}), which the expansion excludes")
@@ -321,9 +317,7 @@ def family_endpoints(scenario, mode, params):
     family's count from :meth:`Scenario.steps`.  Shape (len(params), 4, 4)."""
     if mode == "eps":
         return eps_base(scenario, params)[3]
-    ends, _ = endpoints(scenario.curve, scenario.gamma0, params, scenario.steps(mode), 0.0,
-                        scenario.tolerances.drift)
-    return ends
+    return endpoints(scenario.curve, scenario.gamma0, params, scenario.steps(mode))[0]
 
 
 # The oracle's parameters x = s / max(grid), four on each side of 0, and

@@ -928,8 +928,7 @@ def boole_eps_coefficients(scenario, steps):
     and ``expansion_eps``, not the derivative slot."""
     sol = integrate(scenario.curve, np.eye(4), scenario.T, steps, 0.0)
     base = endpoint(sol)
-    tol = scenario.tolerances
-    pair = jordan_pair(base, detect_double_unitary(base, tol.cluster, tol.circle))
+    pair = jordan_pair(base, detect_double_unitary(base))
     return expansion_eps(pair, perturbation_hamiltonian(scenario.curve, sol))
 
 
